@@ -449,9 +449,9 @@ constexpr std::size_t kNarrationMaxSteps = 400;
 constexpr std::int64_t kNarrationFuel = 200'000;
 
 /// Records the interleaved step trace of a witness replay, each step tagged
-/// with the MiniLang thread that executed it. Exactly one thread runs
-/// interpreter code at a time (the scheduler hands a single execution token
-/// between OS threads), so the unsynchronized appends are safe.
+/// with the MiniLang thread that executed it. Every MiniLang thread is a
+/// fiber on the replaying OS thread and exactly one runs interpreter code at
+/// a time, so the unsynchronized appends are safe.
 class ScheduleNarrator final : public minilang::ExecObserver {
  public:
   explicit ScheduleNarrator(obs::Narration* out) : out_(out) {}

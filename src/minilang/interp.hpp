@@ -8,8 +8,9 @@
 // Thread scheduling: `spawn f(args);` statements create cooperative thread
 // roots. Outside a scheduled run the spawned call executes inline to
 // completion at the spawn point (serial semantics — single-schedule replay
-// by construction). Inside run_scheduled_test() every spawn becomes a real
-// thread handing a single execution token around: the interpreter yields at
+// by construction). Inside run_scheduled_test() every spawn becomes a fiber
+// (its own stack, on the calling OS thread) and a single execution token
+// moves between fibers by direct context switches: the interpreter yields at
 // scheduling points (spawn, sync enter/exit, blocking builtins, shared
 // field access, wait/notify/join), and a ScheduleController decides which
 // runnable thread proceeds. Exactly one thread executes at any moment, so
@@ -267,7 +268,7 @@ class Interp {
     const FuncDecl* current_fn = nullptr;  // function whose body is executing
   };
 
-  class Scheduler;  // cooperative token-passing scheduler (interp.cpp)
+  class Scheduler;  // cooperative fiber scheduler (interp.cpp)
   friend class Scheduler;
 
   Value call_function(const FuncDecl& fn, std::vector<Value> args);

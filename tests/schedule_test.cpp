@@ -1,8 +1,11 @@
 // Schedule exploration: serial replay blindness, witness determinism,
-// budget exhaustion as typed inconclusives, chaos injection, and the gate
-// policy that an undrained schedule space blocks a commit.
+// budget exhaustion as typed inconclusives, chaos injection, the gate
+// policy that an undrained schedule space blocks a commit, and the fiber
+// scheduler underneath (per-thread exception state, stack depth, teardown
+// on every abort path).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -255,6 +258,231 @@ TEST(ScheduleNarration, StepsCarryOffMainThreadMarkers) {
     if (step.thread != 0) off_main = true;
   EXPECT_TRUE(off_main);
   EXPECT_NE(narration.detail.find("replayed"), std::string::npos);
+}
+
+// --- fiber scheduler -------------------------------------------------------
+
+/// Exactly two threads, each throwing inside `sync` within a MiniLang `try`.
+/// The monitor release in the sync unwind handler yields, and so does the
+/// catch body's shared-field read, so threads switch while a C++ handler is
+/// active: a `throw;` or handler exit that saw the other thread's exception
+/// state would record the wrong value.
+constexpr const char* kCatchIsolationSource = R"ml(
+struct Box { shared: int; a: string; b: string; }
+
+fn worker(box: Box, mine: string, slot: int) {
+  try {
+    sync (box) {
+      throw mine;
+    }
+  } catch (e) {
+    let peek = box.shared;
+    if (slot == 1) { box.a = e; } else { box.b = e; }
+  }
+}
+
+@test
+fn test_each_thread_catches_its_own() {
+  let box = new Box { shared: 0 };
+  spawn worker(box, "from-t1", 1);
+  spawn worker(box, "from-t2", 2);
+  join_all();
+  assert(box.a == "from-t1", "t1 caught its own");
+  assert(box.b == "from-t2", "t2 caught its own");
+}
+)ml";
+
+TEST(FiberScheduler, EachThreadCatchesItsOwnExceptionInEverySchedule) {
+  const minilang::Program program = minilang::parse_checked(kCatchIsolationSource);
+  concolic::ScheduleExplorer explorer(program, {});
+  const concolic::ScheduleExplorationResult result = explorer.explore();
+  EXPECT_FALSE(result.violation_found)
+      << (result.witnesses.empty() ? "" : result.witnesses.front().to_compact());
+  EXPECT_TRUE(result.conclusive) << result.inconclusive_reason;
+  // Not vacuous: the handlers really interleave across many schedules.
+  EXPECT_GT(result.schedules_explored, 20);
+}
+
+TEST(FiberScheduler, DeepRecursionInSpawnedThreadIsTypedDepthFailure) {
+  // Every level nests try and sync, the deepest interpreter frames a
+  // MiniLang call can produce; the 256-frame limit must trip before the
+  // fiber stack runs out.
+  const minilang::Program program = minilang::parse_checked(R"ml(
+struct Box { v: int; }
+
+fn dive(box: Box, n: int) -> int {
+  try {
+    sync (box) {
+      return dive(box, n + 1) + 1;
+    }
+  } catch (e) {
+    return 0;
+  }
+}
+
+@test
+fn test_deep() {
+  let box = new Box { v: 0 };
+  spawn dive(box, 0);
+  join_all();
+}
+)ml");
+  concolic::ScheduleExplorer explorer(program, {});
+  const concolic::ScheduleExplorationResult result = explorer.explore();
+  ASSERT_TRUE(result.violation_found);
+  const concolic::ScheduleWitness& witness = result.witnesses.front();
+  EXPECT_EQ(witness.outcome, "exception");
+  EXPECT_NE(witness.detail.find("thread t1: call depth limit exceeded in dive"),
+            std::string::npos)
+      << witness.detail;
+}
+
+/// Maximal preemption: grants the lowest runnable thread other than the
+/// one granted last, and optionally abandons the run at pick `prune_at`.
+class AlternatingController final : public minilang::ScheduleController {
+ public:
+  explicit AlternatingController(int prune_at = -1) : prune_at_(prune_at) {}
+
+  int pick(const std::vector<minilang::ThreadStatus>& runnable) override {
+    if (picks_++ == prune_at_) return kPruneRun;
+    for (const minilang::ThreadStatus& status : runnable)
+      if (status.thread_id != last_) return status.thread_id;
+    return runnable.front().thread_id;
+  }
+  void observe(const minilang::ThreadStatus& granted) override { last_ = granted.thread_id; }
+
+ private:
+  int prune_at_;
+  int picks_ = 0;
+  int last_ = 0;
+};
+
+/// Two threads in lock-order inversion, a third spawned thread parked inside
+/// its own monitor, and the hooks each abort path needs.
+constexpr const char* kAbortPathsSource = R"ml(
+struct Box { v: int; name: string; }
+
+fn holder(first: Box, second: Box) {
+  sync (first) {
+    let x = first.v;
+    sync (second) { second.v = x + 1; }
+  }
+}
+
+fn parked(box: Box) {
+  sync (box) {
+    let label = "parked on " + box.name;
+    let y = box.v;
+    box.v = y + 1;
+  }
+}
+
+fn failer(box: Box) {
+  let z = box.v;
+  throw "boom from " + box.name;
+}
+
+fn spinner(box: Box) {
+  sync (box) {
+    while (true) { box.v = box.v + 1; }
+  }
+}
+
+@test
+fn test_hang_main_blocked() {
+  let a = new Box { v: 0, name: "a" };
+  let b = new Box { v: 0, name: "b" };
+  let c = new Box { v: 0, name: "c" };
+  spawn holder(a, b);
+  spawn parked(c);
+  sync (b) {
+    let y = b.v;
+    sync (a) { a.v = y + 1; }
+  }
+  join_all();
+}
+
+@test
+fn test_failure_while_main_holds_monitor() {
+  let a = new Box { v: 0, name: "a" };
+  let c = new Box { v: 0, name: "c" };
+  sync (a) {
+    spawn parked(c);
+    spawn failer(a);
+    let y = a.v;
+    a.v = y + 1;
+  }
+  join_all();
+}
+
+@test
+fn test_prunable() {
+  let a = new Box { v: 0, name: "a" };
+  let c = new Box { v: 0, name: "c" };
+  spawn parked(c);
+  spawn parked(a);
+  sync (c) { let y = c.v; }
+  join_all();
+}
+
+@test
+fn test_spinning_thread() {
+  let a = new Box { v: 0, name: "a" };
+  let c = new Box { v: 0, name: "c" };
+  spawn parked(c);
+  spawn spinner(a);
+  join_all();
+}
+)ml";
+
+TEST(FiberScheduler, EveryAbortPathUnwindsEveryFiberRepeatedly) {
+  // Each abort path tears a schedule down while spawned fibers still have
+  // live frames (strings, values, held monitors). Repetition makes a leaked
+  // frame visible to LeakSanitizer under `check.sh sanitize`, and a stack
+  // recycled in a dirty state visible as a crash or a changed outcome.
+  const minilang::Program program = minilang::parse_checked(kAbortPathsSource);
+  struct Path {
+    const char* test;
+    int prune_at;
+    std::int64_t fuel;
+  };
+  const Path paths[] = {
+      {"test_hang_main_blocked", -1, 2'000'000},
+      {"test_failure_while_main_holds_monitor", -1, 2'000'000},
+      {"test_prunable", 3, 2'000'000},
+      {"test_spinning_thread", -1, 2'000},
+  };
+  for (const Path& path : paths) {
+    minilang::ScheduleRunResult first;
+    for (int run = 0; run < 500; ++run) {
+      minilang::Interp interp(program);
+      interp.set_fuel(path.fuel);
+      AlternatingController controller(path.prune_at);
+      const minilang::ScheduleRunResult result =
+          interp.run_scheduled_test(path.test, controller);
+      ASSERT_FALSE(result.test_passed) << path.test;
+      if (run == 0) {
+        first = result;
+        continue;
+      }
+      ASSERT_EQ(result.error, first.error) << path.test << " run " << run;
+      ASSERT_EQ(result.decisions, first.decisions) << path.test << " run " << run;
+    }
+    const std::string test = path.test;
+    EXPECT_EQ(first.threads_spawned, 2) << test;
+    if (test == "test_hang_main_blocked") {
+      EXPECT_TRUE(first.hung) << first.error;
+      EXPECT_NE(first.error.find("t0 blocked on obj:"), std::string::npos) << first.error;
+    } else if (test == "test_failure_while_main_holds_monitor") {
+      EXPECT_NE(first.error.find("thread t2: boom from a"), std::string::npos) << first.error;
+    } else if (test == "test_prunable") {
+      EXPECT_TRUE(first.pruned);
+      EXPECT_TRUE(first.error.empty()) << first.error;
+    } else {
+      EXPECT_TRUE(first.degraded);
+      EXPECT_NE(first.error.find("step limit exhausted"), std::string::npos) << first.error;
+    }
+  }
 }
 
 core::ContractStore contracts_for(const corpus::FailureTicket& ticket) {
