@@ -1,0 +1,79 @@
+// Substrate benchmark: throughput of the one MiniLang execution core.
+//
+// The CI gate replays test suites on every commit; this measures Interp on
+// (a) a compute-heavy kernel, (b) the full patched corpus suites, and (c)
+// the same suites under concolic replay (concolic::Engine, Interp plus its
+// shadow layer), so the cost of the shadow layer stays visible.
+#include <benchmark/benchmark.h>
+
+#include "concolic/engine.hpp"
+#include "corpus/ticket.hpp"
+#include "minilang/interp.hpp"
+#include "minilang/sema.hpp"
+
+namespace {
+
+using namespace lisa::minilang;
+
+const char* kKernel = R"(
+fn fib(n: int) -> int {
+  if (n < 2) { return n; }
+  return fib(n - 1) + fib(n - 2);
+}
+fn work() -> int {
+  let total = 0;
+  let i = 0;
+  while (i < 50) {
+    total = total + fib(12) % 97;
+    i = i + 1;
+  }
+  return total;
+}
+)";
+
+std::vector<Program> patched_corpus() {
+  std::vector<Program> programs;
+  for (const auto& ticket : lisa::corpus::Corpus::all())
+    programs.push_back(parse_checked(ticket.patched_source));
+  return programs;
+}
+
+void BM_InterpKernel(benchmark::State& state) {
+  const Program program = parse_checked(kKernel);
+  Interp interp(program);
+  interp.set_fuel(1'000'000'000);
+  for (auto _ : state) benchmark::DoNotOptimize(interp.call("work", {}).as_int());
+}
+BENCHMARK(BM_InterpKernel)->Unit(benchmark::kMillisecond);
+
+void BM_InterpCorpusSuites(benchmark::State& state) {
+  const std::vector<Program> programs = patched_corpus();
+  for (auto _ : state) {
+    int passed = 0;
+    for (const Program& program : programs) {
+      Interp interp(program);
+      passed += interp.run_all_tests().first;
+    }
+    benchmark::DoNotOptimize(passed);
+  }
+}
+BENCHMARK(BM_InterpCorpusSuites)->Unit(benchmark::kMillisecond);
+
+void BM_ConcolicCorpusSuites(benchmark::State& state) {
+  const std::vector<Program> programs = patched_corpus();
+  lisa::concolic::CheckConfig config;  // no target, no contract: pure replay
+  for (auto _ : state) {
+    int passed = 0;
+    for (const Program& program : programs) {
+      lisa::concolic::Engine engine(program);
+      for (const FuncDecl* test : program.functions_with("test"))
+        passed += engine.run_test(test->name, config).test_passed ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(passed);
+  }
+}
+BENCHMARK(BM_ConcolicCorpusSuites)->Unit(benchmark::kMillisecond);
+
+}  // namespace
+
+BENCHMARK_MAIN();

@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
 OUT_DIR=${OUT_DIR:-bench/snapshots}
-BENCHES=${BENCHES:-"bench_fig5_pipeline bench_static_screening bench_ci_gate bench_smt_solver bench_vm_throughput bench_incremental bench_schedule"}
+BENCHES=${BENCHES:-"bench_fig5_pipeline bench_static_screening bench_ci_gate bench_smt_solver bench_interp bench_incremental bench_schedule"}
 
 if [[ ! -x "$BUILD_DIR/tools/lisa" ]]; then
   echo "bench_snapshot: $BUILD_DIR/tools/lisa not built (run cmake --build $BUILD_DIR)" >&2

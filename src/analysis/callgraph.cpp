@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 
-#include "minilang/interp.hpp"
+#include "minilang/builtins.hpp"
 
 namespace lisa::analysis {
 
@@ -187,7 +187,7 @@ bool CallGraph::reaches_blocking(const std::string& name) const {
   if (cached != blocking_cache_.end()) return cached->second;
   blocking_cache_[name] = false;  // cycle guard: assume non-blocking on cycles
   bool result = false;
-  if (minilang::blocking_builtins().count(name) > 0) {
+  if (minilang::is_blocking_builtin(name)) {
     result = true;
   } else {
     const FuncDecl* fn = program_->find_function(name);

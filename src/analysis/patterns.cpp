@@ -3,7 +3,7 @@
 #include <functional>
 #include <set>
 
-#include "minilang/interp.hpp"
+#include "minilang/builtins.hpp"
 #include "minilang/printer.hpp"
 
 namespace lisa::analysis {
@@ -26,7 +26,7 @@ std::vector<std::vector<std::string>> blocking_chains(const Program& program,
     if (!on_stack.insert(current).second) return;
     stack.push_back(current);
     const FuncDecl* fn = program.find_function(current);
-    if (minilang::blocking_builtins().count(current) > 0 ||
+    if (minilang::is_blocking_builtin(current) ||
         (fn != nullptr && fn->has_annotation("blocking"))) {
       chains.push_back(stack);
     } else {

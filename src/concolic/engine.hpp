@@ -1,8 +1,12 @@
 // Concolic execution engine — the reproduction's WeBridge.
 //
-// Runs a @test function concretely while collecting a symbolic path
-// condition over locations relevant to a semantic contract, and fires an
-// injected check every time execution reaches a target statement:
+// Runs a @test function on minilang::Interp, the one execution core, as a
+// shadow layer (an ExecObserver that opts into shadow callbacks; see
+// shadow.hpp): Interp defines every statement, expression and builtin, and
+// the engine only keeps the symbolic shadows, the path condition, the
+// relevance filter and the checks. It collects a symbolic path condition
+// over locations relevant to a semantic contract, and fires an injected
+// check every time execution reaches a target statement:
 //
 //   1. The *trace condition* π is the conjunction of recorded branch guards
 //      (only guards whose shadows touch contract-relevant fields, mirroring
@@ -79,7 +83,6 @@ struct RunResult {
   std::vector<TargetHit> hits;
   std::int64_t branches_total = 0;     // branch decisions executed
   std::int64_t branches_recorded = 0;  // decisions recorded into π
-  std::int64_t stmts_executed = 0;
 
   /// True when any structured degradation occurred during the run.
   [[nodiscard]] bool degraded() const {

@@ -1,14 +1,16 @@
-// Symbolic shadow values for the concolic engine.
+// Symbolic shadows of the concolic engine's shadow layer.
 //
-// The engine executes MiniLang concretely (driven by @test functions, per
-// §3.2: "our tool utilizes existing tests to act as our input") while
-// propagating a symbolic *shadow* alongside scalar values:
+// minilang::Interp executes the @test concretely (per §3.2: "our tool
+// utilizes existing tests to act as our input") and carries an opaque
+// minilang::ShadowId beside every local and argument. The engine
+// (concolic/engine.cpp) maps each id to a SymShadow:
 //   * reading `obj.field` yields shadow atom "obj<id>.field" — object
 //     identity, not variable spelling, names the location;
 //   * boolean operators and integer comparisons combine shadows into
 //     formulas;
-//   * values that flow through containers or arithmetic lose their shadow
-//     (objects keep identity, so their later field reads re-derive one).
+//   * values that flow through containers, arithmetic or call returns lose
+//     their shadow (objects keep identity, so their later field reads
+//     re-derive one).
 // Branch decisions on shadowed guards become path-condition conjuncts.
 #pragma once
 
@@ -19,8 +21,8 @@
 
 namespace lisa::concolic {
 
-/// Shadow attached to one runtime value. At most one of the members is
-/// meaningful, matching the value's dynamic type.
+/// What one ShadowId stands for. At most one member is meaningful, matching
+/// the shadowed value's dynamic type.
 struct SymShadow {
   /// For bool values: formula over object-named atoms; null if untracked.
   smt::FormulaPtr bool_formula;
@@ -28,18 +30,10 @@ struct SymShadow {
   /// untracked.
   std::string int_var;
 
-  [[nodiscard]] bool has_bool() const { return bool_formula != nullptr; }
-  [[nodiscard]] bool has_int() const { return !int_var.empty(); }
-};
-
-/// A concrete value plus its shadow.
-struct CValue {
-  minilang::Value v;
-  SymShadow sym;
-
-  CValue() = default;
-  explicit CValue(minilang::Value value) : v(std::move(value)) {}
-  CValue(minilang::Value value, SymShadow shadow) : v(std::move(value)), sym(std::move(shadow)) {}
+  [[nodiscard]] static SymShadow of_bool(smt::FormulaPtr formula) {
+    return {std::move(formula), {}};
+  }
+  [[nodiscard]] static SymShadow of_int(std::string var) { return {nullptr, std::move(var)}; }
 };
 
 /// Symbolic location name for a field of `object`.

@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "corpus/diff.hpp"
-#include "minilang/interp.hpp"
+#include "minilang/builtins.hpp"
 #include "minilang/parser.hpp"
 #include "minilang/printer.hpp"
 #include "minilang/sema.hpp"
@@ -107,7 +107,7 @@ bool collect_preceding_guards(const std::vector<StmtPtr>& stmts, const Stmt* tar
 
 /// True if the expression (transitively) calls a blocking builtin.
 bool contains_blocking_call(const Expr& expr, std::string* name) {
-  if (expr.kind == Expr::Kind::kCall && minilang::blocking_builtins().count(expr.text) > 0) {
+  if (expr.kind == Expr::Kind::kCall && minilang::is_blocking_builtin(expr.text)) {
     *name = expr.text;
     return true;
   }
@@ -156,7 +156,9 @@ const Stmt* find_wait_loop(const std::vector<StmtPtr>& stmts) {
     if (stmt->kind == Stmt::Kind::kWhile) {
       for (const StmtPtr& inner : stmt->body) {
         const Expr* call = first_call_in_stmt(*inner);
-        if (call != nullptr && call->text == "wait") return stmt.get();
+        const minilang::Builtin* builtin =
+            call != nullptr ? minilang::find_builtin(call->text) : nullptr;
+        if (builtin != nullptr && builtin->sched == minilang::SchedOp::kWait) return stmt.get();
       }
     }
     const Stmt* nested = find_wait_loop(stmt->body);

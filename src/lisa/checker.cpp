@@ -5,7 +5,6 @@
 
 #include "analysis/callgraph.hpp"
 #include "analysis/paths.hpp"
-#include "analysis/patterns.hpp"
 #include "concolic/engine.hpp"
 #include "concolic/schedule.hpp"
 #include "inference/embedding.hpp"

@@ -2,21 +2,11 @@
 
 #include <unordered_set>
 
-#include "minilang/interp.hpp"
+#include "minilang/builtins.hpp"
 #include "minilang/parser.hpp"
 
 namespace lisa::minilang {
 namespace {
-
-const std::unordered_set<std::string>& known_builtins() {
-  static const std::unordered_set<std::string> names = {
-      "print", "log",   "len",  "list_new", "map_new",       "push",   "put",
-      "get",   "has",   "del",  "keys",     "contains",      "str",    "min",
-      "max",   "abs",   "assert", "now",    "advance_clock", "wait",   "notify",
-      "notify_all", "join_all",
-  };
-  return names;
-}
 
 class Checker {
  public:
@@ -150,9 +140,7 @@ class Checker {
         if (!declared(expr.text)) report(expr.loc, "unknown variable: " + expr.text);
         return;
       case Expr::Kind::kCall: {
-        if (program_.find_function(expr.text) == nullptr &&
-            known_builtins().count(expr.text) == 0 &&
-            blocking_builtins().count(expr.text) == 0)
+        if (program_.find_function(expr.text) == nullptr && find_builtin(expr.text) == nullptr)
           report(expr.loc, "unknown function: " + expr.text);
         const FuncDecl* fn = program_.find_function(expr.text);
         if (fn != nullptr && fn->params.size() != expr.args.size())

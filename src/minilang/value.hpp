@@ -14,6 +14,14 @@ namespace lisa::minilang {
 struct Object;
 using ObjectPtr = std::shared_ptr<Object>;
 
+/// MiniLang `/` and `%` on a non-zero divisor, with Java's answer for the
+/// one overflowing pair: INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is
+/// 0. Interp and the interval domain's constant folding both use these.
+constexpr std::int64_t int_div(std::int64_t a, std::int64_t b) {
+  return b == -1 ? static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(a)) : a / b;
+}
+constexpr std::int64_t int_mod(std::int64_t a, std::int64_t b) { return b == -1 ? 0 : a % b; }
+
 /// A MiniLang runtime value. Reference types (objects, lists, maps) have
 /// shared ownership so aliasing behaves like Java references — the semantics
 /// the corpus programs were written against.

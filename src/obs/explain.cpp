@@ -13,12 +13,13 @@ namespace lisa::obs {
 
 using minilang::FuncDecl;
 using minilang::ObjectPtr;
+using minilang::PathResolution;
 using minilang::Program;
+using minilang::resolve_path;
 using minilang::StateAccess;
 using minilang::Stmt;
 using minilang::Value;
 using smt::Atom;
-using smt::CmpOp;
 using smt::Formula;
 using smt::FormulaPtr;
 
@@ -31,18 +32,6 @@ constexpr std::int64_t kReplayFuel = 200'000;
 /// remaining test body adds nothing, and interp.cpp's catch-all sites all
 /// rethrow, so this unwinds cleanly out of run_test.
 struct StopReplay {};
-
-bool concrete_cmp(std::int64_t a, CmpOp op, std::int64_t b) {
-  switch (op) {
-    case CmpOp::kEq: return a == b;
-    case CmpOp::kNe: return a != b;
-    case CmpOp::kLt: return a < b;
-    case CmpOp::kLe: return a <= b;
-    case CmpOp::kGt: return a > b;
-    case CmpOp::kGe: return a >= b;
-  }
-  return false;
-}
 
 std::string truncate(std::string text, std::size_t limit) {
   if (text.size() > limit) text = text.substr(0, limit - 3) + "...";
@@ -180,23 +169,6 @@ ObjectPtr find_object(StateAccess& state, std::uint64_t object_id) {
     }
   }
   return nullptr;
-}
-
-/// Resolves a dotted target-frame path against the live frame.
-bool resolve_value(StateAccess& state, const std::string& dotted, Value* out) {
-  const std::vector<std::string> segments = support::split(dotted, '.');
-  if (segments.empty()) return false;
-  Value* root = state.lookup(segments.front());
-  if (root == nullptr) return false;
-  Value current = *root;
-  for (std::size_t i = 1; i < segments.size(); ++i) {
-    if (!current.is_object() || current.as_object() == nullptr) return false;
-    const auto it = current.as_object()->fields.find(segments[i]);
-    if (it == current.as_object()->fields.end()) return false;
-    current = it->second;
-  }
-  *out = current;
-  return true;
 }
 
 /// The replay observer: injects witness state, records the step trace with
@@ -469,45 +441,36 @@ class Narrator final : public minilang::ExecObserver {
   // -- predicate evaluation at the target -----------------------------------
 
   bool eval_atom(StateAccess& state, const Atom& atom, bool* ok, std::string* shown) {
-    Value value;
-    if (atom.kind == Atom::Kind::kBoolVar) {
-      if (support::ends_with(atom.lhs, "#null")) {
-        const std::string path = atom.lhs.substr(0, atom.lhs.size() - 5);
-        if (!resolve_value(state, path, &value)) {
-          *ok = false;
-          *shown = "unresolvable";
-          return true;
-        }
-        *shown = path + " = " + value_brief(value);
-        return value.is_null();
-      }
-      if (!resolve_value(state, atom.lhs, &value) || !value.is_bool()) {
-        *ok = false;
-        *shown = "unresolvable";
-        return true;
-      }
-      *shown = atom.lhs + " = " + value_brief(value);
-      return value.as_bool();
-    }
-    if (!resolve_value(state, atom.lhs, &value) || !value.is_int()) {
+    const auto unresolvable = [&] {
       *ok = false;
       *shown = "unresolvable";
       return true;
+    };
+    if (atom.kind == Atom::Kind::kBoolVar) {
+      if (support::ends_with(atom.lhs, "#null")) {
+        const std::string path = atom.lhs.substr(0, atom.lhs.size() - 5);
+        const PathResolution res = resolve_path(state, path);
+        if (!res.ok) return unresolvable();
+        *shown = path + " = " + value_brief(res.value);
+        return res.value.is_null();
+      }
+      const PathResolution res = resolve_path(state, atom.lhs);
+      if (!res.ok || !res.value.is_bool()) return unresolvable();
+      *shown = atom.lhs + " = " + value_brief(res.value);
+      return res.value.as_bool();
     }
+    const PathResolution lhs = resolve_path(state, atom.lhs);
+    if (!lhs.ok || !lhs.value.is_int()) return unresolvable();
     std::int64_t rhs = atom.rhs_const;
     std::string rhs_shown = std::to_string(rhs);
     if (atom.kind == Atom::Kind::kCmpVar) {
-      Value rhs_value;
-      if (!resolve_value(state, atom.rhs_var, &rhs_value) || !rhs_value.is_int()) {
-        *ok = false;
-        *shown = "unresolvable";
-        return true;
-      }
-      rhs = rhs_value.as_int();
+      const PathResolution rhs_res = resolve_path(state, atom.rhs_var);
+      if (!rhs_res.ok || !rhs_res.value.is_int()) return unresolvable();
+      rhs = rhs_res.value.as_int();
       rhs_shown = atom.rhs_var + " = " + std::to_string(rhs);
     }
-    *shown = atom.lhs + " = " + std::to_string(value.as_int()) + ", " + rhs_shown;
-    return concrete_cmp(value.as_int(), atom.op, rhs);
+    *shown = atom.lhs + " = " + std::to_string(lhs.value.as_int()) + ", " + rhs_shown;
+    return smt::cmp_holds(lhs.value.as_int(), atom.op, rhs);
   }
 
   /// Returns the concrete value of `f`. `negated` tracks the polarity of the

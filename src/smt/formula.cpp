@@ -40,6 +40,18 @@ CmpOp cmp_swap(CmpOp op) {
   return op;
 }
 
+bool cmp_holds(std::int64_t a, CmpOp op, std::int64_t b) {
+  switch (op) {
+    case CmpOp::kEq: return a == b;
+    case CmpOp::kNe: return a != b;
+    case CmpOp::kLt: return a < b;
+    case CmpOp::kLe: return a <= b;
+    case CmpOp::kGt: return a > b;
+    case CmpOp::kGe: return a >= b;
+  }
+  return false;
+}
+
 Atom Atom::bool_var(std::string name) {
   Atom atom;
   atom.kind = Kind::kBoolVar;

@@ -25,6 +25,8 @@ enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 [[nodiscard]] CmpOp cmp_negate(CmpOp op);
 /// The operator with swapped operands: a < b ⇔ b > a.
 [[nodiscard]] CmpOp cmp_swap(CmpOp op);
+/// Whether `a op b` holds on concrete integers.
+[[nodiscard]] bool cmp_holds(std::int64_t a, CmpOp op, std::int64_t b);
 
 /// One theory atom. Variables are named by dotted access paths exactly as
 /// they appear in contracts ("s.ttl", "session.is_closing"); the reserved

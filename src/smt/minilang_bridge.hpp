@@ -32,6 +32,9 @@ enum class OpaquePolicy {
   kAbstract,
 };
 
+/// The theory operator of a MiniLang comparison; nullopt for other operators.
+[[nodiscard]] std::optional<CmpOp> to_cmp(minilang::BinOp op);
+
 /// Converts a MiniLang boolean expression into a formula.
 [[nodiscard]] std::optional<FormulaPtr> to_formula(const minilang::Expr& expr,
                                                    OpaquePolicy policy);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
-#include "minilang/interp.hpp"
+#include "minilang/builtins.hpp"
 #include "minilang/printer.hpp"
 #include "staticcheck/concurrency.hpp"
 #include "staticcheck/dataflow.hpp"
@@ -528,7 +528,7 @@ bool LockStateAnalysis::call_may_block(const std::string& callee) const {
   if (summaries_ != nullptr) {
     const FunctionSummary* summary = summaries_->find(callee);
     if (summary != nullptr) return summary->may_block;
-    return minilang::blocking_builtins().count(callee) > 0;
+    return minilang::is_blocking_builtin(callee);
   }
   return graph_->reaches_blocking(callee);
 }
@@ -661,11 +661,11 @@ Interval IntervalAnalysis::eval(const Expr& expr, const State& state) const {
           return top();
         case BinOp::kDiv:
           if (a.is_constant() && b.is_constant() && b.lo != 0)
-            return Interval::constant(a.lo / b.lo);
+            return Interval::constant(minilang::int_div(a.lo, b.lo));
           return top();
         case BinOp::kMod:
           if (a.is_constant() && b.is_constant() && b.lo != 0)
-            return Interval::constant(a.lo % b.lo);
+            return Interval::constant(minilang::int_mod(a.lo, b.lo));
           return top();
         default:
           return top();

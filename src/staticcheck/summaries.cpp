@@ -5,7 +5,7 @@
 #include <functional>
 #include <stdexcept>
 
-#include "minilang/interp.hpp"
+#include "minilang/builtins.hpp"
 #include "obs/trace.hpp"
 #include "staticcheck/cfg.hpp"
 #include "staticcheck/concurrency.hpp"
@@ -18,6 +18,7 @@ namespace lisa::staticcheck {
 using minilang::BinOp;
 using minilang::Expr;
 using minilang::FuncDecl;
+using minilang::HeapEffect;
 using minilang::Program;
 using minilang::Stmt;
 using minilang::StmtPtr;
@@ -26,26 +27,6 @@ namespace {
 
 /// Hull bottom: the identity element, grown by every return site.
 constexpr Interval bottom_interval() { return Interval{Interval::kMax, Interval::kMin}; }
-
-/// Builtins with no effect on user heap: they neither write struct fields
-/// nor retain references to their arguments. `assert` is listed here (it
-/// throws but does not mutate); blocking builtins are queried separately.
-const std::set<std::string>& pure_builtins() {
-  static const std::set<std::string> pure = {
-      "print", "log",  "len", "list_new", "map_new", "get", "has",
-      "keys",  "str",  "min", "max",      "abs",     "now", "advance_clock",
-      "assert", "contains"};
-  return pure;
-}
-
-/// Builtins that write through or store their arguments (container
-/// mutation). They still cannot write struct *fields*, so field facts
-/// survive a call — only definite-assignment tracking must treat stored
-/// objects as escaped (aliases may be written later).
-const std::set<std::string>& mutator_builtins() {
-  static const std::set<std::string> mutators = {"put", "push", "del"};
-  return mutators;
-}
 
 std::string path_root(const std::string& path) {
   const std::size_t dot = path.find('.');
@@ -149,8 +130,14 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
       }
       return;
     }
-    if (mutator_builtins().count(callee) > 0) {
-      // put/push/del store or mutate arguments; params flowing in escape.
+    // Builtins: the table row states the heap effect. An unknown name (sema
+    // normally rejects these) is fully conservative, like an opaque row.
+    const minilang::Builtin* builtin = minilang::find_builtin(callee);
+    const HeapEffect effect = builtin != nullptr ? builtin->effect : HeapEffect::kOpaque;
+    if (effect == HeapEffect::kMutatesArgs) {
+      // Container mutators store or write through their arguments; params
+      // flowing in escape. They cannot write struct *fields*, so field facts
+      // survive the call.
       for (const auto& arg : call.args) {
         if (!arg) continue;
         const std::string path = expr_access_path(*arg);
@@ -158,16 +145,9 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
         const int pi = param_index(path_root(path));
         if (pi >= 0) s.mod_params.insert(static_cast<std::size_t>(pi));
       }
-      return;
     }
-    if (minilang::blocking_builtins().count(callee) > 0) return;  // I/O, no heap
-    if (pure_builtins().count(callee) > 0) {
-      if (callee == "assert" && try_depth == 0) s.may_throw = true;
-      return;
-    }
-    // Unknown name: sema normally rejects these; stay fully conservative.
-    s.opaque_effects = true;
-    if (try_depth == 0) s.may_throw = true;
+    if (effect == HeapEffect::kOpaque) s.opaque_effects = true;
+    if ((builtin == nullptr || builtin->may_throw) && try_depth == 0) s.may_throw = true;
   };
 
   const std::function<void(const Expr&, int)> walk_effects_expr = [&](const Expr& e,
@@ -259,7 +239,7 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
       std::vector<const Expr*> calls;
       for_each_node_expr(node, [&](const Expr& e) { collect_calls(e, calls); });
       for (const Expr* call : calls) {
-        if (minilang::blocking_builtins().count(call->text) > 0) s.may_block = true;
+        if (minilang::is_blocking_builtin(call->text)) s.may_block = true;
         const FuncDecl* decl = program.find_function(call->text);
         if (decl != nullptr && decl->has_annotation("blocking")) s.may_block = true;
         const FunctionSummary* cs = map.find(call->text);
@@ -378,14 +358,11 @@ CallEffect SummaryMap::effect_of(const std::string& callee) const {
     effect.mod_params = &it->second.mod_params;
     return effect;
   }
-  if (mutator_builtins().count(callee) > 0) {
-    CallEffect effect;
-    effect.writes_all_params = true;
-    return effect;
-  }
-  if (pure_builtins().count(callee) > 0 || minilang::blocking_builtins().count(callee) > 0)
-    return CallEffect{};
-  return CallEffect{.havoc_all = true};
+  const minilang::Builtin* builtin = minilang::find_builtin(callee);
+  if (builtin == nullptr || builtin->effect == HeapEffect::kOpaque)
+    return CallEffect{.havoc_all = true};
+  if (builtin->effect == HeapEffect::kMutatesArgs) return CallEffect{.writes_all_params = true};
+  return CallEffect{};
 }
 
 SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph& graph) {

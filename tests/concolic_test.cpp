@@ -272,5 +272,27 @@ fn test_assign() {
   EXPECT_FALSE(run.hits[0].symbolic_violation) << run.hits[0].witness;
 }
 
+TEST(Concolic, TypeConfusionIsAFailedRunNotAnAbort) {
+  const Program program = minilang::parse_checked(R"(
+@test
+fn test_push_on_map() {
+  push(map_new(), 1);
+}
+@test
+fn test_min_on_string() {
+  let x = min("a", 1);
+}
+)");
+  Engine engine(program);
+  CheckConfig config;
+  config.target_fragment = "nothing(";
+  const RunResult push = engine.run_test("test_push_on_map", config);
+  EXPECT_FALSE(push.test_passed);
+  EXPECT_EQ(push.failure, "push() on non-list");
+  const RunResult min = engine.run_test("test_min_on_string", config);
+  EXPECT_FALSE(min.test_passed);
+  EXPECT_EQ(min.failure, "min() on non-int");
+}
+
 }  // namespace
 }  // namespace lisa::concolic

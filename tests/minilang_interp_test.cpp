@@ -2,6 +2,8 @@
 // builtins, exceptions, the virtual clock, and the blocking observer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "minilang/interp.hpp"
 #include "minilang/sema.hpp"
 
@@ -256,6 +258,168 @@ fn main() -> int {
 }
 )";
   EXPECT_EQ(run(program).as_int(), 8);
+}
+
+TEST(Interp, SyncDepthRestoredOnReturnAndThrow) {
+  Program program = parse_checked(R"(
+struct L { id: int; }
+fn leaves_sync_by_return(l: L) -> int {
+  sync (l) {
+    return 1;
+  }
+}
+fn leaves_sync_by_throw(l: L) {
+  sync (l) {
+    throw "out";
+  }
+}
+fn main() -> int {
+  let l = new L { id: 1 };
+  let a = leaves_sync_by_return(l);
+  try {
+    leaves_sync_by_throw(l);
+  } catch (e) {
+    a = a + 1;
+  }
+  // If sync depth leaked, this blocking call would look "inside sync".
+  write_record(l, "x");
+  return a;
+}
+)");
+  Interp interp(program);
+  BlockingObserver observer;
+  interp.set_observer(&observer);
+  EXPECT_EQ(interp.call("main", {}).as_int(), 2);
+  ASSERT_EQ(observer.events.size(), 1u);
+  EXPECT_EQ(observer.events[0].second, 0);
+}
+
+TEST(Interp, BreakOutOfSyncInsideLoopBalances) {
+  Program program = parse_checked(R"(
+struct L { id: int; }
+fn main() -> int {
+  let l = new L { id: 1 };
+  let i = 0;
+  while (i < 5) {
+    sync (l) {
+      if (i == 2) { break; }
+    }
+    i = i + 1;
+  }
+  write_record(l, "after");
+  return i;
+}
+)");
+  Interp interp(program);
+  BlockingObserver observer;
+  interp.set_observer(&observer);
+  EXPECT_EQ(interp.call("main", {}).as_int(), 2);
+  ASSERT_EQ(observer.events.size(), 1u);
+  EXPECT_EQ(observer.events[0].second, 0);
+}
+
+TEST(Interp, ContinueInsideSyncBalancesMonitors) {
+  Program program = parse_checked(R"(
+struct L { id: int; }
+fn main() -> int {
+  let l = new L { id: 1 };
+  let i = 0;
+  let work = 0;
+  while (i < 4) {
+    i = i + 1;
+    sync (l) {
+      if (i % 2 == 0) { continue; }
+      work = work + 1;
+    }
+  }
+  fsync_log(l);
+  return work;
+}
+)");
+  Interp interp(program);
+  BlockingObserver observer;
+  interp.set_observer(&observer);
+  EXPECT_EQ(interp.call("main", {}).as_int(), 2);
+  ASSERT_EQ(observer.events.size(), 1u);
+  EXPECT_EQ(observer.events[0].second, 0);  // monitors released by continue
+}
+
+TEST(Interp, NestedTryRethrowReachesOuter) {
+  const std::string program = R"(
+fn main() -> string {
+  try {
+    try {
+      throw "inner";
+    } catch (e) {
+      throw "re: " + e;
+    }
+  } catch (e2) {
+    return e2;
+  }
+}
+)";
+  EXPECT_EQ(run(program).as_string(), "re: inner");
+}
+
+TEST(Interp, HandlerInCallerCatchesCalleeThrow) {
+  const std::string program = R"(
+fn deep(n: int) -> int {
+  if (n == 0) { throw "bottom"; }
+  return deep(n - 1);
+}
+fn main() -> string {
+  try {
+    deep(5);
+    return "no throw";
+  } catch (e) {
+    return "caught " + e;
+  }
+}
+)";
+  EXPECT_EQ(run(program).as_string(), "caught bottom");
+}
+
+/// The message of the InterpError that `program`'s main raises, or "".
+std::string engine_error(const std::string& program) {
+  try {
+    run(program);
+  } catch (const InterpError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Interp, TypeConfusionIsATypedEngineError) {
+  // Each of these used to escape as std::bad_variant_access.
+  EXPECT_EQ(engine_error(R"(fn main() -> int { return min("a", 1); })"), "min() on non-int");
+  EXPECT_EQ(engine_error(R"(fn main() -> int { return abs(true); })"), "abs() on non-int");
+  EXPECT_EQ(engine_error(R"(fn main() { advance_clock("soon"); })"),
+            "advance_clock() on non-int");
+  EXPECT_EQ(engine_error(R"(fn main() { let m = map_new(); put(m, true, 1); })"),
+            "put() on non-string-or-int key");
+  EXPECT_EQ(engine_error(R"(fn main() { let l = list_new(); push(l, 1); let x = l["0"]; })"),
+            "list index is not an int");
+  EXPECT_EQ(engine_error(R"(fn main() { let l = list_new(); push(l, 1); l[null] = 2; })"),
+            "list index is not an int");
+  EXPECT_EQ(engine_error(R"(fn main() { let m = map_new(); let x = m[true]; })"),
+            "map key is not a string or int");
+  // Misuse that was already typed keeps its message; valid calls keep working.
+  EXPECT_EQ(engine_error(R"(fn main() { let m = map_new(); push(m, 1); })"),
+            "push() on non-list");
+  EXPECT_EQ(engine_error(R"(fn main() { let x = len(1); })"), "len() on non-container");
+  EXPECT_EQ(engine_error(R"(fn main() { let x = min(1); })"), "builtin min expects 2 args");
+  EXPECT_EQ(run(R"(fn main() -> int { let m = map_new(); put(m, 7, 3); return get(m, "7"); })")
+                .as_int(),
+            3);
+}
+
+TEST(Interp, MinIntDividedByMinusOneWrapsLikeJava) {
+  EXPECT_EQ(run("fn main() -> int { return (0 - 9223372036854775807 - 1) / (0 - 1); }").as_int(),
+            INT64_MIN);
+  EXPECT_EQ(run("fn main() -> int { return (0 - 9223372036854775807 - 1) % (0 - 1); }").as_int(),
+            0);
+  EXPECT_EQ(run("fn main() -> int { return 7 / (0 - 1); }").as_int(), -7);
+  EXPECT_EQ(run("fn main() -> int { return (0 - 7) % 3; }").as_int(), -1);
 }
 
 }  // namespace

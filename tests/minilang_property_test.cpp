@@ -1,18 +1,17 @@
 // Property tests over randomly generated MiniLang programs:
 //   * print→parse→print is a fixpoint (printer/parser agreement),
 //   * generated programs pass the semantic checker,
-//   * the concolic engine and the plain interpreter are observationally
-//     equivalent (same results, same exceptions) — the differential oracle
-//     that keeps the two tree-walkers in sync.
+//   * concolic replay (Interp plus the shadow layer) and plain concrete
+//     replay agree on results, failure text and target arrivals — on the
+//     generated programs and on every @test of the incident corpus.
 #include <gtest/gtest.h>
 
 #include "concolic/engine.hpp"
-#include "minilang/compiler.hpp"
+#include "corpus/ticket.hpp"
 #include "minilang/interp.hpp"
 #include "minilang/parser.hpp"
 #include "minilang/printer.hpp"
 #include "minilang/sema.hpp"
-#include "minilang/vm.hpp"
 #include "smt/minilang_bridge.hpp"
 #include "support/rng.hpp"
 
@@ -20,8 +19,10 @@ namespace lisa::minilang {
 namespace {
 
 /// Generates a random but well-formed MiniLang program with one @test driver
-/// that exercises arithmetic, branching, loops, struct state, and a guarded
-/// "operation" call.
+/// that exercises arithmetic, branching, loops, struct state, a guarded
+/// "operation" call, and — each with some probability — sync blocks,
+/// try/throw, containers, spawn with wait/notify/join_all, a @blocking call
+/// followed by now(), and recursion deeper than 200 frames.
 class ProgramGenerator {
  public:
   explicit ProgramGenerator(std::uint64_t seed) : rng_(seed) {}
@@ -33,7 +34,23 @@ class ProgramGenerator {
            "  s.total = s.total + amount;\n"
            "  return s.total;\n"
            "}\n\n";
-    // A few worker functions with random straight-line bodies.
+    out += "fn bump(s: State, n: int) {\n"
+           "  sync (s) {\n"
+           "    if (s.flag) {\n"
+           "      wait(s);\n"
+           "    }\n"
+           "    s.total = s.total + n;\n"
+           "    notify_all(s);\n"
+           "  }\n"
+           "}\n\n";
+    out += "@blocking\nfn persist(s: State) {\n  s.b = s.b + 1;\n}\n\n";
+    out += "fn depth(n: int) -> int {\n"
+           "  if (n == 0) {\n"
+           "    return 0;\n"
+           "  }\n"
+           "  return 1 + depth(n - 1);\n"
+           "}\n\n";
+    // A few worker functions with random bodies.
     const int workers = 2 + static_cast<int>(rng_.next_below(3));
     for (int i = 0; i < workers; ++i) out += worker(i);
     // The test driver calls each worker with random arguments.
@@ -46,6 +63,19 @@ class ProgramGenerator {
              std::to_string(rng_.next_in(-8, 8)) + ");\n";
       out += "  print(\"r" + std::to_string(i) + "=\", r" + std::to_string(i) + ");\n";
     }
+    if (rng_.next_bool(0.5)) {
+      out += "  spawn bump(s, " + std::to_string(rng_.next_in(1, 5)) + ");\n";
+      out += "  spawn bump(s, " + std::to_string(rng_.next_in(1, 5)) + ");\n";
+      out += "  join_all();\n";
+    }
+    if (rng_.next_bool(0.5)) {
+      const int calls = 1 + static_cast<int>(rng_.next_below(3));
+      for (int i = 0; i < calls; ++i) out += "  persist(s);\n";
+      out += "  assert(now() == " + std::to_string(5 * calls) +
+             ", \"each blocking call advances the clock\");\n";
+    }
+    if (rng_.next_bool(0.5))
+      out += "  assert(depth(" + std::to_string(rng_.next_in(201, 250)) + ") > 200);\n";
     out += "  print(\"total=\", s.total);\n";
     out += "}\n";
     return out;
@@ -75,10 +105,13 @@ class ProgramGenerator {
     std::string body;
     const int statements = 2 + static_cast<int>(rng_.next_below(4));
     int locals = 0;
+    const auto fresh = [&](const char* stem) {
+      return stem + std::to_string(index) + "_" + std::to_string(locals++);
+    };
     for (int i = 0; i < statements; ++i) {
-      switch (rng_.next_below(4)) {
+      switch (rng_.next_below(7)) {
         case 0: {
-          const std::string name = "v" + std::to_string(index) + "_" + std::to_string(locals++);
+          const std::string name = fresh("v");
           body += "  let " + name + " = " + expr_over(ints, 2) + ";\n";
           ints.push_back(name);
           break;
@@ -89,10 +122,28 @@ class ProgramGenerator {
           break;
         case 2: {
           // Bounded loop: a fresh counter guarantees termination.
-          const std::string counter = "i" + std::to_string(index) + "_" + std::to_string(locals++);
+          const std::string counter = fresh("i");
           body += "  let " + counter + " = 0;\n  while (" + counter + " < " +
                   std::to_string(1 + rng_.next_below(4)) + ") {\n    s.total = s.total + 1;\n    " +
                   counter + " = " + counter + " + 1;\n  }\n";
+          break;
+        }
+        case 3:
+          body += "  sync (s) {\n    if (" + cond_over(ints) + ") {\n      s.a = " +
+                  expr_over(ints, 1) + ";\n    }\n  }\n";
+          break;
+        case 4:
+          body += "  try {\n    if (" + cond_over(ints) + ") {\n      throw \"boom \" + " +
+                  expr_over(ints, 1) + ";\n    }\n    s.b = " + expr_over(ints, 1) +
+                  ";\n  } catch (e) {\n    s.total = s.total + len(e);\n  }\n";
+          break;
+        case 5: {
+          const std::string list = fresh("l");
+          const std::string map = fresh("m");
+          body += "  let " + list + " = list_new();\n  push(" + list + ", " + expr_over(ints, 1) +
+                  ");\n  let " + map + " = map_new();\n  put(" + map + ", \"k\", " +
+                  expr_over(ints, 1) + ");\n  s.total = s.total + " + list + "[0] + get(" + map +
+                  ", \"k\") + len(" + list + ");\n";
           break;
         }
         default:
@@ -130,11 +181,17 @@ TEST_P(RandomProgram, ConcolicEngineMatchesInterpreter) {
   const std::string source = ProgramGenerator(static_cast<std::uint64_t>(GetParam())).generate();
   const Program program = parse_checked(source);
 
+  // Concrete replay, counting how often the target operation runs.
+  struct CountCalls : ExecObserver {
+    int operate_calls = 0;
+    void on_call(const FuncDecl& fn) override {
+      if (fn.name == "operate") ++operate_calls;
+    }
+  } counter;
   Interp interp(program);
-  std::string interp_error;
-  bool interp_ok = interp.run_test("test_driver");
-  interp_error = interp.last_error();
-  const std::string interp_output = interp.take_output();
+  interp.set_observer(&counter);
+  const bool interp_ok = interp.run_test("test_driver");
+  const std::string interp_error = interp.last_error();
 
   concolic::Engine engine(program);
   concolic::CheckConfig config;
@@ -147,39 +204,46 @@ TEST_P(RandomProgram, ConcolicEngineMatchesInterpreter) {
   if (!interp_ok) {
     EXPECT_EQ(interp_error, run.failure) << source;
   }
-  // Target hits must agree with the interpreter's view of how often the
-  // operation ran: count "total=" change is equivalent; instead re-derive by
-  // concrete replay with a counting observer.
-  struct CountCalls : ExecObserver {
-    int operate_calls = 0;
-    void on_call(const FuncDecl& fn) override {
-      if (fn.name == "operate") ++operate_calls;
-    }
-  } counter;
-  Interp recount(program);
-  recount.set_observer(&counter);
-  recount.run_test("test_driver");
   EXPECT_EQ(static_cast<int>(run.hits.size()), counter.operate_calls) << source;
 }
 
-TEST_P(RandomProgram, BytecodeVmMatchesInterpreter) {
-  const std::string source = ProgramGenerator(static_cast<std::uint64_t>(GetParam())).generate();
-  const Program program = parse_checked(source);
-  const Module module = compile(program);
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgram, ::testing::Range(1, 41));
 
-  Interp interp(program);
-  const bool interp_ok = interp.run_test("test_driver");
-  const std::string interp_error = interp.last_error();
-  const std::string interp_output = interp.take_output();
+// ---------------------------------------------------------------------------
+// Differential: concolic replay must agree with concrete replay on every
+// @test of the corpus (buggy, patched and latest).
+// ---------------------------------------------------------------------------
 
-  Vm vm(module);
-  const bool vm_ok = vm.run_test("test_driver");
-  EXPECT_EQ(interp_ok, vm_ok) << source << "\ninterp: " << interp_error
-                              << "\nvm: " << vm.last_error();
-  EXPECT_EQ(interp_output, vm.take_output()) << source;
+class CorpusDifferential : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CorpusDifferential, ConcolicMatchesInterpreterOnAllTests) {
+  const corpus::FailureTicket* ticket = corpus::Corpus::find(GetParam());
+  ASSERT_NE(ticket, nullptr);
+  concolic::CheckConfig config;
+  config.target_fragment = "<no target>";
+  for (const std::string* source :
+       {&ticket->buggy_source, &ticket->patched_source, &ticket->latest_source}) {
+    if (source->empty()) continue;
+    const Program program = parse_checked(*source);
+    concolic::Engine engine(program);
+    for (const FuncDecl* test : program.functions_with("test")) {
+      Interp interp(program);
+      const bool interp_ok = interp.run_test(test->name);
+      const concolic::RunResult run = engine.run_test(test->name, config);
+      EXPECT_EQ(interp_ok, run.test_passed) << ticket->case_id << " " << test->name
+                                            << "\ninterp: " << interp.last_error()
+                                            << "\nconcolic: " << run.failure;
+      EXPECT_EQ(interp.last_error(), run.failure) << ticket->case_id << " " << test->name;
+    }
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgram, ::testing::Range(1, 41));
+INSTANTIATE_TEST_SUITE_P(AllCases, CorpusDifferential, ::testing::ValuesIn([] {
+                           std::vector<std::string> ids;
+                           for (const auto& ticket : corpus::Corpus::all())
+                             ids.push_back(ticket.case_id);
+                           return ids;
+                         }()));
 
 }  // namespace
 }  // namespace lisa::minilang

@@ -11,6 +11,7 @@
 #include "corpus/ticket.hpp"
 #include "inference/mock_llm.hpp"
 #include "lisa/ci_gate.hpp"
+#include "lisa/contract.hpp"
 #include "lisa/journal.hpp"
 #include "lisa/pipeline.hpp"
 #include "minilang/interp.hpp"
@@ -521,6 +522,56 @@ TEST_F(Robustness, GateResumeSkipsSettledContracts) {
   EXPECT_EQ(second.allowed, first.allowed);
   EXPECT_EQ(second.violations.size(), first.violations.size());
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile commits: type confusion and integer overflow in a commit file are
+// typed outcomes, never a host exception or a signal.
+
+/// The CLI gate's decision on `commit` under `ticket`'s learned contracts.
+core::GateDecision gate_commit(const corpus::FailureTicket& ticket, const std::string& commit) {
+  core::ContractStore store;
+  store.add_all(
+      core::translate(inference::MockLlm().infer(ticket), ticket.system).contracts);
+  CheckOptions options;
+  options.run_concolic = false;
+  return core::CiGate(options).evaluate(commit, store);
+}
+
+TEST_F(Robustness, TypeConfusionInSpawnedTestBlocksWithTypedWitness) {
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("hbase-counter-race");
+  ASSERT_NE(ticket, nullptr);
+  const core::GateDecision decision = gate_commit(*ticket, ticket->patched_source + R"(
+fn bad_min() -> int {
+  return min("a", 1);
+}
+
+@test
+fn test_min_confusion() {
+  spawn bad_min();
+  join_all();
+}
+)");
+  EXPECT_FALSE(decision.allowed);
+  bool typed_witness = false;
+  for (const std::string& violation : decision.violations)
+    if (violation.find("outcome=exception;detail=thread t1: min() on non-int") !=
+        std::string::npos)
+      typed_witness = true;
+  EXPECT_TRUE(typed_witness);
+}
+
+TEST_F(Robustness, MinIntDividedByMinusOneDoesNotCrashTheGate) {
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-1208-ephemeral-create");
+  ASSERT_NE(ticket, nullptr);
+  const core::GateDecision plain = gate_commit(*ticket, ticket->patched_source);
+  const core::GateDecision probed = gate_commit(
+      *ticket, ticket->patched_source +
+                   "\nfn overflow_probe() -> int { return (0 - 9223372036854775807 - 1) / "
+                   "(0 - 1); }\nfn overflow_mod() -> int { return (0 - 9223372036854775807 - "
+                   "1) % (0 - 1); }\n");
+  EXPECT_EQ(probed.allowed, plain.allowed);
+  EXPECT_EQ(probed.violations, plain.violations);
 }
 
 }  // namespace
