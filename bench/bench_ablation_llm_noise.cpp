@@ -42,9 +42,10 @@ NoiseRow run_with_noise(double noise, std::uint64_t seed) {
     const inference::SemanticsProposal proposal = llm.infer(ticket);
     const core::TranslationResult translation = core::translate(proposal, ticket.system);
     const minilang::Program program = minilang::parse_checked(ticket.patched_source);
+    const staticcheck::Screener analysis(program);
     for (const core::SemanticContract& contract : translation.contracts) {
       ++row.contracts;
-      const core::ContractCheckReport report = checker.check(program, contract, options);
+      const core::ContractCheckReport report = checker.check(analysis, contract, options);
       if (!report.sanity_ok) continue;  // filtered by cross-validation
       ++row.grounded;
       if (report.violated > 0) ++row.detections;

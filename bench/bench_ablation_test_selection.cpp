@@ -28,7 +28,7 @@ SelectionScore score_with_tests(const corpus::FailureTicket& ticket,
   core::CheckOptions options;
   options.forced_tests = std::move(tests);
   const core::ContractCheckReport report =
-      core::Checker().check(program, contract, options);
+      core::Checker().check(staticcheck::Screener(program), contract, options);
   SelectionScore score;
   score.paths = static_cast<int>(report.paths.size());
   score.covered = score.paths - report.uncovered;
@@ -64,7 +64,7 @@ void print_selection_table() {
     core::CheckOptions rag_options;
     rag_options.max_tests_per_contract = k;
     const core::ContractCheckReport rag_report =
-        core::Checker().check(program, contract, rag_options);
+        core::Checker().check(staticcheck::Screener(program), contract, rag_options);
     const std::vector<std::string> rag = rag_report.dynamic.selected_tests;
     // Random: k arbitrary tests.
     std::vector<std::string> pool = all_tests_of(ticket);

@@ -112,7 +112,7 @@ ApproachResult run_verification() {
     for (const minilang::FuncDecl* test : program.functions_with("test"))
       options.forced_tests.push_back(test->name);
     const core::ContractCheckReport report =
-        checker.check(program, translation.contracts[0], options);
+        checker.check(staticcheck::Screener(program), translation.contracts[0], options);
     if (!report.passed()) ++result.detected;
     result.paths += static_cast<std::int64_t>(report.paths.size());
   }

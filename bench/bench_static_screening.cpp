@@ -14,6 +14,9 @@
 //     (must be exact: screening is an accelerator, never an oracle), and
 //   * the end-to-end wall-clock reduction with screening + trusted
 //     verdicts against the unscreened checker.
+// Every timed pass builds one shared analysis (staticcheck::Screener) per
+// program version and checks all of that version's contracts against it,
+// as the CI gate does; nothing is cached across passes.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -31,15 +34,14 @@ namespace {
 using namespace lisa;
 
 struct Workload {
-  struct Item {
+  /// One program version and the contracts mined from its ticket.
+  struct Version {
     std::string label;  // "<case>/<version>"
-    const minilang::Program* program = nullptr;
-    const core::SemanticContract* contract = nullptr;
+    minilang::Program program;
+    const std::vector<core::SemanticContract>* contracts = nullptr;
   };
-  // Owned storage backing the Item pointers.
-  std::vector<minilang::Program> programs;
-  std::vector<core::TranslationResult> translations;
-  std::vector<Item> items;
+  std::vector<core::TranslationResult> translations;  // backs Version::contracts
+  std::vector<Version> versions;
 };
 
 /// Parses every corpus program version once and pairs it with the contracts
@@ -47,9 +49,8 @@ struct Workload {
 const Workload& workload() {
   static const Workload loaded = [] {
     Workload w;
-    // Reserve to keep pointers stable while filling.
+    // Reserve to keep the contract pointers stable while filling.
     const auto& tickets = corpus::Corpus::all();
-    w.programs.reserve(tickets.size() * 3);
     w.translations.reserve(tickets.size());
     for (const corpus::FailureTicket& ticket : tickets) {
       w.translations.push_back(
@@ -62,9 +63,8 @@ const Workload& workload() {
       };
       for (const auto& [name, source] : versions) {
         if (source->empty()) continue;
-        w.programs.push_back(minilang::parse_checked(*source));
-        for (const core::SemanticContract& contract : translation.contracts)
-          w.items.push_back({ticket.case_id + "/" + name, &w.programs.back(), &contract});
+        w.versions.push_back({ticket.case_id + "/" + name, minilang::parse_checked(*source),
+                              &translation.contracts});
       }
     }
     return w;
@@ -72,9 +72,10 @@ const Workload& workload() {
   return loaded;
 }
 
-/// Ground truth per workload item: the unscreened full static + concolic
-/// checker. Mode-independent (the checker never consults summaries for path
-/// verdicts), so both ablation arms compare against the same outcomes.
+/// Ground truth per (version, contract), in workload order: the unscreened
+/// full static + concolic checker. Mode-independent (the checker never
+/// consults summaries for path verdicts), so both ablation arms compare
+/// against the same outcomes.
 struct GroundTruth {
   std::vector<bool> passed;
   double full_ms = 0.0;  // wall clock of the unscreened checker
@@ -87,8 +88,11 @@ const GroundTruth& ground_truth() {
     core::CheckOptions full_options;
     full_options.static_screen = false;
     const support::Stopwatch timer;
-    for (const Workload::Item& item : workload().items)
-      t.passed.push_back(checker.check(*item.program, *item.contract, full_options).passed());
+    for (const Workload::Version& version : workload().versions) {
+      const staticcheck::Screener analysis(version.program);
+      for (const core::SemanticContract& contract : *version.contracts)
+        t.passed.push_back(checker.check(analysis, contract, full_options).passed());
+    }
     t.full_ms = timer.elapsed_ms();
     return t;
   }();
@@ -107,7 +111,7 @@ struct ScreenStats {
   int interleaving_contracts = 0;
   int interleaving_settled = 0;
   double screened_ms = 0.0;  // wall clock, screening + trusted verdicts
-  double summary_ms = 0.0;   // share spent computing interprocedural summaries
+  double summary_ms = 0.0;   // the analyses' summary computations (a share)
 
   [[nodiscard]] int settled() const { return proved_safe + proved_violated; }
   [[nodiscard]] double settled_fraction() const {
@@ -125,63 +129,62 @@ ScreenStats run_comparison(bool use_summaries, std::vector<std::string>* disagre
   const core::Checker checker;
   core::CheckOptions screened_options;
   screened_options.trust_screen_verdicts = true;  // CI-style: outcome only
-  screened_options.use_summaries = use_summaries;
   const GroundTruth& truth = ground_truth();
 
-  for (std::size_t i = 0; i < workload().items.size(); ++i) {
-    const Workload::Item& item = workload().items[i];
-    const bool truth_passed = truth.passed[i];
-    ++stats.contracts;
-    const bool interleaving =
-        item.contract->kind == corpus::SemanticsKind::kInterleavingSensitive;
-    if (interleaving) ++stats.interleaving_contracts;
+  std::size_t index = 0;
+  for (const Workload::Version& version : workload().versions) {
+    const staticcheck::Screener analysis(version.program, use_summaries);
+    for (const core::SemanticContract& contract : *version.contracts) {
+      const bool truth_passed = truth.passed[index++];
+      ++stats.contracts;
+      const bool interleaving = contract.kind == corpus::SemanticsKind::kInterleavingSensitive;
+      if (interleaving) ++stats.interleaving_contracts;
 
-    const support::Stopwatch screened_timer;
-    const core::ContractCheckReport screened =
-        checker.check(*item.program, *item.contract, screened_options);
-    stats.screened_ms += screened_timer.elapsed_ms();
-    stats.summary_ms += screened.summary_ms;
+      const support::Stopwatch screened_timer;
+      const core::ContractCheckReport screened =
+          checker.check(analysis, contract, screened_options);
+      stats.screened_ms += screened_timer.elapsed_ms();
 
-    if (screened.screen_verdict == "proved-safe") {
-      ++stats.proved_safe;
-      if (interleaving) ++stats.interleaving_settled;
-      if (!truth_passed) {
-        ++stats.disagreements;
-        if (disagreement_lines != nullptr)
-          disagreement_lines->push_back(item.label + " " + item.contract->id +
-                                        ": screener safe, checker violated");
-      }
-    } else if (screened.screen_verdict == "proved-violated") {
-      ++stats.proved_violated;
-      if (interleaving) ++stats.interleaving_settled;
-      if (truth_passed) {
-        ++stats.disagreements;
-        if (disagreement_lines != nullptr)
-          disagreement_lines->push_back(item.label + " " + item.contract->id +
-                                        ": screener violated, checker passed");
-      }
-    } else {
-      ++stats.unknown;
-      // Atomicity/liveness contracts never produce a screen verdict: the
-      // schedule explorer decides them instead. A found violation or a
-      // conclusively drained schedule space is a settled outcome — and the
-      // explorer is summary-independent, so it must agree with ground truth.
-      const bool explorer_decided =
-          interleaving && (screened.schedule_violations > 0 ||
-                           (screened.schedules_explored > 0 && screened.schedule_conclusive));
-      if (explorer_decided) ++stats.interleaving_settled;
-      // Unknown must fall through to the identical full-check outcome —
-      // except interleaving contracts without an explorer verdict, which
-      // have no dynamic fall-through (single-threaded replay cannot observe
-      // interleavings): with summaries off they are simply unchecked, so
-      // comparing against the summaries-on ground truth is meaningless.
-      if ((!interleaving || explorer_decided) && screened.passed() != truth_passed) {
-        ++stats.disagreements;
-        if (disagreement_lines != nullptr)
-          disagreement_lines->push_back(item.label + " " + item.contract->id +
-                                        ": unknown-path outcome diverged");
+      const std::string label = version.label + " " + contract.id;
+      if (screened.screen_verdict == "proved-safe") {
+        ++stats.proved_safe;
+        if (interleaving) ++stats.interleaving_settled;
+        if (!truth_passed) {
+          ++stats.disagreements;
+          if (disagreement_lines != nullptr)
+            disagreement_lines->push_back(label + ": screener safe, checker violated");
+        }
+      } else if (screened.screen_verdict == "proved-violated") {
+        ++stats.proved_violated;
+        if (interleaving) ++stats.interleaving_settled;
+        if (truth_passed) {
+          ++stats.disagreements;
+          if (disagreement_lines != nullptr)
+            disagreement_lines->push_back(label + ": screener violated, checker passed");
+        }
+      } else {
+        ++stats.unknown;
+        // Atomicity/liveness contracts never produce a screen verdict: the
+        // schedule explorer decides them instead. A found violation or a
+        // conclusively drained schedule space is a settled outcome — and the
+        // explorer is summary-independent, so it must agree with ground truth.
+        const bool explorer_decided =
+            interleaving && (screened.schedule_violations > 0 ||
+                             (screened.schedules_explored > 0 && screened.schedule_conclusive));
+        if (explorer_decided) ++stats.interleaving_settled;
+        // Unknown must fall through to the identical full-check outcome —
+        // except interleaving contracts without an explorer verdict, which
+        // have no dynamic fall-through (single-threaded replay cannot observe
+        // interleavings): with summaries off they are simply unchecked, so
+        // comparing against the summaries-on ground truth is meaningless.
+        if ((!interleaving || explorer_decided) && screened.passed() != truth_passed) {
+          ++stats.disagreements;
+          if (disagreement_lines != nullptr)
+            disagreement_lines->push_back(label + ": unknown-path outcome diverged");
+        }
       }
     }
+    stats.summary_ms += analysis.summary_ms();
   }
   return stats;
 }
@@ -234,41 +237,43 @@ int print_screening_table() {
   return ok ? 0 : 1;
 }
 
-void BM_FullCheck(benchmark::State& state) {
+/// Checks every contract of every version, one shared analysis per version.
+int check_all(const core::CheckOptions& options) {
   const core::Checker checker;
+  int violated = 0;
+  for (const Workload::Version& version : workload().versions) {
+    const staticcheck::Screener analysis(version.program);
+    for (const core::SemanticContract& contract : *version.contracts)
+      violated += checker.check(analysis, contract, options).violated;
+  }
+  return violated;
+}
+
+void BM_FullCheck(benchmark::State& state) {
   core::CheckOptions options;
   options.static_screen = false;
-  for (auto _ : state) {
-    int violated = 0;
-    for (const Workload::Item& item : workload().items)
-      violated += checker.check(*item.program, *item.contract, options).violated;
-    benchmark::DoNotOptimize(violated);
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(check_all(options));
 }
 BENCHMARK(BM_FullCheck)->Unit(benchmark::kMillisecond);
 
 void BM_ScreenedCheck(benchmark::State& state) {
-  const core::Checker checker;
   core::CheckOptions options;
   options.trust_screen_verdicts = true;
-  for (auto _ : state) {
-    int violated = 0;
-    for (const Workload::Item& item : workload().items)
-      violated += checker.check(*item.program, *item.contract, options).violated;
-    benchmark::DoNotOptimize(violated);
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(check_all(options));
 }
 BENCHMARK(BM_ScreenedCheck)->Unit(benchmark::kMillisecond);
 
 void screener_only_loop(benchmark::State& state, bool use_summaries) {
   for (auto _ : state) {
     int settled = 0;
-    for (const Workload::Item& item : workload().items) {
-      if (item.contract->condition == nullptr) continue;
-      const staticcheck::Screener screener(*item.program, use_summaries);
-      const staticcheck::ScreenResult result = screener.screen_state_predicate(
-          item.contract->target_fragment, item.contract->condition);
-      settled += result.verdict != staticcheck::ScreenVerdict::kUnknown ? 1 : 0;
+    for (const Workload::Version& version : workload().versions) {
+      const staticcheck::Screener screener(version.program, use_summaries);
+      for (const core::SemanticContract& contract : *version.contracts) {
+        if (contract.condition == nullptr) continue;
+        const staticcheck::ScreenResult result =
+            screener.screen_state_predicate(contract.target_fragment, contract.condition);
+        settled += result.verdict != staticcheck::ScreenVerdict::kUnknown ? 1 : 0;
+      }
     }
     benchmark::DoNotOptimize(settled);
   }

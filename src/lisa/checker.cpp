@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "analysis/callgraph.hpp"
 #include "analysis/paths.hpp"
 #include "concolic/engine.hpp"
 #include "concolic/schedule.hpp"
@@ -14,7 +13,6 @@
 #include "obs/trace.hpp"
 #include "smt/solver.hpp"
 #include "staticcheck/concurrency.hpp"
-#include "staticcheck/screener.hpp"
 #include "staticcheck/slice.hpp"
 #include "support/faultpoint.hpp"
 
@@ -132,7 +130,6 @@ Json ContractCheckReport::to_json() const {
     if (!screen_witness.empty()) screen["witness"] = screen_witness;
     screen["reason"] = screen_reason;
     screen["elapsed_ms"] = screen_ms;
-    screen["summary_ms"] = summary_ms;
     screen["skipped_concolic"] = screen_skipped_concolic;
     root["screen"] = Json(std::move(screen));
   }
@@ -238,8 +235,6 @@ ContractCheckReport ContractCheckReport::from_json(const Json& json) {
     report.screen_reason = screen.get_string("reason");
     if (screen.has("elapsed_ms") && screen.at("elapsed_ms").is_number())
       report.screen_ms = screen.at("elapsed_ms").as_double();
-    if (screen.has("summary_ms") && screen.at("summary_ms").is_number())
-      report.summary_ms = screen.at("summary_ms").as_double();
     report.screen_skipped_concolic = screen.has("skipped_concolic") &&
                                      screen.at("skipped_concolic").is_bool() &&
                                      screen.at("skipped_concolic").as_bool();
@@ -309,10 +304,6 @@ bool chain_suffix_matches(const std::vector<std::string>& hit_chain,
   return std::equal(path_chain.rbegin(), path_chain.rend(), hit_chain.rbegin());
 }
 
-}  // namespace
-
-namespace {
-
 /// Folds one finished contract check into the metrics registry and closes
 /// its span with the outcome attributes.
 void record_contract_outcome(obs::ScopedSpan& span, const ContractCheckReport& report,
@@ -337,7 +328,6 @@ void record_contract_outcome(obs::ScopedSpan& span, const ContractCheckReport& r
   if (!report.screen_verdict.empty()) {
     registry.counter("screen." + report.screen_verdict).add();
     registry.histogram("screen.ms").record(report.screen_ms);
-    if (report.summary_ms > 0.0) registry.histogram("summaries.ms").record(report.summary_ms);
     if (report.screen_skipped_concolic) registry.counter("screen.concolic_skipped").add();
   }
   span.attr("paths", report.paths.size());
@@ -435,211 +425,143 @@ std::string contract_slice_fingerprint(const staticcheck::SliceEngine& engine,
   return engine.slice(contract_slice_request(contract, run_concolic)).fingerprint;
 }
 
-ContractCheckReport Checker::check(const minilang::Program& program,
-                                   const SemanticContract& contract,
-                                   const CheckOptions& options) const {
-  obs::ScopedSpan span("checker.contract");
-  span.attr("contract", contract.id);
-  span.attr("target", contract.target_fragment);
+namespace {
 
-  ContractCheckReport report;
-  report.contract_id = contract.id;
-  report.target_fragment = contract.target_fragment;
+/// Stamps the budget's exhaustion onto `report`. Only the steps that charge
+/// the budget (schedule exploration, static paths, concolic replay) call it:
+/// `lisa gate` shares one budget across every contract, so stamping any other
+/// step would make it inconclusive for an earlier contract's spend.
+void stamp_budget(ContractCheckReport& report, const support::Budget* budget) {
+  if (budget == nullptr || !budget->exhausted()) return;
+  report.budget_exhausted = true;
+  report.budget_reason = budget->exhausted_reason();
+  report.budget_resource = support::budget_resource_name(budget->exhausted_resource());
+}
 
-  const analysis::CallGraph graph = analysis::CallGraph::build(program);
-  const obs::CaptureHandle capture = bind_capture(options.ledger, contract);
+void take_screen(const staticcheck::ScreenResult& screen, ContractCheckReport& report) {
+  report.screen_verdict = staticcheck::screen_verdict_name(screen.verdict);
+  report.screen_witness = screen.witness;
+  report.screen_reason = screen.reason;
+  report.screen_ms = screen.elapsed_ms;
+}
 
-  if (contract.kind == corpus::SemanticsKind::kStructuralPattern) {
-    // The path-sensitive lock-state dataflow subsumes the older structural
-    // walk (analysis/patterns.cpp): same monitor rule, but exception edges
-    // release monitors and nested sync depth is tracked per path.
-    const staticcheck::Screener screener(program, options.use_summaries);
-    staticcheck::ScreenOptions screen_options;
-    screen_options.capture = capture;
-    const staticcheck::ScreenResult screen = screener.screen_structural(screen_options);
-    if (screener.summaries() != nullptr)
-      report.summary_ms = screener.summaries()->stats().elapsed_ms;
-    if (options.compute_slice_fp) {
-      const staticcheck::SliceEngine slicer(program, screener.graph(), screener.summaries());
-      report.slice_fp = contract_slice_fingerprint(slicer, contract, options.run_concolic);
-    }
-    for (const staticcheck::Diagnostic& diagnostic : screen.diagnostics)
-      report.structural_violations.push_back(diagnostic.render());
-    report.screen_verdict = staticcheck::screen_verdict_name(screen.verdict);
-    report.screen_witness = screen.witness;
-    report.screen_reason = screen.reason;
-    report.screen_ms = screen.elapsed_ms;
-    report.target_statements =
-        analysis::find_target_statements(program, contract.target_fragment).size();
-    report.sanity_ok = true;  // structural rules need no fixed-path witness
-    if (capture.active() && !report.passed()) {
-      // Narrate the deadlock-shaped witness: replay tests until a blocking
-      // call executes under a held monitor.
-      obs::NarrationRequest request;
-      request.contract_id = contract.id;
-      request.kind = "structural-pattern";
-      request.target_fragment = contract.target_fragment;
-      for (const minilang::FuncDecl* fn : program.functions_with("test"))
-        request.candidate_tests.push_back(fn->name);
-      capture.capture->narration = obs::narrate_counterexample(program, request);
-    }
-    finalize_capture(capture, report, options.budget);
-    record_contract_outcome(span, report, span.elapsed_ms());
-    return report;
+/// Structural contracts. The path-sensitive lock-state dataflow subsumes the
+/// older structural walk (analysis/patterns.cpp): same monitor rule, but
+/// exception edges release monitors and nested sync depth is tracked per
+/// path. A failure narrates by replaying tests until a blocking call
+/// executes under a held monitor.
+void screen_lock_state(const staticcheck::Screener& analysis,
+                       const staticcheck::ScreenOptions& screen_options,
+                       ContractCheckReport& report) {
+  const staticcheck::ScreenResult screen = analysis.screen_structural(screen_options);
+  for (const staticcheck::Diagnostic& diagnostic : screen.diagnostics)
+    report.structural_violations.push_back(diagnostic.render());
+  take_screen(screen, report);
+  report.sanity_ok = true;  // structural rules need no fixed-path witness
+}
+
+/// Atomicity and liveness patterns cannot be settled by the lockset screen:
+/// the violation is a specific interleaving of spawned threads, not a
+/// missing lock edge. The schedule explorer quantifies over interleavings
+/// instead — every spawning @test is re-run under the cooperative scheduler,
+/// one thread order per run, bounded by max_schedules and charged to the
+/// budget. Serial replay of the same tests sees exactly one schedule and is
+/// provably blind to these bugs (schedule_test.cpp asserts it), so the
+/// explorer's verdict is final: a violating schedule fails the contract with
+/// a replayable witness; an undrained schedule space is a typed
+/// inconclusive, never a pass. Returns the first violating schedule, which
+/// the narration replays.
+std::optional<concolic::ScheduleWitness> explore_schedules(
+    const minilang::Program& program, const CheckOptions& options,
+    const obs::CaptureHandle& capture, ContractCheckReport& report) {
+  report.sanity_ok = true;  // the witness schedule is its own evidence
+  concolic::ScheduleExploreOptions schedule_options;
+  schedule_options.max_schedules = options.max_schedules;
+  schedule_options.seed = options.schedule_seed;
+  schedule_options.budget = options.budget;
+  concolic::ScheduleExplorer explorer(program, schedule_options);
+  const concolic::ScheduleExplorationResult explored = explorer.explore();
+  report.schedules_explored = explored.schedules_explored;
+  report.schedule_conclusive = explored.conclusive;
+  report.schedule_inconclusive_reason = explored.inconclusive_reason;
+  report.schedule_violations = static_cast<int>(explored.witnesses.size());
+  for (const concolic::ScheduleWitness& witness : explored.witnesses) {
+    report.schedule_violation_details.push_back(
+        witness.test + ": " + witness.outcome + " under schedule [" +
+        witness.decisions_text() + "]" +
+        (witness.detail.empty() ? "" : " — " + witness.detail));
+    if (report.schedule_witness.empty())
+      report.schedule_witness = witness.to_compact();
   }
-
-  if (contract.kind == corpus::SemanticsKind::kInterleavingSensitive &&
-      (contract.pattern == "atomic" || contract.pattern == "eventually")) {
-    // Atomicity and liveness patterns cannot be settled by the lockset
-    // screen: the violation is a specific interleaving of spawned threads,
-    // not a missing lock edge. The schedule explorer quantifies over
-    // interleavings instead — every spawning @test is re-run under the
-    // cooperative scheduler, one thread order per run, bounded by
-    // max_schedules and charged to the budget. Serial replay of the same
-    // tests sees exactly one schedule and is provably blind to these bugs
-    // (schedule_test.cpp asserts it), so the explorer's verdict is final:
-    // a violating schedule fails the contract with a replayable witness;
-    // an undrained schedule space is a typed inconclusive, never a pass.
-    const staticcheck::Screener screener(program, options.use_summaries);
-    if (screener.summaries() != nullptr)
-      report.summary_ms = screener.summaries()->stats().elapsed_ms;
-    if (options.compute_slice_fp) {
-      const staticcheck::SliceEngine slicer(program, screener.graph(), screener.summaries());
-      report.slice_fp = contract_slice_fingerprint(slicer, contract, options.run_concolic);
-    }
-    report.target_statements =
-        analysis::find_target_statements(program, contract.target_fragment).size();
-    report.sanity_ok = true;  // the witness schedule is its own evidence
-
-    concolic::ScheduleExploreOptions schedule_options;
-    schedule_options.max_schedules = options.max_schedules;
-    schedule_options.seed = options.schedule_seed;
-    schedule_options.budget = options.budget;
-    concolic::ScheduleExplorer explorer(program, schedule_options);
-    const concolic::ScheduleExplorationResult explored = explorer.explore();
-    report.schedules_explored = explored.schedules_explored;
-    report.schedule_conclusive = explored.conclusive;
-    report.schedule_inconclusive_reason = explored.inconclusive_reason;
-    report.schedule_violations = static_cast<int>(explored.witnesses.size());
-    for (const concolic::ScheduleWitness& witness : explored.witnesses) {
-      report.schedule_violation_details.push_back(
-          witness.test + ": " + witness.outcome + " under schedule [" +
-          witness.decisions_text() + "]" +
-          (witness.detail.empty() ? "" : " — " + witness.detail));
-      if (report.schedule_witness.empty())
-        report.schedule_witness = witness.to_compact();
-    }
-    if (options.budget != nullptr && options.budget->exhausted()) {
-      report.budget_exhausted = true;
-      report.budget_reason = options.budget->exhausted_reason();
-      report.budget_resource =
-          support::budget_resource_name(options.budget->exhausted_resource());
-    }
-    obs::metrics().counter("checker.interleaving_contracts").add();
-    obs::metrics().counter("checker.schedule_contracts").add();
-    obs::metrics().counter("checker.schedules_explored").add(explored.schedules_explored);
-    if (explored.violation_found)
-      obs::metrics().counter("checker.schedule_violations").add();
-    if (!explored.conclusive)
-      obs::metrics().counter("checker.schedule_inconclusive").add();
-    if (capture.active()) {
-      capture.capture->schedules_explored = report.schedules_explored;
-      capture.capture->schedule_conclusive = report.schedule_conclusive;
-      capture.capture->schedule_witness = report.schedule_witness;
-      capture.capture->schedule_reason =
-          !report.schedule_violation_details.empty()
-              ? report.schedule_violation_details.front()
-              : report.schedule_inconclusive_reason;
-      if (!explored.witnesses.empty())
-        // Narrate the violating interleaving: replay the witness with a
-        // recording observer, each step tagged with its MiniLang thread id.
-        capture.capture->narration =
-            concolic::narrate_schedule(program, explored.witnesses.front());
-    }
-    finalize_capture(capture, report, options.budget);
-    record_contract_outcome(span, report, span.elapsed_ms());
-    return report;
+  stamp_budget(report, options.budget);
+  obs::metrics().counter("checker.interleaving_contracts").add();
+  obs::metrics().counter("checker.schedule_contracts").add();
+  obs::metrics().counter("checker.schedules_explored").add(explored.schedules_explored);
+  if (explored.violation_found)
+    obs::metrics().counter("checker.schedule_violations").add();
+  if (!explored.conclusive)
+    obs::metrics().counter("checker.schedule_inconclusive").add();
+  if (capture.active()) {
+    capture.capture->schedules_explored = report.schedules_explored;
+    capture.capture->schedule_conclusive = report.schedule_conclusive;
+    capture.capture->schedule_witness = report.schedule_witness;
+    capture.capture->schedule_reason =
+        !report.schedule_violation_details.empty()
+            ? report.schedule_violation_details.front()
+            : report.schedule_inconclusive_reason;
   }
+  if (explored.witnesses.empty()) return std::nullopt;
+  return explored.witnesses.front();
+}
 
-  if (contract.kind == corpus::SemanticsKind::kInterleavingSensitive) {
-    // Interleaving-sensitive contracts are settled by the static concurrency
-    // pass (locksets + the lock-acquisition-order graph): single-threaded
-    // concolic replay cannot observe interleavings, so the screen *is* the
-    // check — Unknown when summaries are unavailable, never a false
-    // ProvedSafe.
-    const staticcheck::Screener screener(program, options.use_summaries);
-    if (screener.summaries() != nullptr)
-      report.summary_ms = screener.summaries()->stats().elapsed_ms;
-    if (options.compute_slice_fp) {
-      const staticcheck::SliceEngine slicer(program, screener.graph(), screener.summaries());
-      report.slice_fp = contract_slice_fingerprint(slicer, contract, options.run_concolic);
-    }
-    staticcheck::ScreenOptions screen_options;
-    screen_options.capture = capture;
-    const staticcheck::ScreenResult screen = screener.screen_interleaving(
-        contract.pattern, contract.target_fragment, contract.condition_text,
-        screen_options);
-    for (const staticcheck::Diagnostic& diagnostic : screen.diagnostics)
-      report.structural_violations.push_back(diagnostic.render());
-    report.screen_verdict = staticcheck::screen_verdict_name(screen.verdict);
-    report.screen_witness = screen.witness;
-    report.screen_reason = screen.reason;
-    report.screen_ms = screen.elapsed_ms;
-    report.target_statements =
-        analysis::find_target_statements(program, contract.target_fragment).size();
-    report.sanity_ok = true;  // the screened verdict carries its own witness
-    obs::metrics().counter("checker.interleaving_contracts").add();
-    obs::metrics()
-        .counter(std::string("screen.interleaving.") +
-                 staticcheck::screen_verdict_name(screen.verdict))
-        .add();
-    if (capture.active() && !report.passed()) {
-      // Narrate the concrete schedule: replay tests until one acquires a
-      // cycle-edge monitor pair nested, or writes the guarded field bare.
-      obs::NarrationRequest request;
-      request.contract_id = contract.id;
-      request.kind = "interleaving-sensitive";
-      request.target_fragment = contract.target_fragment;
-      if (contract.pattern == "lock_order_acyclic" && screener.summaries() != nullptr) {
-        const staticcheck::LockGraph lock_graph = staticcheck::LockGraph::build(
-            program, screener.graph(), *screener.summaries());
-        for (const staticcheck::LockCycle& cycle : lock_graph.cycles)
-          for (const staticcheck::LockOrderEdge& edge : cycle.edges)
-            request.cycle_edges.emplace_back(edge.first, edge.second);
-      } else if (contract.pattern == "guarded_field") {
-        request.guarded_field = contract.target_fragment;
-        const std::size_t open = contract.condition_text.find("holds(");
-        const std::size_t close = contract.condition_text.rfind(')');
-        if (open != std::string::npos && close != std::string::npos &&
-            close > open + 6)
-          request.guard_monitor =
-              contract.condition_text.substr(open + 6, close - open - 6);
-      }
-      for (const minilang::FuncDecl* fn : program.functions_with("test"))
-        request.candidate_tests.push_back(fn->name);
-      capture.capture->narration = obs::narrate_counterexample(program, request);
-    }
-    finalize_capture(capture, report, options.budget);
-    record_contract_outcome(span, report, span.elapsed_ms());
-    return report;
+/// The other interleaving-sensitive contracts are settled by the static
+/// concurrency pass (locksets + the lock-acquisition-order graph):
+/// single-threaded concolic replay cannot observe interleavings, so the
+/// screen *is* the check — Unknown when summaries are unavailable, never a
+/// false ProvedSafe. A failure narrates by replaying tests until one
+/// acquires a cycle-edge monitor pair nested, or writes the guarded field
+/// bare.
+void screen_locksets(const staticcheck::Screener& analysis, const SemanticContract& contract,
+                     const staticcheck::ScreenOptions& screen_options,
+                     ContractCheckReport& report, obs::NarrationRequest& narration) {
+  const staticcheck::ScreenResult screen = analysis.screen_interleaving(
+      contract.pattern, contract.target_fragment, contract.condition_text, screen_options);
+  for (const staticcheck::Diagnostic& diagnostic : screen.diagnostics)
+    report.structural_violations.push_back(diagnostic.render());
+  take_screen(screen, report);
+  report.sanity_ok = true;  // the screened verdict carries its own witness
+  obs::metrics().counter("checker.interleaving_contracts").add();
+  obs::metrics()
+      .counter(std::string("screen.interleaving.") +
+               staticcheck::screen_verdict_name(screen.verdict))
+      .add();
+  if (contract.pattern == "lock_order_acyclic" && analysis.lock_graph() != nullptr) {
+    for (const staticcheck::LockCycle& cycle : analysis.lock_graph()->cycles)
+      for (const staticcheck::LockOrderEdge& edge : cycle.edges)
+        narration.cycle_edges.emplace_back(edge.first, edge.second);
+  } else if (contract.pattern == "guarded_field") {
+    narration.guarded_field = contract.target_fragment;
+    narration.guard_monitor = staticcheck::guard_monitor(contract.condition_text);
   }
+}
+
+/// State-predicate contracts: screen, decide every entry→target path of the
+/// execution tree, and confirm by concolic replay of the selected tests. A
+/// failure narrates by replaying the best covering test with the violated
+/// path's model injected into the live state.
+void check_paths(const staticcheck::Screener& analysis, const SemanticContract& contract,
+                 const CheckOptions& options, const staticcheck::ScreenOptions& screen_options,
+                 ContractCheckReport& report, obs::NarrationRequest& narration) {
+  const minilang::Program& program = analysis.program();
+  const obs::CaptureHandle& capture = screen_options.capture;
 
   // ---- Static screening (src/staticcheck) ---------------------------------
   bool skip_concolic = false;
+  std::optional<analysis::ExecutionTree> enumerated;
   if (options.static_screen) {
-    const staticcheck::Screener screener(program, options.use_summaries);
-    if (screener.summaries() != nullptr)
-      report.summary_ms = screener.summaries()->stats().elapsed_ms;
-    staticcheck::ScreenOptions screen_options;
-    screen_options.max_paths = options.max_paths;
-    screen_options.prune_irrelevant = options.prune_irrelevant;
-    screen_options.capture = capture;
-    const staticcheck::ScreenResult screen = screener.screen_state_predicate(
+    staticcheck::ScreenResult screen = analysis.screen_state_predicate(
         contract.target_fragment, contract.condition, screen_options);
-    report.screen_verdict = staticcheck::screen_verdict_name(screen.verdict);
-    report.screen_witness = screen.witness;
-    report.screen_reason = screen.reason;
-    report.screen_ms = screen.elapsed_ms;
+    take_screen(screen, report);
     // Forced tests are always honoured: ablations that request specific
     // replays expect them to run regardless of the screening verdict.
     if (options.forced_tests.empty()) {
@@ -649,30 +571,24 @@ ContractCheckReport Checker::check(const minilang::Program& program,
            options.trust_screen_verdicts);
     }
     report.screen_skipped_concolic = skip_concolic && options.run_concolic;
-    if (options.compute_slice_fp) {
-      const staticcheck::SliceEngine slicer(program, screener.graph(), screener.summaries());
-      report.slice_fp = contract_slice_fingerprint(slicer, contract, options.run_concolic);
-    }
-  }
-  if (options.compute_slice_fp && report.slice_fp.empty()) {
-    // Screening off: no summaries around, so the fingerprint degrades to the
-    // whole-program cone — maximally conservative, never stale.
-    const staticcheck::SliceEngine slicer(program, graph, nullptr);
-    report.slice_fp = contract_slice_fingerprint(slicer, contract, options.run_concolic);
+    enumerated = std::move(screen.tree);
   }
 
   // ---- Static assertion over the execution tree ---------------------------
-  analysis::TreeOptions tree_options;
-  tree_options.max_paths = options.max_paths;
-  tree_options.prune_irrelevant = options.prune_irrelevant;
-  tree_options.contract_condition = contract.condition;
-  obs::ScopedSpan tree_span("checker.tree");
-  const analysis::ExecutionTree tree = analysis::build_execution_tree(
-      program, graph, contract.target_fragment, tree_options);
-  tree_span.attr("paths", tree.paths.size());
-  tree_span.attr("raw_paths", tree.enumerated_raw);
-  tree_span.close();
-  report.target_statements = tree.targets.size();
+  if (!enumerated.has_value()) {
+    // Screening off, or the screen stopped before enumerating: enumerate
+    // with the options the screen uses.
+    analysis::TreeOptions tree_options;
+    tree_options.max_paths = options.max_paths;
+    tree_options.prune_irrelevant = options.prune_irrelevant;
+    tree_options.contract_condition = contract.condition;
+    obs::ScopedSpan tree_span("checker.tree");
+    enumerated = analysis::build_execution_tree(program, analysis.graph(),
+                                                contract.target_fragment, tree_options);
+    tree_span.attr("paths", enumerated->paths.size());
+    tree_span.attr("raw_paths", enumerated->enumerated_raw);
+  }
+  const analysis::ExecutionTree& tree = *enumerated;
   report.raw_paths = tree.enumerated_raw;
   report.truncated = tree.truncated;
 
@@ -681,11 +597,6 @@ ContractCheckReport Checker::check(const minilang::Program& program,
   solver.set_budget(options.budget);
   obs::PhasedSmtCapture static_smt_capture(capture.ledger, capture.capture, "static-path");
   if (capture.active()) solver.set_capture(&static_smt_capture);
-  // The first violated path's satisfying model, kept structured for the
-  // counterexample narrator (names in canonical frame vocabulary).
-  smt::Model narration_model;
-  int narration_stmt_id = -1;
-  std::vector<std::string> narration_path_chain;
   for (const analysis::ExecutionPath& path : tree.paths) {
     PathReport path_report;
     path_report.call_chain = path.call_chain;
@@ -715,10 +626,11 @@ ContractCheckReport Checker::check(const minilang::Program& program,
         path_report.verdict = PathVerdict::kViolated;
         path_report.counterexample = result.model.to_string();
         violated_model = result.model;
-        if (narration_stmt_id < 0) {
-          narration_model = result.model;
-          narration_stmt_id = path_report.target_stmt_id;
-          narration_path_chain = path.call_chain;
+        if (narration.target_stmt_id < 0) {
+          // The first violated path's model, in canonical frame vocabulary.
+          narration.model_bools = result.model.bools;
+          narration.model_ints = result.model.ints;
+          narration.target_stmt_id = path_report.target_stmt_id;
         }
         ++report.violated;
       } else {
@@ -755,8 +667,8 @@ ContractCheckReport Checker::check(const minilang::Program& program,
   report.sanity_ok = report.verified > 0;
 
   // ---- Dynamic confirmation via concolic replay of selected tests ---------
-  // The witness model for the narrator, and the test that produced it when
-  // it came from a concolic hit rather than a static path.
+  // The test whose hit supplied the narration's witness model, when no
+  // static path did.
   std::string narration_hit_test;
   if (options.run_concolic && !skip_concolic) {
     obs::ScopedSpan concolic_span("checker.concolic");
@@ -821,13 +733,13 @@ ContractCheckReport Checker::check(const minilang::Program& program,
           report.dynamic.violation_details.push_back(
               test + " -> " + hit.function + ": contract concretely false at target");
         }
-        if (hit.symbolic_violation && narration_stmt_id < 0 &&
+        if (hit.symbolic_violation && narration.target_stmt_id < 0 &&
             !(hit.witness_bools.empty() && hit.witness_ints.empty())) {
           // No static path produced a model (e.g. all paths unmappable):
           // fall back to this hit's π ∧ ¬P witness for the narration.
-          narration_model.bools = hit.witness_bools;
-          narration_model.ints = hit.witness_ints;
-          narration_stmt_id = hit.stmt_id;
+          narration.model_bools = hit.witness_bools;
+          narration.model_ints = hit.witness_ints;
+          narration.target_stmt_id = hit.stmt_id;
           narration_hit_test = test;
         }
         if (capture.active()) {
@@ -863,37 +775,76 @@ ContractCheckReport Checker::check(const minilang::Program& program,
     concolic_span.attr("tests_run", report.dynamic.tests_run);
     concolic_span.attr("target_hits", report.dynamic.target_hits);
   }
-  if (options.budget != nullptr && options.budget->exhausted()) {
-    report.budget_exhausted = true;
-    report.budget_reason = options.budget->exhausted_reason();
-    report.budget_resource =
-        support::budget_resource_name(options.budget->exhausted_resource());
+  stamp_budget(report, options.budget);
+
+  // Narration candidates: tests covering the violated path, then the test
+  // whose hit supplied the witness, then every selected test.
+  narration.contract = contract.condition;
+  for (const PathReport& path : report.paths) {
+    if (path.verdict != PathVerdict::kViolated) continue;
+    for (const std::string& test : path.covering_tests)
+      narration.candidate_tests.push_back(test);
   }
+  if (!narration_hit_test.empty()) narration.candidate_tests.push_back(narration_hit_test);
+  for (const std::string& test : report.dynamic.selected_tests)
+    narration.candidate_tests.push_back(test);
+}
+
+}  // namespace
+
+ContractCheckReport Checker::check(const staticcheck::Screener& analysis,
+                                   const SemanticContract& contract,
+                                   const CheckOptions& options) const {
+  obs::ScopedSpan span("checker.contract");
+  span.attr("contract", contract.id);
+  span.attr("target", contract.target_fragment);
+  const minilang::Program& program = analysis.program();
+
+  // ---- Setup: capture, slice fingerprint, target count --------------------
+  ContractCheckReport report;
+  report.contract_id = contract.id;
+  report.target_fragment = contract.target_fragment;
+  const obs::CaptureHandle capture = bind_capture(options.ledger, contract);
+  if (options.compute_slice_fp)
+    report.slice_fp =
+        contract_slice_fingerprint(analysis.slicer(), contract, options.run_concolic);
+  report.target_statements =
+      analysis::find_target_statements(program, contract.target_fragment).size();
+
+  // ---- Per-kind verdict step ----------------------------------------------
+  staticcheck::ScreenOptions screen_options;
+  screen_options.max_paths = options.max_paths;
+  screen_options.prune_irrelevant = options.prune_irrelevant;
+  screen_options.capture = capture;
+  obs::NarrationRequest narration;
+  std::optional<concolic::ScheduleWitness> schedule_witness;
+  if (contract.kind == corpus::SemanticsKind::kStructuralPattern) {
+    screen_lock_state(analysis, screen_options, report);
+  } else if (contract.kind == corpus::SemanticsKind::kInterleavingSensitive &&
+             (contract.pattern == "atomic" || contract.pattern == "eventually")) {
+    schedule_witness = explore_schedules(program, options, capture, report);
+  } else if (contract.kind == corpus::SemanticsKind::kInterleavingSensitive) {
+    screen_locksets(analysis, contract, screen_options, report, narration);
+  } else {
+    check_paths(analysis, contract, options, screen_options, report, narration);
+  }
+
+  // ---- Tail: narration, capture, metrics ----------------------------------
   if (capture.active() && !report.passed()) {
-    // Narrate the counterexample: replay the best covering test with the
-    // violated path's model injected into the live state.
-    obs::NarrationRequest request;
-    request.contract_id = contract.id;
-    request.kind = "state-predicate";
-    request.target_fragment = contract.target_fragment;
-    request.target_stmt_id = narration_stmt_id;
-    request.contract = contract.condition;
-    request.model_bools = narration_model.bools;
-    request.model_ints = narration_model.ints;
-    // Candidate order: tests covering the violated path, then the test whose
-    // hit supplied the witness, then every selected test, then the rest of
-    // the suite. The narrator dedups and returns the first reproduction.
-    for (const PathReport& path : report.paths) {
-      if (path.verdict != PathVerdict::kViolated) continue;
-      for (const std::string& test : path.covering_tests)
-        request.candidate_tests.push_back(test);
+    if (schedule_witness.has_value()) {
+      // Replay the violating interleaving with a recording observer, each
+      // step tagged with its MiniLang thread id.
+      capture.capture->narration = concolic::narrate_schedule(program, *schedule_witness);
+    } else {
+      // The step's own candidates first, then the rest of the suite; the
+      // narrator dedups and returns the first reproduction.
+      narration.contract_id = contract.id;
+      narration.kind = capture.capture->kind;
+      narration.target_fragment = contract.target_fragment;
+      for (const minilang::FuncDecl* fn : program.functions_with("test"))
+        narration.candidate_tests.push_back(fn->name);
+      capture.capture->narration = obs::narrate_counterexample(program, narration);
     }
-    if (!narration_hit_test.empty()) request.candidate_tests.push_back(narration_hit_test);
-    for (const std::string& test : report.dynamic.selected_tests)
-      request.candidate_tests.push_back(test);
-    for (const minilang::FuncDecl* fn : program.functions_with("test"))
-      request.candidate_tests.push_back(fn->name);
-    capture.capture->narration = obs::narrate_counterexample(program, request);
   }
   finalize_capture(capture, report, options.budget);
   record_contract_outcome(span, report, span.elapsed_ms());

@@ -15,7 +15,12 @@
 //     reported uncovered ("either the test suite does not have enough
 //     coverage, or the LLM misses the related tests").
 //
-// Structural contracts are checked over the call graph instead.
+// Structural contracts are decided by the path-sensitive lock-state screen,
+// interleaving-sensitive ones by the lockset screen or the schedule
+// explorer. `check` takes the program's shared analysis (a
+// staticcheck::Screener): the caller builds one per program version, and
+// every contract checked against that version reuses its call graph,
+// summaries, slicer and lock graph.
 #pragma once
 
 #include <cstdint>
@@ -26,13 +31,9 @@
 #include "lisa/contract.hpp"
 #include "minilang/ast.hpp"
 #include "obs/provenance.hpp"
+#include "staticcheck/screener.hpp"
 #include "support/budget.hpp"
 #include "support/json.hpp"
-
-namespace lisa::staticcheck {
-class SliceEngine;
-struct SliceRequest;
-}
 
 namespace lisa::core {
 
@@ -97,9 +98,6 @@ struct ContractCheckReport {
   std::string screen_witness;   // entry->target chain + model for refutations
   std::string screen_reason;
   double screen_ms = 0.0;
-  /// Time spent computing interprocedural summaries (Screener construction,
-  /// not counted in screen_ms; 0 when summaries are disabled).
-  double summary_ms = 0.0;
   /// True when the screener verdict made the concolic replay unnecessary.
   bool screen_skipped_concolic = false;
 
@@ -181,14 +179,9 @@ struct CheckOptions {
   /// forced tests are always honoured); Unknown contracts proceed unchanged.
   bool static_screen = true;
   /// Additionally skip concolic replay on ProvedViolated verdicts — the
-  /// static witness already fails the contract. Used by the CI gate and the
-  /// screening benchmark, where only the pass/fail outcome matters.
+  /// static witness already fails the contract. Only bench_static_screening
+  /// sets it; the CI gate gets the same effect from run_concolic = false.
   bool trust_screen_verdicts = false;
-  /// Compute interprocedural function summaries for the screener's dataflow
-  /// facts (staticcheck/summaries.hpp). Off = PR 2 call-site-havoc facts;
-  /// the ablation axis of bench_static_screening. Never affects the static
-  /// tree or concolic phases, only which contracts the screener can settle.
-  bool use_summaries = true;
   /// Schedule-exploration bound for interleaving contracts with `atomic` /
   /// `eventually` patterns: the total number of interleavings the explorer
   /// may run across all spawning @tests before the verdict degrades to a
@@ -235,8 +228,9 @@ struct CheckOptions {
 
 class Checker {
  public:
-  /// Checks one contract against one program version.
-  [[nodiscard]] ContractCheckReport check(const minilang::Program& program,
+  /// Checks one contract against the program version `analysis` was built
+  /// for (analysis.program()).
+  [[nodiscard]] ContractCheckReport check(const staticcheck::Screener& analysis,
                                           const SemanticContract& contract,
                                           const CheckOptions& options = {}) const;
 };

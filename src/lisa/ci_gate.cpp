@@ -1,8 +1,5 @@
 #include "lisa/ci_gate.hpp"
 
-#include <algorithm>
-#include <optional>
-
 #include "analysis/paths.hpp"
 #include "lisa/journal.hpp"
 #include "minilang/sema.hpp"
@@ -11,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "support/jsonl.hpp"
 #include "staticcheck/screener.hpp"
-#include "staticcheck/slice.hpp"
 #include "support/stopwatch.hpp"
 
 namespace lisa::core {
@@ -110,15 +106,9 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
   obs::ProvenanceLedger local_ledger;
   obs::ProvenanceLedger* ledger = run_options.ledger;
   if (history_enabled && ledger == nullptr) ledger = &local_ledger;
-  // Per-entry resume: replay eligibility is decided by each entry's slice
-  // fingerprint against the current commit, so an edit only re-checks the
-  // contracts whose verdict cone contains it.
-  std::optional<staticcheck::Screener> slice_screener;
-  std::optional<staticcheck::SliceEngine> slice_engine;
-  if (journaling && run_options.resume) {
-    slice_screener.emplace(program, options_.use_summaries);
-    slice_engine.emplace(program, slice_screener->graph(), slice_screener->summaries());
-  }
+  // One analysis of the commit for every stored contract: call graph,
+  // summaries and slicer are built on first use and then shared.
+  const staticcheck::Screener analysis(program);
   std::string inputs_fingerprint;
   if (journaling || ledger != nullptr) {
     std::string inputs = source;
@@ -137,22 +127,19 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
     if (analysis::find_target_statements(program, contract.target_fragment).empty() &&
         contract.kind == corpus::SemanticsKind::kStatePredicate)
       continue;
+    // Per-entry resume: an edit only re-checks the contracts whose verdict
+    // cone contains it.
     const ContractCheckReport* checkpointed =
-        journaling && run_options.resume ? journal.find(contract.id) : nullptr;
-    const bool replay =
-        checkpointed != nullptr && checkpointed->conclusive() &&
-        !checkpointed->slice_fp.empty() && slice_engine.has_value() &&
-        checkpointed->slice_fp ==
-            contract_slice_fingerprint(*slice_engine, contract, options_.run_concolic);
+        journal.replayable(contract, analysis, options_.run_concolic);
     ContractCheckReport report;
-    if (replay) {
+    if (checkpointed != nullptr) {
       report = *checkpointed;
       ++decision.resumed_contracts;
     } else {
       CheckOptions contract_options = options_;
       contract_options.ledger = ledger;
       contract_options.compute_slice_fp = journaling || ledger != nullptr;
-      report = checker.check(program, contract, contract_options);
+      report = checker.check(analysis, contract, contract_options);
     }
     if (journaling) journal.record(report);
     if (!report.conclusive()) {
@@ -164,7 +151,6 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
     else if (!report.screen_verdict.empty())
       ++decision.screened_unknown;
     if (report.screen_skipped_concolic) ++decision.concolic_skipped;
-    decision.summary_ms += report.summary_ms;
     if (report.schedules_explored > 0 || !report.schedule_conclusive) {
       ++decision.schedule_contracts;
       decision.schedules_explored += report.schedules_explored;
@@ -206,6 +192,7 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
     decision.reports.push_back(std::move(report));
   }
   decision.evaluation_ms = timer.elapsed_ms();
+  decision.summary_ms = analysis.summary_ms();
   obs::MetricsRegistry& registry = obs::metrics();
   registry.counter("gate.evaluations").add();
   if (!decision.allowed) registry.counter("gate.blocked").add();
@@ -232,31 +219,7 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
     record.kind = "gate";
     record.label = std::move(label);
     record.input_fingerprint = inputs_fingerprint;
-    std::int64_t total_smt_queries = 0;
-    std::vector<std::string> smt_digests;
-    for (const ContractCheckReport& report : decision.reports) {
-      obs::ContractOutcome outcome;
-      outcome.passed = report.passed();
-      outcome.conclusive = report.conclusive();
-      outcome.verdict = !outcome.conclusive ? "inconclusive"
-                        : outcome.passed    ? "passed"
-                                            : "violated";
-      outcome.signature_digest = support::fnv1a_fingerprint(report.verdict_signature());
-      outcome.slice_fp = report.slice_fp;
-      if (const obs::ContractCapture* capture = ledger->find(report.contract_id)) {
-        outcome.smt_queries = static_cast<std::int64_t>(capture->smt_queries.size());
-        for (const obs::SmtQueryEvidence& query : capture->smt_queries)
-          smt_digests.push_back(query.digest);
-      }
-      total_smt_queries += outcome.smt_queries;
-      record.contracts[report.contract_id] = std::move(outcome);
-    }
-    if (!smt_digests.empty()) {
-      std::sort(smt_digests.begin(), smt_digests.end());
-      std::string joined;
-      for (const std::string& digest : smt_digests) joined += digest + "\n";
-      record.smt_digest = support::fnv1a_fingerprint(joined);
-    }
+    const std::int64_t total_smt_queries = record_outcomes(decision.reports, *ledger, record);
     // evaluation_ms was captured BEFORE this block, so history bookkeeping
     // cannot regress the very latency metric the drift rules watch.
     record.metrics["evaluation_ms"] = decision.evaluation_ms;

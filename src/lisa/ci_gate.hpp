@@ -69,7 +69,7 @@ struct GateDecision {
   int screened_settled = 0;   // contracts decided without concolic ambiguity
   int screened_unknown = 0;   // contracts that needed the full check
   int concolic_skipped = 0;   // replays the screener made unnecessary
-  double summary_ms = 0.0;    // interprocedural summary computation time
+  double summary_ms = 0.0;    // the commit's summary computation (once per evaluation)
   // Resource governance: contracts whose check was cut short (budget, fault
   // injection). An inconclusive contract never blocks the commit on its own
   // — but it never silently passes either: `needs_attention` flags it.

@@ -30,11 +30,12 @@ PropertyReport Composer::evaluate(const minilang::Program& program,
                                   const HighLevelProperty& property) const {
   PropertyReport report;
   report.property_id = property.id;
+  const staticcheck::Screener analysis(program);  // shared by every constituent
   const Checker checker;
   bool any_violation = false;
   bool any_unresolved = false;
   for (const SemanticContract& contract : property.constituents) {
-    ContractCheckReport constituent = checker.check(program, contract, options_);
+    ContractCheckReport constituent = checker.check(analysis, contract, options_);
     if (constituent.violated > 0 || !constituent.structural_violations.empty() ||
         constituent.dynamic.concrete_violations > 0) {
       any_violation = true;

@@ -1,5 +1,6 @@
 #include "lisa/journal.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 
@@ -84,6 +85,48 @@ void CheckJournal::record(const ContractCheckReport& report) {
 const ContractCheckReport* CheckJournal::find(const std::string& contract_id) const {
   const auto it = entries_.find(contract_id);
   return it == entries_.end() ? nullptr : &it->second;
+}
+
+const ContractCheckReport* CheckJournal::replayable(const SemanticContract& contract,
+                                                    const staticcheck::Screener& analysis,
+                                                    bool run_concolic) const {
+  const ContractCheckReport* checkpointed = find(contract.id);
+  if (checkpointed == nullptr || !checkpointed->conclusive() || checkpointed->slice_fp.empty())
+    return nullptr;
+  return checkpointed->slice_fp ==
+                 contract_slice_fingerprint(analysis.slicer(), contract, run_concolic)
+             ? checkpointed
+             : nullptr;
+}
+
+std::int64_t record_outcomes(const std::vector<ContractCheckReport>& reports,
+                             const obs::ProvenanceLedger& ledger, obs::RunRecord& record) {
+  std::int64_t total_smt_queries = 0;
+  std::vector<std::string> smt_digests;
+  for (const ContractCheckReport& report : reports) {
+    obs::ContractOutcome outcome;
+    outcome.passed = report.passed();
+    outcome.conclusive = report.conclusive();
+    outcome.verdict = !outcome.conclusive ? "inconclusive"
+                      : outcome.passed    ? "passed"
+                                          : "violated";
+    outcome.signature_digest = support::fnv1a_fingerprint(report.verdict_signature());
+    outcome.slice_fp = report.slice_fp;
+    if (const obs::ContractCapture* capture = ledger.find(report.contract_id)) {
+      outcome.smt_queries = static_cast<std::int64_t>(capture->smt_queries.size());
+      for (const obs::SmtQueryEvidence& query : capture->smt_queries)
+        smt_digests.push_back(query.digest);
+    }
+    total_smt_queries += outcome.smt_queries;
+    record.contracts[report.contract_id] = std::move(outcome);
+  }
+  if (!smt_digests.empty()) {
+    std::sort(smt_digests.begin(), smt_digests.end());
+    std::string joined;
+    for (const std::string& digest : smt_digests) joined += digest + "\n";
+    record.smt_digest = support::fnv1a_fingerprint(joined);
+  }
+  return total_smt_queries;
 }
 
 }  // namespace lisa::core

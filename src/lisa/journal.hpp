@@ -22,13 +22,20 @@
 // a one-function edit then re-checks only the contracts whose verdict cone
 // contains it. A torn final line (crash mid-append) is dropped; everything
 // before it survives.
+//
+// The pipeline and the gate share the per-run bookkeeping around the
+// journal through this header: the per-entry resume test
+// (CheckJournal::replayable) and the history record's per-contract outcomes
+// (record_outcomes).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "lisa/checker.hpp"
+#include "obs/history.hpp"
 
 namespace lisa::core {
 
@@ -58,6 +65,13 @@ class CheckJournal {
   /// only — records written this run are not replayed back.
   [[nodiscard]] const ContractCheckReport* find(const std::string& contract_id) const;
 
+  /// The loaded report resume replays for `contract`: a conclusive entry
+  /// whose slice fingerprint still matches the program `analysis` was built
+  /// for. nullptr = check the contract again.
+  [[nodiscard]] const ContractCheckReport* replayable(const SemanticContract& contract,
+                                                      const staticcheck::Screener& analysis,
+                                                      bool run_concolic) const;
+
   [[nodiscard]] std::size_t loaded_entries() const { return entries_.size(); }
   [[nodiscard]] const std::string& path() const { return path_; }
 
@@ -66,5 +80,11 @@ class CheckJournal {
   bool writable_ = false;
   std::map<std::string, ContractCheckReport> entries_;
 };
+
+/// Fills the history record's per-contract outcomes and SMT digest from
+/// `reports` and the SMT evidence `ledger` captured for them; returns the
+/// run's total SMT query count.
+std::int64_t record_outcomes(const std::vector<ContractCheckReport>& reports,
+                             const obs::ProvenanceLedger& ledger, obs::RunRecord& record);
 
 }  // namespace lisa::core

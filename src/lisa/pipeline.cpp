@@ -1,7 +1,6 @@
 #include "lisa/pipeline.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "lisa/journal.hpp"
 #include "minilang/sema.hpp"
@@ -9,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "staticcheck/screener.hpp"
-#include "staticcheck/slice.hpp"
 #include "support/jsonl.hpp"
 #include "support/log.hpp"
 
@@ -187,19 +185,11 @@ PipelineResult Pipeline::run(const corpus::FailureTicket& ticket,
   {
     obs::ScopedSpan stage("pipeline.check");
     const minilang::Program program = minilang::parse_checked(source_to_check);
+    // One analysis of the checked version, shared by every contract.
+    const staticcheck::Screener analysis(program);
     const Checker checker;
     CheckJournal journal(run_options.journal_path);
     const bool journaling = !run_options.journal_path.empty();
-    // Resume replay is decided per entry by slice fingerprints, not by a
-    // whole-input gate: after a one-function edit only the contracts whose
-    // verdict cone contains the edit re-check. The engine recomputes each
-    // contract's fingerprint against the current program for the match.
-    std::optional<staticcheck::Screener> slice_screener;
-    std::optional<staticcheck::SliceEngine> slice_engine;
-    if (journaling && run_options.resume) {
-      slice_screener.emplace(program, check_options_.use_summaries);
-      slice_engine.emplace(program, slice_screener->graph(), slice_screener->summaries());
-    }
     if (journaling) {
       const std::string fingerprint =
           CheckJournal::fingerprint(ticket.case_id + "\n" + source_to_check);
@@ -211,14 +201,9 @@ PipelineResult Pipeline::run(const corpus::FailureTicket& ticket,
       // still matches stands; inconclusive ones (budget-cut, fault-degraded)
       // and entries whose cone changed get re-checked here.
       const ContractCheckReport* checkpointed =
-          journaling && run_options.resume ? journal.find(contract.id) : nullptr;
-      const bool replay =
-          checkpointed != nullptr && checkpointed->conclusive() &&
-          !checkpointed->slice_fp.empty() && slice_engine.has_value() &&
-          checkpointed->slice_fp == contract_slice_fingerprint(
-                                        *slice_engine, contract, check_options_.run_concolic);
+          journal.replayable(contract, analysis, check_options_.run_concolic);
       ContractCheckReport report;
-      if (replay) {
+      if (checkpointed != nullptr) {
         report = *checkpointed;
         ++result.resumed_contracts;
         obs::metrics().counter("pipeline.resumed_contracts").add();
@@ -226,7 +211,7 @@ PipelineResult Pipeline::run(const corpus::FailureTicket& ticket,
         CheckOptions contract_options = check_options_;
         contract_options.ledger = ledger;
         contract_options.compute_slice_fp = journaling || ledger != nullptr;
-        report = checker.check(program, contract, contract_options);
+        report = checker.check(analysis, contract, contract_options);
       }
       if (journaling) journal.record(report);
       support::log(report.passed() ? support::LogLevel::debug : support::LogLevel::info,
@@ -236,14 +221,13 @@ PipelineResult Pipeline::run(const corpus::FailureTicket& ticket,
                    ", paths=", report.paths.size(), ")");
       result.reports.push_back(std::move(report));
     }
+    result.timings.summary_ms = analysis.summary_ms();
     result.timings.check_ms = stage.elapsed_ms();
   }
   // screen/summary are shares of the check stage (see StageTimings);
   // total is the exact stage sum, so the fields never double-count.
-  for (const ContractCheckReport& report : result.reports) {
+  for (const ContractCheckReport& report : result.reports)
     result.timings.screen_ms += report.screen_ms;
-    result.timings.summary_ms += report.summary_ms;
-  }
   result.timings.total_ms =
       result.timings.infer_ms + result.timings.translate_ms + result.timings.check_ms;
 
@@ -261,33 +245,10 @@ PipelineResult Pipeline::run(const corpus::FailureTicket& ticket,
     record.label = ticket.case_id;
     record.input_fingerprint =
         CheckJournal::fingerprint(ticket.case_id + "\n" + source_to_check);
-    int inconclusive = 0;
-    std::int64_t total_smt_queries = 0;
-    std::vector<std::string> smt_digests;
-    for (const ContractCheckReport& report : result.reports) {
-      obs::ContractOutcome outcome;
-      outcome.passed = report.passed();
-      outcome.conclusive = report.conclusive();
-      if (!outcome.conclusive) ++inconclusive;
-      outcome.verdict = !outcome.conclusive ? "inconclusive"
-                        : outcome.passed    ? "passed"
-                                            : "violated";
-      outcome.signature_digest = support::fnv1a_fingerprint(report.verdict_signature());
-      outcome.slice_fp = report.slice_fp;
-      if (const obs::ContractCapture* capture = ledger->find(report.contract_id)) {
-        outcome.smt_queries = static_cast<std::int64_t>(capture->smt_queries.size());
-        for (const obs::SmtQueryEvidence& query : capture->smt_queries)
-          smt_digests.push_back(query.digest);
-      }
-      total_smt_queries += outcome.smt_queries;
-      record.contracts[report.contract_id] = std::move(outcome);
-    }
-    if (!smt_digests.empty()) {
-      std::sort(smt_digests.begin(), smt_digests.end());
-      std::string joined;
-      for (const std::string& digest : smt_digests) joined += digest + "\n";
-      record.smt_digest = support::fnv1a_fingerprint(joined);
-    }
+    const std::int64_t total_smt_queries = record_outcomes(result.reports, *ledger, record);
+    const auto inconclusive =
+        std::count_if(result.reports.begin(), result.reports.end(),
+                      [](const ContractCheckReport& report) { return !report.conclusive(); });
     record.metrics["infer_ms"] = result.timings.infer_ms;
     record.metrics["translate_ms"] = result.timings.translate_ms;
     record.metrics["check_ms"] = result.timings.check_ms;

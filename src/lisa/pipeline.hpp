@@ -30,7 +30,7 @@ struct StageTimings {
   double translate_ms = 0.0;
   double check_ms = 0.0;  // execution tree + SMT + test selection + concolic
   double screen_ms = 0.0;  // staticcheck screening share of check_ms
-  double summary_ms = 0.0;  // interprocedural summary share of check_ms
+  double summary_ms = 0.0;  // summary share of check_ms (computed once per run)
   double total_ms = 0.0;   // == infer_ms + translate_ms + check_ms
 
   /// True when the invariants above hold (to `slack_ms` clock tolerance).

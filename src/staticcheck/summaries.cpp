@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "minilang/builtins.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "staticcheck/cfg.hpp"
 #include "staticcheck/concurrency.hpp"
@@ -520,6 +521,7 @@ SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph
   }
 
   map.stats_.elapsed_ms = timer.elapsed_ms();
+  obs::metrics().histogram("summaries.ms").record(map.stats_.elapsed_ms);
   span.attr("components", map.stats_.components);
   span.attr("recursive_components", map.stats_.recursive_components);
   span.attr("fixpoint_iterations", map.stats_.fixpoint_iterations);

@@ -513,10 +513,7 @@ TEST(GateHistory, DisabledHistoryIsByteIdentical) {
   a.evaluation_ms = b.evaluation_ms = 0.0;
   a.summary_ms = b.summary_ms = 0.0;
   for (core::GateDecision* decision : {&a, &b})
-    for (core::ContractCheckReport& report : decision->reports) {
-      report.screen_ms = 0.0;
-      report.summary_ms = 0.0;
-    }
+    for (core::ContractCheckReport& report : decision->reports) report.screen_ms = 0.0;
   const std::string json = a.to_json().dump();
   EXPECT_EQ(json, b.to_json().dump());
   EXPECT_EQ(json.find("baseline_runs"), std::string::npos);

@@ -2,10 +2,14 @@
 // story, the §4 preliminary results, and the Fig. 6 generalization claim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "analysis/patterns.hpp"
 #include "lisa/ci_gate.hpp"
 #include "lisa/pipeline.hpp"
 #include "minilang/sema.hpp"
+#include "obs/metrics.hpp"
 #include "support/strings.hpp"
 
 namespace lisa {
@@ -133,7 +137,7 @@ TEST(EndToEnd, RegressionTestsPassOnPatchedUnderConcolicReplay) {
     CheckOptions options;
     options.forced_tests = ticket.regression_tests;
     const ContractCheckReport report =
-        Checker().check(program, translation.contracts[0], options);
+        Checker().check(staticcheck::Screener(program), translation.contracts[0], options);
     EXPECT_EQ(report.dynamic.tests_run, static_cast<int>(ticket.regression_tests.size()))
         << ticket.case_id;
     EXPECT_EQ(report.dynamic.tests_run, report.dynamic.tests_passed) << ticket.case_id;
@@ -152,13 +156,14 @@ TEST(EndToEnd, SanityCheckFiltersHallucinatedContracts) {
   for (const corpus::FailureTicket& ticket : corpus::Corpus::all()) {
     if (ticket.kind != corpus::SemanticsKind::kStatePredicate) continue;
     const minilang::Program program = minilang::parse_checked(ticket.patched_source);
+    const staticcheck::Screener analysis(program);
     CheckOptions options;
     options.run_concolic = false;
 
     const inference::SemanticsProposal clean = inference::MockLlm().infer(ticket);
     for (const auto& contract : core::translate(clean, ticket.system).contracts) {
       ++faithful_total;
-      if (Checker().check(program, contract, options).sanity_ok) ++faithful_sane;
+      if (Checker().check(analysis, contract, options).sanity_ok) ++faithful_sane;
     }
     inference::MockLlmOptions noise;
     noise.noise = 1.0;
@@ -166,11 +171,76 @@ TEST(EndToEnd, SanityCheckFiltersHallucinatedContracts) {
     const inference::SemanticsProposal noisy = inference::MockLlm(noise).infer(ticket);
     for (const auto& contract : core::translate(noisy, ticket.system).contracts) {
       ++noisy_total;
-      if (!Checker().check(program, contract, options).sanity_ok) ++noisy_insane;
+      if (!Checker().check(analysis, contract, options).sanity_ok) ++noisy_insane;
     }
   }
   EXPECT_EQ(faithful_sane, faithful_total);  // every faithful rule grounds
   EXPECT_GT(noisy_insane, noisy_total / 3);  // most hallucinations rejected
+}
+
+// The gate checks every stored contract against one shared analysis of the
+// commit. Sharing must change nothing: each contract's verdict and its whole
+// evidence chain equal a from-scratch check with an analysis of its own.
+TEST(SharedAnalysis, GateVerdictsEqualFromScratchChecks) {
+  std::map<std::string, core::ContractStore> stores;  // one per system
+  for (const corpus::FailureTicket& ticket : corpus::Corpus::all())
+    stores[ticket.system].add_all(
+        core::translate(inference::MockLlm().infer(ticket), ticket.system).contracts);
+  CheckOptions options;
+  options.run_concolic = false;
+  const core::CiGate gate(options);
+  int compared = 0;
+  for (const corpus::FailureTicket& ticket : corpus::Corpus::all()) {
+    const core::ContractStore& store = stores.at(ticket.system);
+    for (const std::string* source :
+         {&ticket.buggy_source, &ticket.patched_source, &ticket.latest_source}) {
+      if (source->empty()) continue;
+      obs::ProvenanceLedger shared;
+      core::GateRunOptions run_options;
+      run_options.ledger = &shared;
+      const core::GateDecision decision = gate.evaluate(*source, store, run_options);
+      const minilang::Program program = minilang::parse_checked(*source);
+      for (const ContractCheckReport& report : decision.reports) {
+        SCOPED_TRACE(ticket.case_id + " " + report.contract_id);
+        const auto contract = std::find_if(
+            store.all().begin(), store.all().end(),
+            [&](const core::SemanticContract& c) { return c.id == report.contract_id; });
+        ASSERT_NE(contract, store.all().end());
+        obs::ProvenanceLedger own;
+        CheckOptions fresh_options = options;
+        fresh_options.ledger = &own;
+        fresh_options.compute_slice_fp = true;
+        const ContractCheckReport fresh =
+            Checker().check(staticcheck::Screener(program), *contract, fresh_options);
+        EXPECT_EQ(report.verdict_signature(), fresh.verdict_signature());
+        ASSERT_NE(shared.find(report.contract_id), nullptr);
+        ASSERT_NE(own.find(report.contract_id), nullptr);
+        EXPECT_EQ(shared.find(report.contract_id)->to_json().dump(),
+                  own.find(report.contract_id)->to_json().dump());
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100);
+}
+
+// Summaries are a per-program cost: one evaluation computes them once, however
+// many contracts it checks.
+TEST(SharedAnalysis, GateComputesSummariesOncePerEvaluation) {
+  core::ContractStore store;
+  for (const char* case_id : {"zk-1208-ephemeral-create", "zk-2201-sync-serialize"}) {
+    const corpus::FailureTicket* ticket = corpus::Corpus::find(case_id);
+    ASSERT_NE(ticket, nullptr);
+    store.add_all(
+        core::translate(inference::MockLlm().infer(*ticket), ticket->system).contracts);
+  }
+  CheckOptions options;
+  options.run_concolic = false;
+  const std::int64_t before = obs::metrics().histogram("summaries.ms").count();
+  const core::GateDecision decision = core::CiGate(options).evaluate(
+      corpus::Corpus::find("zk-1208-ephemeral-create")->patched_source, store);
+  EXPECT_EQ(decision.reports.size(), 2u);
+  EXPECT_EQ(obs::metrics().histogram("summaries.ms").count() - before, 1);
 }
 
 }  // namespace

@@ -67,7 +67,8 @@ TEST(Checker, BuggyVersionHasNoVerifiedPathForTheRule) {
   const TranslationResult translation = translate(proposal, ticket->system);
   ASSERT_EQ(translation.contracts.size(), 1u);
   const minilang::Program buggy = minilang::parse_checked(ticket->buggy_source);
-  const ContractCheckReport report = Checker().check(buggy, translation.contracts[0]);
+  const ContractCheckReport report =
+      Checker().check(staticcheck::Screener(buggy), translation.contracts[0]);
   EXPECT_EQ(report.verified, 0);
   EXPECT_FALSE(report.sanity_ok);
   EXPECT_EQ(report.violated, 2);
@@ -92,7 +93,7 @@ TEST(Checker, UncoveredPathsReportedWithoutMatchingTests) {
   CheckOptions options;
   options.forced_tests = {"test_create_on_expired_session_rejected"};  // never reaches target
   const ContractCheckReport report =
-      Checker().check(program, translation.contracts[0], options);
+      Checker().check(staticcheck::Screener(program), translation.contracts[0], options);
   EXPECT_EQ(report.dynamic.target_hits, 0);
   EXPECT_EQ(report.uncovered, static_cast<int>(report.paths.size()));
 }

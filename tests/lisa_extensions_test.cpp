@@ -54,7 +54,8 @@ TEST(Authoring, AcceptsWellFormedRuleAndCheckerUsesIt) {
   EXPECT_TRUE(feedback.errors.empty());
   EXPECT_EQ(feedback.contract.target_fragment, "debit(");
 
-  const ContractCheckReport report = Checker().check(program, feedback.contract);
+  const ContractCheckReport report =
+      Checker().check(staticcheck::Screener(program), feedback.contract);
   EXPECT_EQ(report.verified, 1);  // pay
   EXPECT_EQ(report.violated, 1);  // pay_batch misses the frozen check
 }

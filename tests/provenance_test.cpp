@@ -112,16 +112,16 @@ TEST(ProvenanceLedger, NullLedgerLeavesCheckOutputByteIdentical) {
   core::TranslationResult translation = core::translate(proposal, ticket.system);
   ASSERT_FALSE(translation.contracts.empty());
   const core::Checker checker;
+  const staticcheck::Screener analysis(program);
   core::CheckOptions plain;
-  core::ContractCheckReport without = checker.check(program, translation.contracts[0], plain);
+  core::ContractCheckReport without = checker.check(analysis, translation.contracts[0], plain);
   obs::ProvenanceLedger ledger;
   core::CheckOptions captured;
   captured.ledger = &ledger;
-  core::ContractCheckReport with = checker.check(program, translation.contracts[0], captured);
+  core::ContractCheckReport with = checker.check(analysis, translation.contracts[0], captured);
   // Wall-clock fields differ between any two runs; everything else must be
   // byte-identical — capture may not perturb a single verdict or witness.
   without.screen_ms = with.screen_ms = 0.0;
-  without.summary_ms = with.summary_ms = 0.0;
   EXPECT_EQ(without.to_json().pretty(), with.to_json().pretty());
   EXPECT_GT(ledger.size(), 0u);
 }
@@ -196,7 +196,7 @@ TEST(BudgetProvenance, ExhaustionReasonIsTypedAndCounted) {
   obs::metrics().reset();
   const core::Checker checker;
   const core::ContractCheckReport report =
-      checker.check(program, translation.contracts[0], options);
+      checker.check(staticcheck::Screener(program), translation.contracts[0], options);
   ASSERT_TRUE(report.budget_exhausted);
   EXPECT_EQ(report.budget_resource, "smt-queries");
   EXPECT_EQ(obs::metrics().counter("budget.exhausted{reason=smt-queries}").value(), 1);

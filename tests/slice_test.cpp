@@ -315,21 +315,53 @@ TEST(IncrementalResume, SliceFpRecordedOnlyWhenRequested) {
   const Program program = minilang::parse_checked(zk->patched_source);
 
   const core::Checker checker;
-  core::CheckOptions options;
-  options.run_concolic = false;
-  const core::ContractCheckReport without =
-      checker.check(program, translation.contracts[0], options);
-  EXPECT_TRUE(without.slice_fp.empty());
+  for (const bool static_screen : {true, false}) {
+    SCOPED_TRACE(static_screen ? "screening on" : "screening off");
+    const Screener analysis(program);
+    core::CheckOptions options;
+    options.run_concolic = false;
+    options.static_screen = static_screen;
+    const core::ContractCheckReport without =
+        checker.check(analysis, translation.contracts[0], options);
+    EXPECT_TRUE(without.slice_fp.empty());
 
-  options.compute_slice_fp = true;
-  const core::ContractCheckReport with =
-      checker.check(program, translation.contracts[0], options);
-  EXPECT_FALSE(with.slice_fp.empty());
-  // And the recorded fingerprint is exactly what resume will recompute.
-  const Screener screener(program, options.use_summaries);
-  const SliceEngine engine(program, screener.graph(), screener.summaries());
-  EXPECT_EQ(with.slice_fp, core::contract_slice_fingerprint(
-                               engine, translation.contracts[0], options.run_concolic));
+    options.compute_slice_fp = true;
+    const core::ContractCheckReport with =
+        checker.check(analysis, translation.contracts[0], options);
+    EXPECT_FALSE(with.slice_fp.empty());
+    // And the recorded fingerprint is exactly what resume will recompute.
+    EXPECT_EQ(with.slice_fp,
+              core::contract_slice_fingerprint(Screener(program).slicer(),
+                                               translation.contracts[0], options.run_concolic));
+  }
+}
+
+TEST(IncrementalResume, UnchangedCommitResumesEveryContract) {
+  core::ContractStore store;
+  for (const char* case_id : {"zk-1208-ephemeral-create", "zk-2201-sync-serialize"}) {
+    const corpus::FailureTicket* ticket = corpus::Corpus::find(case_id);
+    ASSERT_NE(ticket, nullptr);
+    store.add_all(
+        core::translate(inference::MockLlm().infer(*ticket), ticket->system).contracts);
+  }
+  const std::string source = corpus::Corpus::find("zk-1208-ephemeral-create")->patched_source;
+  const std::string journal_path =
+      (std::filesystem::temp_directory_path() / "lisa_slice_test_unchanged.jsonl").string();
+  for (const bool static_screen : {true, false}) {
+    SCOPED_TRACE(static_screen ? "screening on" : "screening off");
+    core::CheckOptions options;
+    options.run_concolic = false;
+    options.static_screen = static_screen;
+    const core::CiGate gate(options);
+    core::GateRunOptions journaling;
+    journaling.journal_path = journal_path;
+    const core::GateDecision cold = gate.evaluate(source, store, journaling);
+    ASSERT_EQ(cold.reports.size(), 2u);
+    journaling.resume = true;
+    const core::GateDecision resumed = gate.evaluate(source, store, journaling);
+    EXPECT_EQ(resumed.resumed_contracts, 2);
+  }
+  std::remove(journal_path.c_str());
 }
 
 }  // namespace

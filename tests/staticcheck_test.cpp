@@ -554,8 +554,9 @@ fn test_handler() {
   contract.condition_text = "s.ok";
   contract.condition = *smt::parse_condition("s.ok");
   const core::Checker checker;
+  const Screener analysis(program);
   core::CheckOptions options;  // static_screen defaults on
-  const core::ContractCheckReport report = checker.check(program, contract, options);
+  const core::ContractCheckReport report = checker.check(analysis, contract, options);
   EXPECT_EQ(report.screen_verdict, "proved-safe");
   EXPECT_TRUE(report.screen_skipped_concolic);
   EXPECT_EQ(report.dynamic.tests_run, 0);
@@ -564,7 +565,7 @@ fn test_handler() {
   // Screening off: the concolic replay runs and reaches the same verdict.
   core::CheckOptions no_screen = options;
   no_screen.static_screen = false;
-  const core::ContractCheckReport full = checker.check(program, contract, no_screen);
+  const core::ContractCheckReport full = checker.check(analysis, contract, no_screen);
   EXPECT_GT(full.dynamic.tests_run, 0);
   EXPECT_TRUE(full.passed());
   EXPECT_TRUE(full.screen_verdict.empty());
@@ -602,7 +603,7 @@ fn test_handler() {
   core::CheckOptions options;
   options.forced_tests = {"test_handler"};
   const core::ContractCheckReport report =
-      core::Checker().check(program, contract, options);
+      core::Checker().check(Screener(program), contract, options);
   EXPECT_EQ(report.screen_verdict, "proved-safe");
   EXPECT_FALSE(report.screen_skipped_concolic);
   EXPECT_EQ(report.dynamic.tests_run, 1);
@@ -879,12 +880,11 @@ TEST(Screener, VerdictsAgreeWithFullCheckerAcrossCorpus) {
         core::CheckOptions truth_options;
         truth_options.static_screen = false;
         const core::ContractCheckReport truth =
-            core::Checker().check(program, contract, truth_options);
+            core::Checker().check(Screener(program), contract, truth_options);
         for (const bool use_summaries : {false, true}) {
-          core::CheckOptions screen_options;  // defaults: screening on
-          screen_options.use_summaries = use_summaries;
+          // Default options: screening on.
           const core::ContractCheckReport screened =
-              core::Checker().check(program, contract, screen_options);
+              core::Checker().check(Screener(program, use_summaries), contract);
           int& settled = use_summaries ? settled_summaries : settled_havoc;
           if (screened.screen_verdict == "proved-safe") {
             ++settled;

@@ -591,8 +591,8 @@ int cmd_slice(const std::string& case_id, int argc, char** argv) {
   }
 
   const minilang::Program program = minilang::parse_checked(source);
-  const staticcheck::Screener screener(program);
-  const staticcheck::SliceEngine engine(program, screener.graph(), screener.summaries());
+  const staticcheck::Screener analysis(program);
+  const staticcheck::SliceEngine& engine = analysis.slicer();
 
   support::JsonArray entries;
   for (const core::SemanticContract& contract : translation.contracts) {
