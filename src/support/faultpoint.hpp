@@ -11,7 +11,8 @@
 //                                                InferenceError; malformed →
 //                                                corrupted proposal
 //   explorer.path       concolic::explore        fail → path skipped
-//   summaries.fixpoint  SummaryMap::compute      fail → screener degrades to
+//   summaries.fixpoint  SummaryMap::compute      fail → the evaluation's
+//                                                shared analysis degrades to
 //                                                call-site-havoc facts
 //   report.serialize    ContractCheckReport::    fail → degraded JSON stub,
 //                       to_json                  run completes
