@@ -19,20 +19,16 @@ void collect_calls(const Expr& expr, const std::function<void(const Expr&)>& on_
   for (const minilang::ExprPtr& arg : expr.args) collect_calls(*arg, on_call);
 }
 
-void walk_stmts(const std::vector<minilang::StmtPtr>& stmts, const Stmt* enclosing_sync,
-                const std::function<void(const Stmt&, const Expr&, const Stmt*)>& on_call) {
+void walk_stmts(const std::vector<minilang::StmtPtr>& stmts,
+                const std::function<void(const Stmt&, const Expr&)>& on_call) {
   for (const minilang::StmtPtr& stmt : stmts) {
     const auto visit_expr = [&](const minilang::ExprPtr& expr) {
-      if (expr)
-        collect_calls(*expr,
-                      [&](const Expr& call) { on_call(*stmt, call, enclosing_sync); });
+      if (expr) collect_calls(*expr, [&](const Expr& call) { on_call(*stmt, call); });
     };
     visit_expr(stmt->expr);
     visit_expr(stmt->expr2);
-    const Stmt* body_sync =
-        stmt->kind == Stmt::Kind::kSync ? stmt.get() : enclosing_sync;
-    walk_stmts(stmt->body, body_sync, on_call);
-    walk_stmts(stmt->else_body, enclosing_sync, on_call);
+    walk_stmts(stmt->body, on_call);
+    walk_stmts(stmt->else_body, on_call);
   }
 }
 
@@ -44,18 +40,15 @@ CallGraph CallGraph::build(const Program& program) {
   for (const FuncDecl& fn : program.functions) {
     graph.callees_[fn.name];  // ensure node exists
     graph.callers_[fn.name];
-    walk_stmts(fn.body, /*enclosing_sync=*/nullptr,
-               [&](const Stmt& stmt, const Expr& call, const Stmt* enclosing_sync) {
-                 CallSite site;
-                 site.caller = &fn;
-                 site.stmt = &stmt;
-                 site.call = &call;
-                 site.inside_sync = enclosing_sync != nullptr;
-                 site.sync_stmt = enclosing_sync;
-                 graph.sites_.push_back(site);
-                 graph.callees_[fn.name].insert(call.text);
-                 graph.callers_[call.text].insert(fn.name);
-               });
+    walk_stmts(fn.body, [&](const Stmt& stmt, const Expr& call) {
+      CallSite site;
+      site.caller = &fn;
+      site.stmt = &stmt;
+      site.call = &call;
+      graph.sites_.push_back(site);
+      graph.callees_[fn.name].insert(call.text);
+      graph.callers_[call.text].insert(fn.name);
+    });
   }
   return graph;
 }

@@ -21,10 +21,6 @@ struct CallSite {
   const minilang::FuncDecl* caller = nullptr;
   const minilang::Stmt* stmt = nullptr;
   const minilang::Expr* call = nullptr;  // Expr::Kind::kCall
-  /// True if the site is lexically inside a `sync` block of `caller`.
-  bool inside_sync = false;
-  /// The innermost enclosing `sync` statement, or null when !inside_sync.
-  const minilang::Stmt* sync_stmt = nullptr;
 
   [[nodiscard]] const std::string& callee() const { return call->text; }
 };
@@ -58,8 +54,6 @@ class CallGraph {
  public:
   /// Builds the graph; `program` must outlive the result.
   [[nodiscard]] static CallGraph build(const minilang::Program& program);
-
-  [[nodiscard]] const std::vector<CallSite>& sites() const { return sites_; }
 
   /// All call sites whose callee is `name`.
   [[nodiscard]] std::vector<const CallSite*> sites_calling(const std::string& name) const;

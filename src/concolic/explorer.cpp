@@ -1,9 +1,6 @@
 #include "concolic/explorer.hpp"
 
 #include "analysis/callgraph.hpp"
-#include "concolic/engine.hpp"
-#include "minilang/printer.hpp"
-#include "minilang/sema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "smt/solver.hpp"
@@ -22,43 +19,6 @@ const char* explored_verdict_name(ExploredVerdict verdict) {
   }
   return "?";
 }
-
-namespace {
-
-struct ReplayResult {
-  bool reached = false;
-  bool violated = false;
-  std::string witness;
-};
-
-ReplayResult replay(const minilang::Program& program, const SynthesizedTest& test,
-                    const std::string& target_fragment,
-                    const smt::FormulaPtr& contract_condition,
-                    support::Budget* budget) {
-  ReplayResult result;
-  minilang::Program with_test;
-  try {
-    with_test = minilang::parse_checked(minilang::program_text(program) + "\n" + test.source);
-  } catch (const std::exception&) {
-    return result;
-  }
-  Engine engine(with_test);
-  CheckConfig config;
-  config.target_fragment = target_fragment;
-  config.contract = contract_condition;
-  config.budget = budget;
-  const RunResult run = engine.run_test(test.test_name, config);
-  for (const TargetHit& hit : run.hits) {
-    result.reached = true;
-    if (hit.symbolic_violation || hit.concrete_violation) {
-      result.violated = true;
-      result.witness = hit.witness;
-    }
-  }
-  return result;
-}
-
-}  // namespace
 
 ExplorationReport explore(const minilang::Program& program,
                           const std::string& target_fragment,
@@ -139,8 +99,8 @@ ExplorationReport explore(const minilang::Program& program,
     }
     ++sequence;
     explored.test_source = test->source;
-    const ReplayResult run =
-        replay(program, *test, target_fragment, contract_condition, budget);
+    const SynthesizedReplay run =
+        replay_synthesized_test(program, *test, target_fragment, contract_condition, budget);
     if (!run.reached) {
       explored.verdict = ExploredVerdict::kReplayMismatch;
       explored.detail = "synthesized driver did not reach the target (model " +

@@ -1,6 +1,5 @@
 #include "concolic/schedule.hpp"
 
-#include <random>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -234,25 +233,6 @@ bool advance(std::vector<ChoicePoint>& stack) {
   return false;
 }
 
-/// Seeded uniform choice at every decision point (the PCT-style phase).
-class RandomController final : public minilang::ScheduleController {
- public:
-  explicit RandomController(std::uint64_t seed) : rng_(seed) {}
-
-  int pick(const std::vector<ThreadStatus>& runnable) override {
-    const std::size_t index = static_cast<std::size_t>(rng_() % runnable.size());
-    const int chosen = runnable[index].thread_id;
-    trace_.push_back(chosen);
-    return chosen;
-  }
-
-  [[nodiscard]] const std::vector<int>& trace() const { return trace_; }
-
- private:
-  std::mt19937_64 rng_;
-  std::vector<int> trace_;
-};
-
 /// Follows a witness decision list; past its end (or when the recorded
 /// thread is no longer runnable) falls back to lowest id, deterministically.
 class ReplayController final : public minilang::ScheduleController {
@@ -317,42 +297,13 @@ bool ScheduleExplorer::test_spawns(const std::string& test_name) const {
 void ScheduleExplorer::explore_into(const std::string& test_name,
                                     ScheduleExplorationResult& out) {
   const int bound = options_.max_schedules > 0 ? options_.max_schedules : 1;
-  const auto charge = [&]() -> bool {
-    return options_.budget == nullptr || options_.budget->charge_schedule();
-  };
-  const auto note_budget_exhausted = [&]() {
-    out.conclusive = false;
-    if (out.inconclusive_reason.empty())
-      out.inconclusive_reason = options_.budget != nullptr
-                                    ? options_.budget->exhausted_reason()
-                                    : "schedule budget exhausted";
-  };
-  const auto note_degraded = [&](const minilang::ScheduleRunResult& run) {
-    out.conclusive = false;
-    if (out.inconclusive_reason.empty())
-      out.inconclusive_reason = "schedule run degraded: " + run.error;
-  };
-  const auto record_witness = [&](const minilang::ScheduleRunResult& run,
-                                  const std::vector<int>& trace, std::uint64_t seed) {
-    ScheduleWitness witness;
-    witness.test = test_name;
-    witness.seed = seed;
-    witness.decisions = trace;
-    witness.detail = run.error;
-    witness.outcome = run.hung ? "hang"
-                     : run.error.find("assertion failed") != std::string::npos
-                         ? "assert-failure"
-                         : "exception";
-    out.witnesses.push_back(std::move(witness));
-    out.violation_found = true;
-  };
-
-  // Phase 1: DFS over conflict-directed choice points.
+  // DFS over conflict-directed choice points.
   std::vector<ChoicePoint> stack;
-  bool dfs_complete = false;
   while (out.schedules_explored < bound) {
-    if (!charge()) {
-      note_budget_exhausted();
+    if (options_.budget != nullptr && !options_.budget->charge_schedule()) {
+      out.conclusive = false;
+      if (out.inconclusive_reason.empty())
+        out.inconclusive_reason = options_.budget->exhausted_reason();
       return;
     }
     minilang::Interp interp(program_);
@@ -364,44 +315,29 @@ void ScheduleExplorer::explore_into(const std::string& test_name,
       // Sleep-set cut: this interleaving only permutes commuting segments
       // of one already explored. A charged probe, not a verdict.
     } else if (run.degraded) {
-      note_degraded(run);
+      out.conclusive = false;
+      if (out.inconclusive_reason.empty())
+        out.inconclusive_reason = "schedule run degraded: " + run.error;
     } else if (!run.test_passed) {
-      record_witness(run, controller.trace(), 0);
+      ScheduleWitness witness;
+      witness.test = test_name;
+      witness.decisions = controller.trace();
+      witness.detail = run.error;
+      witness.outcome = run.hung ? "hang"
+                       : run.error.find("assertion failed") != std::string::npos
+                           ? "assert-failure"
+                           : "exception";
+      out.witnesses.push_back(std::move(witness));
+      out.violation_found = true;
       return;
     }
-    if (!advance(stack)) {
-      dfs_complete = true;
-      break;
-    }
+    if (!advance(stack)) return;  // conclusive for this test (unless degraded above)
   }
-  if (dfs_complete) return;  // conclusive for this test (unless degraded above)
-
-  // Phase 2: seeded random search for whatever bound remains. Whatever it
-  // finds, exploration is no longer a proof of absence.
+  // The bound ran out before the stack drained: no proof of absence.
   out.conclusive = false;
   if (out.inconclusive_reason.empty())
-    out.inconclusive_reason = "schedule space not exhausted within " +
-                              std::to_string(bound) +
-                              " schedules (DFS incomplete; random phase found no violation)";
-  while (out.schedules_explored < bound) {
-    if (!charge()) {
-      note_budget_exhausted();
-      return;
-    }
-    const std::uint64_t seed =
-        options_.seed + static_cast<std::uint64_t>(out.schedules_explored);
-    minilang::Interp interp(program_);
-    RandomController controller(seed);
-    const minilang::ScheduleRunResult run =
-        interp.run_scheduled_test(test_name, controller);
-    ++out.schedules_explored;
-    if (run.degraded) {
-      note_degraded(run);
-    } else if (!run.test_passed) {
-      record_witness(run, controller.trace(), seed);
-      return;
-    }
-  }
+    out.inconclusive_reason =
+        "schedule space not exhausted within " + std::to_string(bound) + " schedules";
 }
 
 ScheduleExplorationResult ScheduleExplorer::explore() {

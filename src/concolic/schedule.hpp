@@ -6,24 +6,20 @@
 // @test under the interpreter's cooperative scheduler, choosing a different
 // thread order each time.
 //
-// Two phases, one bound (`max_schedules`, every run charged to the Budget):
+// One phase, one bound (`max_schedules`, every run charged to the Budget):
+// DFS with conflict-directed branching. A yield point becomes a backtrack
+// point only when two runnable threads have pending operations that do not
+// commute (same monitor, same object field, or an operation whose footprint
+// is unknown); otherwise the lowest id runs and no alternative is recorded.
+// This is a simplified sleep-set-spirit reduction: commuting choices are
+// pruned, conflicting choices are explored exhaustively. If the DFS drains
+// its stack within the bound, exploration is *conclusive* for the reduced
+// space; if the bound runs out first, finding no violation is a typed
+// inconclusive, never a silent pass.
 //
-//   1. DFS with conflict-directed branching. A yield point becomes a
-//      backtrack point only when two runnable threads have pending
-//      operations that do not commute (same monitor, same object field, or
-//      an operation whose footprint is unknown); otherwise the lowest id
-//      runs and no alternative is recorded. This is a simplified
-//      sleep-set-spirit reduction: commuting choices are pruned, conflicting
-//      choices are explored exhaustively. If the DFS drains its stack within
-//      the bound, exploration is *conclusive* for the reduced space.
-//   2. Prioritized random search (PCT-style) for the remaining bound when
-//      the DFS could not finish: seeded deterministically, so the same seed
-//      reproduces the same schedules. Finding a violation here is a real
-//      verdict; finding none is a typed inconclusive, never a silent pass.
-//
-// A violating schedule is captured as a replayable witness — the seed and
-// the decision taken at every choice point — which re-derives the identical
-// trace on any later run (determinism is asserted by schedule_test.cpp).
+// A violating schedule is captured as a replayable witness — the decision
+// taken at every choice point — which re-derives the identical trace on any
+// later run (determinism is asserted by schedule_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -41,8 +37,8 @@ namespace lisa::concolic {
 /// Replayable evidence for one violating interleaving.
 struct ScheduleWitness {
   std::string test;
-  /// 0 when found by the DFS phase (decisions alone replay it); otherwise
-  /// the random-phase seed the decisions were drawn under.
+  /// Always 0: the decisions alone replay a witness. Kept so the compact
+  /// form, and every ledger that carries it, stays unchanged.
   std::uint64_t seed = 0;
   /// Thread picked at each choice point, in order. Replay follows this list
   /// and falls back to lowest-id once it is exhausted.
@@ -63,7 +59,7 @@ struct ScheduleExplorationResult {
   int tests_with_threads = 0;
   /// True when the DFS drained the (reduced) schedule space of every
   /// thread-spawning test within the bound and no run was degraded. A
-  /// violation found under any phase is a real verdict regardless.
+  /// violation found is a real verdict regardless.
   bool conclusive = true;
   bool violation_found = false;
   std::string inconclusive_reason;  // typed cause when !conclusive
@@ -71,8 +67,7 @@ struct ScheduleExplorationResult {
 };
 
 struct ScheduleExploreOptions {
-  int max_schedules = 2048;
-  std::uint64_t seed = 0x5eedULL;     // random-phase seed (deterministic default)
+  int max_schedules = 2048;           // the DFS bound
   support::Budget* budget = nullptr;  // charged one schedule per run
 };
 

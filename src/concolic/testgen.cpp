@@ -131,20 +131,31 @@ std::optional<SynthesizedTest> synthesize_path_test(const Program& program,
   return test;
 }
 
-bool validate_synthesized_test(const Program& program, const SynthesizedTest& test,
-                               const std::string& target_fragment) {
-  const std::string extended = minilang::program_text(program) + "\n" + test.source;
+SynthesizedReplay replay_synthesized_test(const Program& program, const SynthesizedTest& test,
+                                          const std::string& target_fragment,
+                                          const smt::FormulaPtr& contract_condition,
+                                          support::Budget* budget) {
+  SynthesizedReplay result;
   Program with_test;
   try {
-    with_test = minilang::parse_checked(extended);
+    with_test = minilang::parse_checked(minilang::program_text(program) + "\n" + test.source);
   } catch (const std::exception&) {
-    return false;
+    return result;
   }
   Engine engine(with_test);
   CheckConfig config;
   config.target_fragment = target_fragment;
+  config.contract = contract_condition;
+  config.budget = budget;
   const RunResult run = engine.run_test(test.test_name, config);
-  return !run.hits.empty();
+  for (const TargetHit& hit : run.hits) {
+    result.reached = true;
+    if (hit.symbolic_violation || hit.concrete_violation) {
+      result.violated = true;
+      result.witness = hit.witness;
+    }
+  }
+  return result;
 }
 
 }  // namespace lisa::concolic

@@ -20,6 +20,8 @@
 
 #include "analysis/paths.hpp"
 #include "minilang/ast.hpp"
+#include "smt/formula.hpp"
+#include "support/budget.hpp"
 
 namespace lisa::concolic {
 
@@ -37,11 +39,19 @@ struct SynthesizedTest {
     const minilang::Program& program, const analysis::ExecutionPath& path,
     bool violating, int sequence_number);
 
-/// Validates a synthesized test: appends it to the program source, replays
-/// it on the concolic engine, and confirms the target is hit. Returns true
-/// on confirmation.
-[[nodiscard]] bool validate_synthesized_test(const minilang::Program& program,
-                                             const SynthesizedTest& test,
-                                             const std::string& target_fragment);
+struct SynthesizedReplay {
+  bool reached = false;   // the run hit the target
+  bool violated = false;  // some hit violated the contract
+  std::string witness;    // the violating hit's witness, when violated
+};
+
+/// Replays a synthesized test: appends it to the program source and runs it
+/// on the concolic engine, checking `contract_condition` (target-frame local
+/// names) at every hit of `target_fragment`. The run is charged to `budget`
+/// (nullptr = ungoverned).
+[[nodiscard]] SynthesizedReplay replay_synthesized_test(
+    const minilang::Program& program, const SynthesizedTest& test,
+    const std::string& target_fragment, const smt::FormulaPtr& contract_condition,
+    support::Budget* budget = nullptr);
 
 }  // namespace lisa::concolic

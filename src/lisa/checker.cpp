@@ -445,11 +445,11 @@ void take_screen(const staticcheck::ScreenResult& screen, ContractCheckReport& r
   report.screen_ms = screen.elapsed_ms;
 }
 
-/// Structural contracts. The path-sensitive lock-state dataflow subsumes the
-/// older structural walk (analysis/patterns.cpp): same monitor rule, but
-/// exception edges release monitors and nested sync depth is tracked per
-/// path. A failure narrates by replaying tests until a blocking call
-/// executes under a held monitor.
+/// Structural contracts. The lock-state screen (Screener::screen_structural)
+/// checks the no-blocking-in-sync rule path-sensitively: exception edges
+/// release monitors and nested sync depth is tracked per path. A failure
+/// narrates by replaying tests until a blocking call executes under a held
+/// monitor.
 void screen_lock_state(const staticcheck::Screener& analysis,
                        const staticcheck::ScreenOptions& screen_options,
                        ContractCheckReport& report) {
@@ -477,7 +477,6 @@ std::optional<concolic::ScheduleWitness> explore_schedules(
   report.sanity_ok = true;  // the witness schedule is its own evidence
   concolic::ScheduleExploreOptions schedule_options;
   schedule_options.max_schedules = options.max_schedules;
-  schedule_options.seed = options.schedule_seed;
   schedule_options.budget = options.budget;
   concolic::ScheduleExplorer explorer(program, schedule_options);
   const concolic::ScheduleExplorationResult explored = explorer.explore();

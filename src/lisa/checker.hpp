@@ -188,10 +188,6 @@ struct CheckOptions {
   /// typed inconclusive. Every run is charged to the budget's `schedules`
   /// resource when one is attached.
   int max_schedules = 2048;
-  /// Seed for the explorer's PCT-style random phase (used only when the DFS
-  /// cannot drain the reduced schedule space within the bound). Fixed
-  /// default so repeated runs explore identical schedules.
-  std::uint64_t schedule_seed = 0x5eedULL;
   /// Cooperative resource budget shared across phases: the static loop
   /// charges paths and SMT queries, the concolic engine charges steps and
   /// fork points. Refused work surfaces as kInconclusive paths or degraded

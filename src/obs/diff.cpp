@@ -280,8 +280,6 @@ std::string render_diff_text(const DiffReport& report) {
   return out;
 }
 
-namespace {
-
 std::string html_escape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
@@ -296,6 +294,8 @@ std::string html_escape(const std::string& text) {
   }
   return out;
 }
+
+namespace {
 
 const char* verdict_class(const std::string& verdict) {
   if (verdict == "violated") return "bad";

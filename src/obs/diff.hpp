@@ -82,4 +82,8 @@ struct DiffReport {
 /// render_ledger_html (obs/explain.hpp) — works as an offline CI artifact.
 [[nodiscard]] std::string render_diff_html(const DiffReport& report);
 
+/// Escapes `&`, `<`, `>` and `"` for HTML text and attribute values; the
+/// diff and ledger (obs/explain.hpp) reports share it.
+[[nodiscard]] std::string html_escape(const std::string& text);
+
 }  // namespace lisa::obs

@@ -7,6 +7,7 @@
 
 #include "minilang/interp.hpp"
 #include "minilang/printer.hpp"
+#include "obs/diff.hpp"
 #include "support/strings.hpp"
 
 namespace lisa::obs {
@@ -716,21 +717,6 @@ std::string render_capture_text(const ContractCapture& capture) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-std::string html_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
 
 const char* verdict_class(const std::string& verdict) {
   if (verdict == "violated") return "bad";

@@ -49,20 +49,6 @@ std::string access_path(const Expr& expr) {
   }
 }
 
-/// True if `path` has a field segment equal to `field` (anywhere past the
-/// root variable).
-bool mentions_field(const std::string& path, const std::string& field) {
-  std::size_t dot = path.find('.');
-  while (dot != std::string::npos) {
-    const std::size_t start = dot + 1;
-    std::size_t end = path.find('.', start);
-    if (end == std::string::npos) end = path.size();
-    if (path.compare(start, end - start, field) == 0) return true;
-    dot = path.find('.', start);
-  }
-  return false;
-}
-
 /// Walks every sub-expression of `expr`, including `expr` itself.
 void walk_expr(const Expr& expr, const std::function<void(const Expr&)>& visit) {
   visit(expr);
@@ -134,6 +120,24 @@ bool null_trackable(const Type* type) {
 }  // namespace
 
 std::string expr_access_path(const Expr& expr) { return access_path(expr); }
+
+bool mentions_field(const std::string& path, const std::string& field) {
+  std::size_t dot = path.find('.');
+  while (dot != std::string::npos) {
+    const std::size_t start = dot + 1;
+    std::size_t end = path.find('.', start);
+    if (end == std::string::npos) end = path.size();
+    if (path.compare(start, end - start, field) == 0) return true;
+    dot = path.find('.', start);
+  }
+  return false;
+}
+
+void collect_calls(const Expr& expr, std::vector<const Expr*>& out) {
+  if (expr.kind == Expr::Kind::kCall) out.push_back(&expr);
+  for (const auto& arg : expr.args)
+    if (arg) collect_calls(*arg, out);
+}
 
 bool write_kills(const std::string& written, const std::string& fact_path) {
   if (fact_path == written) return true;

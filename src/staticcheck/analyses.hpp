@@ -10,8 +10,8 @@
 //     usually an accident.
 //   * LockStateAnalysis: tracks monitor depth through `sync` blocks
 //     path-sensitively and flags calls that (transitively) block while a
-//     monitor is held — the dataflow generalization of
-//     analysis::check_no_blocking_in_sync.
+//     monitor is held — the no-blocking-in-sync rule the lock-state screen
+//     (Screener::screen_structural) applies to structural contracts.
 //   * IntervalAnalysis: integer intervals with constant propagation and
 //     guard clamping; proves integer guards and flags branch conditions
 //     that are always true/false.
@@ -53,6 +53,14 @@ class SummaryMap;  // summaries.hpp; analyses only need the pointer
 /// itself, any extension of it, and (for field writes) any path mentioning
 /// the written field name — the conservative aliasing rule.
 [[nodiscard]] bool write_kills(const std::string& written, const std::string& fact_path);
+
+/// True if `path` has a field segment equal to `field` anywhere past the
+/// root variable ("s.closed" mentions "closed").
+[[nodiscard]] bool mentions_field(const std::string& path, const std::string& field);
+
+/// Appends every call expression reachable from `expr` (itself included) to
+/// `out`, in pre-order.
+void collect_calls(const minilang::Expr& expr, std::vector<const minilang::Expr*>& out);
 
 /// Applies `visit` to every statement-level expression of a CFG node
 /// (condition, initializer, lvalue, rhs), skipping nulls.

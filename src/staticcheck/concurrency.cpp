@@ -28,12 +28,6 @@ std::string name_tail(const std::string& name) {
   return sep == std::string::npos ? name : name.substr(sep + 2);
 }
 
-void collect_calls(const Expr& expr, std::vector<const Expr*>& out) {
-  if (expr.kind == Expr::Kind::kCall) out.push_back(&expr);
-  for (const auto& arg : expr.args)
-    if (arg) collect_calls(*arg, out);
-}
-
 /// Every field read reachable from `expr`: (base path, field name) pairs.
 void collect_field_reads(const Expr& expr,
                          std::vector<std::pair<std::string, std::string>>& out) {

@@ -14,18 +14,6 @@ using minilang::FuncDecl;
 using minilang::Program;
 using minilang::Stmt;
 
-bool path_mentions_field(const std::string& path, const std::string& field) {
-  std::size_t dot = path.find('.');
-  while (dot != std::string::npos) {
-    const std::size_t start = dot + 1;
-    std::size_t end = path.find('.', start);
-    if (end == std::string::npos) end = path.size();
-    if (path.compare(start, end - start, field) == 0) return true;
-    dot = path.find('.', start);
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // Post-dominator tree
 // ---------------------------------------------------------------------------
@@ -119,7 +107,7 @@ PostDomTree PostDomTree::build(const Cfg& cfg) {
 bool Definition::may_write(const std::string& use_path) const {
   if (path == "*") return use_path.find('.') != std::string::npos;
   if (path.size() > 2 && path.compare(0, 2, "*.") == 0)
-    return path_mentions_field(use_path, path.substr(2));
+    return mentions_field(use_path, path.substr(2));
   if (path.size() > 2 && path.compare(path.size() - 2, 2, ".*") == 0) {
     const std::string base = path.substr(0, path.size() - 2);
     return use_path.size() > base.size() + 1 &&

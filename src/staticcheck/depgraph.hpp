@@ -44,11 +44,6 @@ namespace lisa::staticcheck {
 
 class SummaryMap;  // summaries.hpp
 
-/// True if `path` has a field segment equal to `field` anywhere past the
-/// root variable ("s.closed" mentions "closed"). Exposed for the slicer's
-/// footprint matching; the same rule `write_kills` applies internally.
-[[nodiscard]] bool path_mentions_field(const std::string& path, const std::string& field);
-
 // ---------------------------------------------------------------------------
 // Post-dominator tree + control dependence
 // ---------------------------------------------------------------------------

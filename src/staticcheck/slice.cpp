@@ -40,7 +40,7 @@ bool def_writes_footprint(const Definition& def, const std::string& fp, bool fie
     if (def.path == "*") return true;
     if (def.path.size() > 2 && def.path.compare(0, 2, "*.") == 0)
       return def.path.substr(2) == fp;
-    return path_mentions_field(def.path, fp);
+    return mentions_field(def.path, fp);
   }
   return def.may_write(fp);
 }

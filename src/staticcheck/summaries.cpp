@@ -34,12 +34,6 @@ std::string path_root(const std::string& path) {
   return dot == std::string::npos ? path : path.substr(0, dot);
 }
 
-void collect_calls(const Expr& expr, std::vector<const Expr*>& out) {
-  if (expr.kind == Expr::Kind::kCall) out.push_back(&expr);
-  for (const auto& arg : expr.args)
-    if (arg) collect_calls(*arg, out);
-}
-
 /// Joins two nullability verdicts: agreement survives, conflict is unknown.
 FunctionSummary::Nullability join_nullability(FunctionSummary::Nullability a,
                                               FunctionSummary::Nullability b) {

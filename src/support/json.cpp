@@ -55,8 +55,14 @@ class Parser {
   Json parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > Json::kMaxParseDepth)
+          fail("nesting deeper than " + std::to_string(Json::kMaxParseDepth) + " levels");
+        Json value = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return Json(parse_string());
       case 't': expect_keyword("true"); return Json(true);
       case 'f': expect_keyword("false"); return Json(false);
@@ -177,6 +183,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open around the current position
 };
 
 }  // namespace

@@ -99,6 +99,10 @@ class Json {
 
   /// Parses a complete JSON document; trailing garbage is an error.
   [[nodiscard]] static Json parse(std::string_view text);
+  /// Deepest array/object nesting `parse` accepts. The parser recurses once
+  /// per level, so deeper input throws JsonParseError rather than exhaust
+  /// the stack; the deepest line LISA writes (a ledger record) nests 4.
+  static constexpr int kMaxParseDepth = 256;
 
   friend bool operator==(const Json& a, const Json& b) { return a.value_ == b.value_; }
 

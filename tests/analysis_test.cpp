@@ -1,16 +1,17 @@
 // Unit tests for src/analysis: call graph, execution trees, renaming, and
-// structural pattern checks.
+// the no-blocking-in-sync rule the lock-state screen builds on them.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "analysis/callgraph.hpp"
 #include "analysis/paths.hpp"
-#include "analysis/patterns.hpp"
 #include "analysis/rename.hpp"
 #include "minilang/sema.hpp"
 #include "smt/minilang_bridge.hpp"
 #include "smt/solver.hpp"
+#include "staticcheck/screener.hpp"
+#include "support/strings.hpp"
 
 namespace lisa::analysis {
 namespace {
@@ -351,18 +352,18 @@ fn safe(n: Node) {
   write_record(n, d);
 }
 )");
-  const CallGraph graph = CallGraph::build(program);
-  const auto violations = check_no_blocking_in_sync(program, graph);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].function, "serialize");
-  EXPECT_EQ(violations[0].blocking_call, "write_record");
-  ASSERT_GE(violations[0].call_path.size(), 2u);
-  EXPECT_EQ(violations[0].call_path.front(), "persist");
+  const staticcheck::ScreenResult screen = staticcheck::Screener(program).screen_structural();
+  EXPECT_EQ(screen.verdict, staticcheck::ScreenVerdict::kProvedViolated);
+  ASSERT_EQ(screen.diagnostics.size(), 1u);
+  EXPECT_EQ(screen.diagnostics[0].function, "serialize");
+  // The site is the call to the helper that reaches write_record.
+  EXPECT_TRUE(support::starts_with(screen.diagnostics[0].message, "call to persist "))
+      << screen.diagnostics[0].message;
 }
 
 TEST(Patterns, ReportsEveryBlockingChainWithSyncLocation) {
-  // `flush` reaches two distinct blocking leaves; the checker must report
-  // one violation per chain, each carrying the enclosing sync statement.
+  // `flush` reaches two distinct blocking leaves; the screen reports the
+  // call site once, naming the enclosing sync statement.
   const Program program = minilang::parse_checked(R"(
 struct Node { data: string; }
 fn flush(n: Node) {
@@ -376,19 +377,13 @@ fn serialize(n: Node) {
   }
 }
 )");
-  const CallGraph graph = CallGraph::build(program);
-  const auto violations = check_no_blocking_in_sync(program, graph);
-  ASSERT_EQ(violations.size(), 2u);
-  std::set<std::string> leaves;
-  for (const PatternViolation& violation : violations) {
-    leaves.insert(violation.blocking_call);
-    ASSERT_NE(violation.sync_stmt, nullptr);
-    EXPECT_EQ(violation.sync_stmt->kind, minilang::Stmt::Kind::kSync);
-    EXPECT_NE(violation.description.find("sync at line"), std::string::npos);
-    ASSERT_FALSE(violation.call_path.empty());
-    EXPECT_EQ(violation.call_path.front(), "flush");
-  }
-  EXPECT_EQ(leaves, (std::set<std::string>{"fsync_log", "write_record"}));
+  const staticcheck::ScreenResult screen = staticcheck::Screener(program).screen_structural();
+  ASSERT_EQ(screen.diagnostics.size(), 1u);
+  const staticcheck::Diagnostic& diagnostic = screen.diagnostics[0];
+  EXPECT_EQ(diagnostic.function, "serialize");
+  EXPECT_TRUE(support::starts_with(diagnostic.message, "call to flush ")) << diagnostic.message;
+  EXPECT_NE(diagnostic.message.find("(sync at line 9)"), std::string::npos)
+      << diagnostic.message;
 }
 
 TEST(Patterns, SpecificRuleMissesOtherFunctions) {
@@ -403,9 +398,13 @@ fn ser_b(n: Node) {
   sync (n) { fsync_log(n); }
 }
 )");
-  const CallGraph graph = CallGraph::build(program);
-  EXPECT_EQ(check_no_blocking_in_sync(program, graph).size(), 2u);
-  EXPECT_EQ(check_specific_call_in_sync(program, graph, "write_record").size(), 1u);
+  const staticcheck::ScreenResult screen = staticcheck::Screener(program).screen_structural();
+  EXPECT_EQ(screen.diagnostics.size(), 2u);
+  // The narrow rule: only diagnostics at direct write_record calls.
+  int direct_write_record = 0;
+  for (const staticcheck::Diagnostic& diagnostic : screen.diagnostics)
+    if (support::starts_with(diagnostic.message, "call to write_record ")) ++direct_write_record;
+  EXPECT_EQ(direct_write_record, 1);
 }
 
 }  // namespace

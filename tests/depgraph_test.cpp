@@ -261,8 +261,7 @@ fn f(a: Box) -> int {
   // With summaries the call contributes a field-level MOD effect, not "*".
   bool saw_field_mod = false;
   for (const Definition& def : with.defs)
-    if (def.kind == Definition::Kind::kCallMod &&
-        path_mentions_field(def.path, "v"))
+    if (def.kind == Definition::Kind::kCallMod && mentions_field(def.path, "v"))
       saw_field_mod = true;
   EXPECT_TRUE(saw_field_mod);
 }

@@ -133,6 +133,27 @@ TEST(RunHistory, TornTrailingLineIsSkippedNotFatal) {
   std::remove(path.c_str());
 }
 
+TEST(RunHistory, DeeplyNestedLinesAreRejectedNotFatal) {
+  // Past Json::kMaxParseDepth a line is a parse error, not a stack
+  // overflow: a deep header is the wrong file kind, a deep record a
+  // skipped line.
+  const std::string deep(200'000, '[');
+  const std::string path = temp_path("deep.jsonl");
+  std::ofstream(path) << deep << "\n";
+  obs::RunHistory foreign(path);
+  EXPECT_FALSE(foreign.load());
+  std::remove(path.c_str());
+
+  obs::RunHistory history(path);
+  EXPECT_TRUE(history.append(make_record("gate", "a", 1.0)));
+  std::ofstream(path, std::ios::app) << deep << "\n";
+  EXPECT_TRUE(history.append(make_record("gate", "a", 2.0)));
+  obs::RunHistory reloaded(path);
+  EXPECT_TRUE(reloaded.load());
+  EXPECT_EQ(reloaded.records().size(), 2u);
+  std::remove(path.c_str());
+}
+
 TEST(RunHistory, RejectsForeignJournalKinds) {
   const std::string path = temp_path("foreign.jsonl");
   {

@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <map>
 
-#include "analysis/patterns.hpp"
 #include "lisa/ci_gate.hpp"
 #include "lisa/pipeline.hpp"
 #include "minilang/sema.hpp"
 #include "obs/metrics.hpp"
+#include "staticcheck/screener.hpp"
 #include "support/strings.hpp"
 
 namespace lisa {
@@ -63,25 +63,27 @@ TEST(PreliminaryResults, Bug2HdfsBatchedListing) {
 }
 
 // Fig. 6: the generalized blocking rule catches the second serializer the
-// specific rule misses.
+// specific rule misses. Both rules read the lock-state screen: the general
+// rule is every diagnostic, the specific one only direct write_record calls.
+bool is_direct_write_record(const staticcheck::Diagnostic& diagnostic) {
+  return support::starts_with(diagnostic.message, "call to write_record ");
+}
+
 TEST(Generalization, BroadRuleCatchesAclSerializer) {
   const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-2201-sync-serialize");
   const minilang::Program patched = minilang::parse_checked(ticket->patched_source);
-  const analysis::CallGraph graph = analysis::CallGraph::build(patched);
+  const staticcheck::ScreenResult screen = staticcheck::Screener(patched).screen_structural();
 
   // The specific rule is tied to the patched function's call; after the fix
   // nothing in serialize_node blocks under sync, and the rule cannot see the
   // latent serialize_acls hazard.
-  const auto specific =
-      analysis::check_specific_call_in_sync(patched, graph, "write_record");
   bool specific_flags_acl = false;
-  for (const auto& violation : specific)
-    if (violation.function == "serialize_acls") specific_flags_acl = true;
-
-  const auto general = analysis::check_no_blocking_in_sync(patched, graph);
   bool general_flags_acl = false;
-  for (const auto& violation : general)
-    if (violation.function == "serialize_acls") general_flags_acl = true;
+  for (const staticcheck::Diagnostic& diagnostic : screen.diagnostics) {
+    if (diagnostic.function != "serialize_acls") continue;
+    general_flags_acl = true;
+    if (is_direct_write_record(diagnostic)) specific_flags_acl = true;
+  }
 
   EXPECT_TRUE(general_flags_acl);
   EXPECT_TRUE(specific_flags_acl);  // direct call also inside sync here
@@ -97,9 +99,11 @@ fn serialize_cache(c: Cache) {
   }
 }
 )");
-  const analysis::CallGraph graph2 = analysis::CallGraph::build(indirect);
-  EXPECT_TRUE(analysis::check_specific_call_in_sync(indirect, graph2, "write_record").empty());
-  EXPECT_EQ(analysis::check_no_blocking_in_sync(indirect, graph2).size(), 1u);
+  const staticcheck::ScreenResult indirect_screen =
+      staticcheck::Screener(indirect).screen_structural();
+  EXPECT_EQ(indirect_screen.diagnostics.size(), 1u);
+  EXPECT_TRUE(std::none_of(indirect_screen.diagnostics.begin(),
+                           indirect_screen.diagnostics.end(), is_direct_write_record));
 }
 
 // The full CI story: the contract learned from incident 1 blocks the commit

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "corpus/ticket.hpp"
@@ -92,6 +93,29 @@ TEST(ProvenanceLedger, JsonlRoundTripPreservesEveryField) {
   // Byte-equality of the serialized forms implies field-level equality:
   // to_json covers every evidence record.
   EXPECT_EQ(loaded.to_jsonl(), ledger.to_jsonl());
+  std::remove(path.c_str());
+}
+
+TEST(ProvenanceLedger, DeeplyNestedLinesAreRejectedNotFatal) {
+  // Past Json::kMaxParseDepth a line is a parse error, not a stack
+  // overflow: a deep header is the wrong file kind, a deep record a
+  // skipped line.
+  const std::string deep(200'000, '[');
+  const std::string path = ::testing::TempDir() + "provenance_deep.jsonl";
+  std::ofstream(path) << deep << "\n";
+  obs::ProvenanceLedger foreign;
+  EXPECT_FALSE(foreign.load_jsonl(path));
+
+  const corpus::FailureTicket& ticket = ticket_or_die("hbase-27671-snapshot-ttl");
+  obs::ProvenanceLedger ledger;
+  (void)run_with_ledger(ticket, ticket.buggy_source, &ledger);
+  const std::string jsonl = ledger.to_jsonl();
+  const std::size_t header_end = jsonl.find('\n') + 1;
+  std::ofstream(path) << jsonl.substr(0, header_end) << deep << "\n"
+                      << jsonl.substr(header_end);
+  obs::ProvenanceLedger loaded;
+  ASSERT_TRUE(loaded.load_jsonl(path));
+  EXPECT_EQ(loaded.to_jsonl(), jsonl);
   std::remove(path.c_str());
 }
 

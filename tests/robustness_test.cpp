@@ -451,6 +451,31 @@ TEST_F(Robustness, JournalSurvivesTornTail) {
   std::remove(path.c_str());
 }
 
+TEST_F(Robustness, JournalRejectsDeeplyNestedLines) {
+  // Past Json::kMaxParseDepth a line is a parse error, not a stack
+  // overflow: a deep header is the wrong file kind, a deep record is a
+  // dropped line.
+  const std::string deep(200'000, '[');
+  const std::string path = temp_path("deep.jsonl");
+  std::ofstream(path) << deep << "\n";
+  CheckJournal foreign(path);
+  EXPECT_FALSE(foreign.load(""));
+  const std::string fingerprint = CheckJournal::fingerprint("inputs");
+  {
+    CheckJournal writer(path);
+    ASSERT_TRUE(writer.begin(fingerprint));
+    std::ofstream(path, std::ios::app) << deep << "\n";
+    ContractCheckReport report;
+    report.contract_id = "c#0";
+    writer.record(report);
+  }
+  CheckJournal reader(path);
+  EXPECT_TRUE(reader.load(fingerprint));
+  EXPECT_EQ(reader.loaded_entries(), 1u);
+  EXPECT_NE(reader.find("c#0"), nullptr);
+  std::remove(path.c_str());
+}
+
 TEST_F(Robustness, PipelineResumeReplaysConclusiveEntries) {
   const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-1208-ephemeral-create");
   const std::string path = temp_path("pipeline_resume.jsonl");

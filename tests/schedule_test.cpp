@@ -194,8 +194,8 @@ TEST(ScheduleExplorer, NonSpawningTestIsVacuouslyConclusive) {
 
 TEST(ScheduleExplorer, BoundExhaustionIsTypedInconclusive) {
   // Too small a bound on a correct program: never a silent pass. The DFS
-  // cannot drain the space, the random phase finds nothing, and the result
-  // says so in a typed reason.
+  // spends the whole bound without draining the space, and the result says
+  // so in a typed reason.
   const corpus::FailureTicket& ticket = ticket_or_die("hbase-counter-race");
   const minilang::Program program = minilang::parse_checked(ticket.patched_source);
   concolic::ScheduleExploreOptions options;
@@ -206,7 +206,9 @@ TEST(ScheduleExplorer, BoundExhaustionIsTypedInconclusive) {
   EXPECT_FALSE(result.conclusive);
   EXPECT_NE(result.inconclusive_reason.find("not exhausted"), std::string::npos)
       << result.inconclusive_reason;
-  EXPECT_LE(result.schedules_explored, 4);
+  EXPECT_EQ(result.inconclusive_reason.find("random"), std::string::npos)
+      << result.inconclusive_reason;
+  EXPECT_EQ(result.schedules_explored, 4);
 }
 
 TEST(ScheduleExplorer, BudgetExhaustionIsTypedAndCharged) {

@@ -322,8 +322,8 @@ fn f(n: Node) {
 TEST(Dataflow, LockStateReleasesMonitorOnExceptionUnwind) {
   // The blocking call sits in the catch handler: the monitor acquired in
   // the try body was released during unwinding, so there is no violation.
-  // The structural walk (analysis/patterns.cpp) cannot see this; the
-  // path-sensitive lattice can.
+  // A lexical walk of sync blocks cannot see this; the path-sensitive
+  // lattice behind the lock-state screen can.
   const Program program = minilang::parse_checked(R"(
 struct Node { data: string; }
 @entry

@@ -100,6 +100,20 @@ TEST(Json, ParseRejectsTrailingGarbage) {
   EXPECT_THROW(Json::parse(""), JsonParseError);
 }
 
+TEST(Json, ParseStopsAtTheNestingDepthLimit) {
+  const auto nested = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += i % 2 == 0 ? "[" : "{\"k\":";
+    text += "0";
+    for (int i = depth - 1; i >= 0; --i) text += i % 2 == 0 ? "]" : "}";
+    return text;
+  };
+  EXPECT_TRUE(Json::parse(nested(Json::kMaxParseDepth)).is_array());
+  EXPECT_THROW((void)Json::parse(nested(Json::kMaxParseDepth + 1)), JsonParseError);
+  // Far past the limit is the same typed error, not a stack overflow.
+  EXPECT_THROW((void)Json::parse(std::string(200'000, '[')), JsonParseError);
+}
+
 TEST(Json, ParseUnicodeEscape) {
   const Json v = Json::parse(R"("Aé")");
   EXPECT_EQ(v.as_string(), "A\xc3\xa9");

@@ -30,6 +30,9 @@ fn refund(a: Account?, amount: int) {
 }
 )";
 
+/// The billing contract: debit only live, unfrozen accounts.
+const char* kDebitContract = "!(a == null) && !(a.frozen)";
+
 analysis::ExecutionTree tree_for(const minilang::Program& program,
                                  const std::string& condition) {
   const analysis::CallGraph graph = analysis::CallGraph::build(program);
@@ -44,8 +47,7 @@ analysis::ExecutionTree tree_for(const minilang::Program& program,
 
 TEST(TestGen, SynthesizesCoveringTestForGuardedPath) {
   const minilang::Program program = minilang::parse_checked(kBilling);
-  const analysis::ExecutionTree tree =
-      tree_for(program, "!(a == null) && !(a.frozen)");
+  const analysis::ExecutionTree tree = tree_for(program, kDebitContract);
   const analysis::ExecutionPath* pay_path = nullptr;
   for (const analysis::ExecutionPath& path : tree.paths)
     if (path.call_chain.front() == "pay") pay_path = &path;
@@ -55,14 +57,17 @@ TEST(TestGen, SynthesizesCoveringTestForGuardedPath) {
   ASSERT_TRUE(test.has_value());
   EXPECT_NE(test->source.find("fn synth_cover_1()"), std::string::npos);
   EXPECT_NE(test->source.find("pay(arg0, arg1)"), std::string::npos);
-  // The synthesized amount must satisfy the path's amount > 0 guard.
-  EXPECT_TRUE(validate_synthesized_test(program, *test, "debit("));
+  // The synthesized amount must satisfy the path's amount > 0 guard, and
+  // the guarded path keeps the contract.
+  const SynthesizedReplay replay = replay_synthesized_test(
+      program, *test, "debit(", *smt::parse_condition(kDebitContract));
+  EXPECT_TRUE(replay.reached);
+  EXPECT_FALSE(replay.violated);
 }
 
 TEST(TestGen, SynthesizesViolationWitnessForUnguardedPath) {
   const minilang::Program program = minilang::parse_checked(kBilling);
-  const analysis::ExecutionTree tree =
-      tree_for(program, "!(a == null) && !(a.frozen)");
+  const analysis::ExecutionTree tree = tree_for(program, kDebitContract);
   const analysis::ExecutionPath* refund_path = nullptr;
   for (const analysis::ExecutionPath& path : tree.paths)
     if (path.call_chain.front() == "refund") refund_path = &path;
@@ -72,13 +77,16 @@ TEST(TestGen, SynthesizesViolationWitnessForUnguardedPath) {
   ASSERT_TRUE(witness.has_value());
   // The model must set frozen = true (the missing check's complement).
   EXPECT_NE(witness->source.find("frozen: true"), std::string::npos);
-  EXPECT_TRUE(validate_synthesized_test(program, *witness, "debit("));
+  const SynthesizedReplay replay = replay_synthesized_test(
+      program, *witness, "debit(", *smt::parse_condition(kDebitContract));
+  EXPECT_TRUE(replay.reached);
+  EXPECT_TRUE(replay.violated);
+  EXPECT_FALSE(replay.witness.empty());
 }
 
 TEST(TestGen, GuardedPathHasNoViolationWitness) {
   const minilang::Program program = minilang::parse_checked(kBilling);
-  const analysis::ExecutionTree tree =
-      tree_for(program, "!(a == null) && !(a.frozen)");
+  const analysis::ExecutionTree tree = tree_for(program, kDebitContract);
   for (const analysis::ExecutionPath& path : tree.paths) {
     if (path.call_chain.front() != "pay") continue;
     // π ∧ ¬P is UNSAT on the guarded path: no witness exists.
@@ -147,7 +155,10 @@ fn forward(s: S?) {
       synthesize_path_test(program, tree.paths[0], /*violating=*/true, 6);
   ASSERT_TRUE(witness.has_value());
   EXPECT_NE(witness->source.find("= null"), std::string::npos);
-  EXPECT_TRUE(validate_synthesized_test(program, *witness, "act3("));
+  const SynthesizedReplay replay = replay_synthesized_test(
+      program, *witness, "act3(", *smt::parse_condition("!(s == null)"));
+  EXPECT_TRUE(replay.reached);
+  EXPECT_TRUE(replay.violated);
 }
 
 }  // namespace

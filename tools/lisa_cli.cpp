@@ -111,7 +111,6 @@ int usage() {
                "flags for diff/trends: --json --html <file>\n"
                "budget flags (check, gate): --deadline-ms N --max-paths N\n"
                "                 --max-smt-queries N --max-steps N --max-schedules N\n"
-               "schedule flags (check, gate): --max-schedules N --schedule-seed N\n"
                "checkpointing (check, gate): --journal out.jsonl --resume\n"
                "run history (check, gate): --history <file> appends one record per\n"
                "run; gate also runs drift detection against the recorded baseline\n"
@@ -263,8 +262,6 @@ int cmd_check(const std::string& case_id, int argc, char** argv) {
       run_options.resume = true;
     } else if (std::strcmp(argv[i], "--history") == 0 && i + 1 < argc) {
       run_options.history_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--schedule-seed") == 0 && i + 1 < argc) {
-      options.schedule_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (parse_budget_flag(argc, argv, &i, &limits)) {
       // consumed
     } else {
@@ -396,7 +393,6 @@ int cmd_gate(const std::string& case_id, const std::string& path, int argc, char
   std::string trace_path;
   std::string metrics_path;
   std::string report_dir;
-  std::uint64_t schedule_seed = 0;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc)
       run_options.journal_path = argv[++i];
@@ -418,8 +414,6 @@ int cmd_gate(const std::string& case_id, const std::string& path, int argc, char
       run_options.drift.fail_gate = false;
     else if (std::strcmp(argv[i], "--schedule-warn-only") == 0)
       run_options.schedule_warn_only = true;
-    else if (std::strcmp(argv[i], "--schedule-seed") == 0 && i + 1 < argc)
-      schedule_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     else if (parse_budget_flag(argc, argv, &i, &limits)) {
       // consumed
     } else {
@@ -444,7 +438,6 @@ int cmd_gate(const std::string& case_id, const std::string& path, int argc, char
   core::CheckOptions options;
   options.run_concolic = false;
   apply_schedule_limits(limits, &options);
-  if (schedule_seed != 0) options.schedule_seed = schedule_seed;
   support::Budget budget(limits);
   if (!limits.unlimited()) options.budget = &budget;
   obs::ProvenanceLedger ledger;
@@ -909,8 +902,9 @@ int cmd_synth(const std::string& case_id) {
         concolic::synthesize_path_test(program, path, /*violating=*/true, sequence);
     if (!witness.has_value()) continue;
     ++sequence;
-    const bool confirmed =
-        concolic::validate_synthesized_test(program, *witness, contract.target_fragment);
+    const bool confirmed = concolic::replay_synthesized_test(
+                               program, *witness, contract.target_fragment, contract.condition)
+                               .reached;
     std::printf("// witness for %s (model %s) — %s\n%s\n",
                 path.call_chain.front().c_str(), witness->model_text.c_str(),
                 confirmed ? "CONFIRMED by concolic replay" : "unconfirmed",
