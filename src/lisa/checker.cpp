@@ -15,6 +15,7 @@
 #include "staticcheck/concurrency.hpp"
 #include "staticcheck/slice.hpp"
 #include "support/faultpoint.hpp"
+#include "support/strings.hpp"
 
 namespace lisa::core {
 
@@ -80,12 +81,7 @@ Json ContractCheckReport::to_json() const {
   JsonArray path_entries;
   for (const PathReport& path : paths) {
     JsonObject entry;
-    std::string chain;
-    for (const std::string& fn : path.call_chain) {
-      if (!chain.empty()) chain += " -> ";
-      chain += fn;
-    }
-    entry["chain"] = chain;
+    entry["chain"] = support::join(path.call_chain, " -> ");
     entry["target_stmt"] = path.target_text;
     entry["target_stmt_id"] = path.target_stmt_id;
     entry["path_condition"] = path.path_condition;
@@ -639,12 +635,7 @@ void check_paths(const staticcheck::Screener& analysis, const SemanticContract& 
     }
     if (capture.active()) {
       obs::PathEvidence evidence;
-      std::string chain;
-      for (const std::string& fn : path_report.call_chain) {
-        if (!chain.empty()) chain += " -> ";
-        chain += fn;
-      }
-      evidence.chain = std::move(chain);
+      evidence.chain = support::join(path_report.call_chain, " -> ");
       evidence.target_stmt_id = path_report.target_stmt_id;
       evidence.target_text = path_report.target_text;
       evidence.path_condition = path_report.path_condition;

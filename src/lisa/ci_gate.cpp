@@ -1,7 +1,6 @@
 #include "lisa/ci_gate.hpp"
 
 #include "analysis/paths.hpp"
-#include "lisa/journal.hpp"
 #include "minilang/sema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
@@ -50,21 +49,21 @@ Json GateDecision::to_json() const {
   for (const ContractCheckReport& report : reports) report_entries.push_back(report.to_json());
   root["reports"] = Json(std::move(report_entries));
   root["evaluation_ms"] = evaluation_ms;
-  root["screened_settled"] = screened_settled;
-  root["screened_unknown"] = screened_unknown;
-  root["settled_fraction"] = settled_fraction();
-  root["concolic_skipped"] = concolic_skipped;
+  root["screened_settled"] = totals.settled();
+  root["screened_unknown"] = totals.unknown;
+  root["settled_fraction"] = totals.settled_fraction();
+  root["concolic_skipped"] = totals.concolic_skipped;
   root["summary_ms"] = summary_ms;
-  if (inconclusive_contracts > 0) root["inconclusive_contracts"] = inconclusive_contracts;
+  if (totals.inconclusive > 0) root["inconclusive_contracts"] = totals.inconclusive;
   if (needs_attention) root["needs_attention"] = true;
   if (resumed_contracts > 0) root["resumed_contracts"] = resumed_contracts;
   // Emitted only when the explorer decided at least one contract, so gate
   // output for thread-free programs stays byte-identical.
-  if (schedule_contracts > 0) {
-    root["schedule_contracts"] = schedule_contracts;
-    root["schedules_explored"] = schedules_explored;
-    root["schedule_inconclusive"] = schedule_inconclusive;
-    root["interleaving_conclusive_fraction"] = interleaving_conclusive_fraction();
+  if (totals.schedule_contracts > 0) {
+    root["schedule_contracts"] = totals.schedule_contracts;
+    root["schedules_explored"] = totals.schedules_explored;
+    root["schedule_inconclusive"] = totals.schedule_inconclusive;
+    root["interleaving_conclusive_fraction"] = totals.interleaving_conclusive_fraction();
   }
   // Longitudinal fields appear only when a history file was in play, so
   // history-off output stays byte-identical to pre-history LISA.
@@ -97,79 +96,44 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
     decision.evaluation_ms = timer.elapsed_ms();
     return decision;
   }
-  CheckJournal journal(run_options.journal_path);
-  const bool journaling = !run_options.journal_path.empty();
-  // Longitudinal history needs per-contract SMT counts and digests, which
-  // only a ledger captures — so a history-enabled run without a caller
-  // ledger attaches a local one (provably output-neutral, see PR 6 tests).
-  const bool history_enabled = !run_options.history_path.empty();
   obs::ProvenanceLedger local_ledger;
-  obs::ProvenanceLedger* ledger = run_options.ledger;
-  if (history_enabled && ledger == nullptr) ledger = &local_ledger;
+  const RunOptions run = run_options.with_history_ledger(local_ledger);
+  std::string inputs;
+  if (run.names_inputs()) {
+    inputs = source;
+    for (const SemanticContract& contract : store.all()) inputs += "\n" + contract.id;
+  }
+  // Contracts whose target no longer exists in this codebase are vacuous
+  // for the commit (e.g. contracts from another system's history).
+  std::vector<const SemanticContract*> contracts;
+  for (const SemanticContract& contract : store.all())
+    if (contract.kind != corpus::SemanticsKind::kStatePredicate ||
+        !analysis::find_target_statements(program, contract.target_fragment).empty())
+      contracts.push_back(&contract);
   // One analysis of the commit for every stored contract: call graph,
   // summaries and slicer are built on first use and then shared.
   const staticcheck::Screener analysis(program);
-  std::string inputs_fingerprint;
-  if (journaling || ledger != nullptr) {
-    std::string inputs = source;
-    for (const SemanticContract& contract : store.all()) inputs += "\n" + contract.id;
-    inputs_fingerprint = CheckJournal::fingerprint(inputs);
-    if (ledger != nullptr) ledger->bind(inputs);
-    if (journaling) {
-      if (run_options.resume) (void)journal.load("");
-      journal.begin(inputs_fingerprint);
-    }
-  }
-  const Checker checker;
-  for (const SemanticContract& contract : store.all()) {
-    // Contracts whose target no longer exists in this codebase are vacuous
-    // for the commit (e.g. contracts from another system's history).
-    if (analysis::find_target_statements(program, contract.target_fragment).empty() &&
-        contract.kind == corpus::SemanticsKind::kStatePredicate)
-      continue;
-    // Per-entry resume: an edit only re-checks the contracts whose verdict
-    // cone contains it.
-    const ContractCheckReport* checkpointed =
-        journal.replayable(contract, analysis, options_.run_concolic);
-    ContractCheckReport report;
-    if (checkpointed != nullptr) {
-      report = *checkpointed;
-      ++decision.resumed_contracts;
-    } else {
-      CheckOptions contract_options = options_;
-      contract_options.ledger = ledger;
-      contract_options.compute_slice_fp = journaling || ledger != nullptr;
-      report = checker.check(analysis, contract, contract_options);
-    }
-    if (journaling) journal.record(report);
-    if (!report.conclusive()) {
-      ++decision.inconclusive_contracts;
-      decision.needs_attention = true;
-    }
-    if (report.screen_verdict == "proved-safe" || report.screen_verdict == "proved-violated")
-      ++decision.screened_settled;
-    else if (!report.screen_verdict.empty())
-      ++decision.screened_unknown;
-    if (report.screen_skipped_concolic) ++decision.concolic_skipped;
-    if (report.schedules_explored > 0 || !report.schedule_conclusive) {
-      ++decision.schedule_contracts;
-      decision.schedules_explored += report.schedules_explored;
-      if (!report.schedule_conclusive) {
-        ++decision.schedule_inconclusive;
-        // An undrained schedule space is "no violation found so far", not a
-        // pass: it blocks the commit unless the operator explicitly
-        // downgraded it. Violating interleavings block unconditionally
-        // through the passed() branch below.
-        if (run_options.schedule_warn_only) {
-          decision.needs_attention = true;
-        } else {
-          decision.allowed = false;
-          decision.violations.push_back(
-              contract.id + " [" + contract.target_fragment +
-              "]: schedule exploration inconclusive — " +
-              report.schedule_inconclusive_reason +
-              " (raise --max-schedules or pass --schedule-warn-only to downgrade)");
-        }
+  CheckedContracts checked = check_contracts(analysis, contracts, options_, run, inputs);
+  decision.reports = std::move(checked.reports);
+  decision.resumed_contracts = checked.resumed;
+  decision.totals = tally(decision.reports);
+  if (decision.totals.inconclusive > 0) decision.needs_attention = true;
+  for (std::size_t i = 0; i < contracts.size(); ++i) {
+    const SemanticContract& contract = *contracts[i];
+    const ContractCheckReport& report = decision.reports[i];
+    // An undrained schedule space is "no violation found so far", not a
+    // pass: it blocks the commit unless the operator explicitly downgraded
+    // it. Violating interleavings block unconditionally through the
+    // passed() branch below.
+    if (!report.schedule_conclusive) {
+      if (run_options.schedule_warn_only) {
+        decision.needs_attention = true;
+      } else {
+        decision.allowed = false;
+        decision.violations.push_back(
+            contract.id + " [" + contract.target_fragment +
+            "]: schedule exploration inconclusive — " + report.schedule_inconclusive_reason +
+            " (raise --max-schedules or pass --schedule-warn-only to downgrade)");
       }
     }
     if (!report.passed()) {
@@ -189,7 +153,6 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
       reason += contract.description;
       decision.violations.push_back(std::move(reason));
     }
-    decision.reports.push_back(std::move(report));
   }
   decision.evaluation_ms = timer.elapsed_ms();
   decision.summary_ms = analysis.summary_ms();
@@ -199,14 +162,12 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
   if (decision.needs_attention) registry.counter("gate.needs_attention").add();
   if (decision.resumed_contracts > 0)
     registry.counter("gate.resumed_contracts").add(decision.resumed_contracts);
-  if (decision.schedules_explored > 0)
-    registry.counter("gate.schedules_explored").add(decision.schedules_explored);
-  if (decision.schedule_inconclusive > 0)
-    registry.counter("gate.schedule_inconclusive").add(decision.schedule_inconclusive);
+  if (decision.totals.schedules_explored > 0)
+    registry.counter("gate.schedules_explored").add(decision.totals.schedules_explored);
+  if (decision.totals.schedule_inconclusive > 0)
+    registry.counter("gate.schedule_inconclusive").add(decision.totals.schedule_inconclusive);
   registry.histogram("gate.evaluation_ms").record(decision.evaluation_ms);
-  if (history_enabled) {
-    obs::RunHistory history(run_options.history_path);
-    (void)history.load();  // absent file = fresh baseline, not an error
+  if (!run_options.history_path.empty()) {
     std::string label = run_options.history_label;
     if (label.empty()) {
       // Keyed by the contract ids, not the source: the baseline series must
@@ -215,30 +176,14 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
       for (const SemanticContract& contract : store.all()) ids += contract.id + "\n";
       label = support::fnv1a_fingerprint(ids);
     }
-    obs::RunRecord record;
-    record.kind = "gate";
-    record.label = std::move(label);
-    record.input_fingerprint = inputs_fingerprint;
-    const std::int64_t total_smt_queries = record_outcomes(decision.reports, *ledger, record);
+    obs::RunRecord record = history_record("gate", std::move(label), decision.reports,
+                                           decision.totals, decision.summary_ms, *run.ledger);
     // evaluation_ms was captured BEFORE this block, so history bookkeeping
     // cannot regress the very latency metric the drift rules watch.
     record.metrics["evaluation_ms"] = decision.evaluation_ms;
-    record.metrics["summary_ms"] = decision.summary_ms;
-    record.metrics["settled_fraction"] = decision.settled_fraction();
-    record.metrics["smt_queries"] = static_cast<double>(total_smt_queries);
-    record.metrics["contracts"] = static_cast<double>(decision.reports.size());
     record.metrics["violations"] = static_cast<double>(decision.violations.size());
-    record.metrics["inconclusive"] = static_cast<double>(decision.inconclusive_contracts);
-    // Longitudinal interleaving coverage: `lisa trends` watches these to
-    // catch a fleet whose schedule exploration quietly stops concluding.
-    // Only written when the explorer ran, keeping thread-free history
-    // records byte-identical.
-    if (decision.schedule_contracts > 0) {
-      record.metrics["schedules_explored"] =
-          static_cast<double>(decision.schedules_explored);
-      record.metrics["interleaving_conclusive_fraction"] =
-          decision.interleaving_conclusive_fraction();
-    }
+    obs::RunHistory history(run_options.history_path);
+    (void)history.load();  // absent file = fresh baseline, not an error
     const std::vector<const obs::RunRecord*> baseline =
         history.matching("gate", record.label);
     decision.baseline_runs = static_cast<int>(baseline.size());

@@ -10,9 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "lisa/checker.hpp"
 #include "lisa/contract.hpp"
-#include "obs/history.hpp"
+#include "lisa/journal.hpp"
 
 namespace lisa::core {
 
@@ -33,21 +32,12 @@ class ContractStore {
   std::vector<SemanticContract> contracts_;
 };
 
-/// Per-evaluation knobs: checkpointing and resume (lisa/journal.hpp).
-struct GateRunOptions {
-  std::string journal_path;  // empty = no checkpointing
-  bool resume = false;       // reuse conclusive journaled reports
-  /// Verdict provenance (obs/provenance.hpp): when set, the evaluation binds
-  /// the ledger to (source, stored contract ids) — the same inputs as the
-  /// checkpoint journal — and every evaluated contract captures its full
-  /// evidence chain. nullptr = zero-cost.
-  obs::ProvenanceLedger* ledger = nullptr;
-  /// Longitudinal observability (obs/history.hpp): when set, the evaluation
-  /// loads this run-history file, runs the drift rules against the trailing
-  /// baseline window, and appends one RunRecord for this run. Findings whose
-  /// `fails_gate` is set block the commit with a narrated cause. Empty =
-  /// zero-cost, byte-identical output.
-  std::string history_path;
+/// Per-evaluation knobs: the run options `lisa check` shares
+/// (lisa/journal.hpp), whose inputs here are the source and the stored
+/// contract ids, plus the gate's own. With a history file the evaluation
+/// also runs the drift rules against the trailing baseline window; findings
+/// whose `fails_gate` is set block the commit with a narrated cause.
+struct GateRunOptions : RunOptions {
   /// Timeline key for the baseline series; defaults to a fingerprint of the
   /// stored contract ids (so the series survives source edits).
   std::string history_label;
@@ -65,25 +55,14 @@ struct GateDecision {
   std::vector<std::string> violations;        // human-readable block reasons
   std::vector<ContractCheckReport> reports;   // one per contract evaluated
   double evaluation_ms = 0.0;
-  // Screened-vs-explored accounting (see CheckOptions::static_screen):
-  int screened_settled = 0;   // contracts decided without concolic ambiguity
-  int screened_unknown = 0;   // contracts that needed the full check
-  int concolic_skipped = 0;   // replays the screener made unnecessary
   double summary_ms = 0.0;    // the commit's summary computation (once per evaluation)
-  // Resource governance: contracts whose check was cut short (budget, fault
-  // injection). An inconclusive contract never blocks the commit on its own
-  // — but it never silently passes either: `needs_attention` flags it.
-  int inconclusive_contracts = 0;
+  /// Screening, inconclusive and schedule-exploration counts over `reports`.
+  /// An inconclusive contract never blocks the commit on its own — but it
+  /// never silently passes either: `needs_attention` flags it.
+  RunTotals totals;
   bool needs_attention = false;
   /// Contracts replayed from the checkpoint journal instead of re-checked.
   int resumed_contracts = 0;
-  /// Schedule-exploration accounting (interleaving contracts with atomic /
-  /// eventually patterns): contracts the explorer decided, total
-  /// interleavings run, and contracts whose exploration stayed inconclusive.
-  /// All zero when no stored contract routes to the explorer.
-  int schedule_contracts = 0;
-  int schedules_explored = 0;
-  int schedule_inconclusive = 0;
   /// Longitudinal drift findings (only populated when GateRunOptions names a
   /// history file). A finding with `fails_gate` blocks the commit; the rest
   /// set `needs_attention`.
@@ -91,22 +70,6 @@ struct GateDecision {
   /// Baseline runs the drift rules compared against; -1 = history disabled
   /// (the sentinel keeps to_json() byte-identical to pre-history output).
   int baseline_runs = -1;
-
-  /// Fraction of screened contracts the screener settled (1.0 when no
-  /// contract was screened).
-  [[nodiscard]] double settled_fraction() const {
-    const int total = screened_settled + screened_unknown;
-    return total == 0 ? 1.0 : static_cast<double>(screened_settled) / total;
-  }
-
-  /// Fraction of schedule-explored contracts whose exploration drained the
-  /// reduced interleaving space (1.0 when none was explored).
-  [[nodiscard]] double interleaving_conclusive_fraction() const {
-    return schedule_contracts == 0
-               ? 1.0
-               : static_cast<double>(schedule_contracts - schedule_inconclusive) /
-                     schedule_contracts;
-  }
 
   [[nodiscard]] support::Json to_json() const;
 };

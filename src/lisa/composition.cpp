@@ -1,5 +1,7 @@
 #include "lisa/composition.hpp"
 
+#include "support/strings.hpp"
+
 namespace lisa::core {
 
 const char* property_status_name(PropertyStatus status) {
@@ -41,12 +43,8 @@ PropertyReport Composer::evaluate(const minilang::Program& program,
       any_violation = true;
       for (const PathReport& path : constituent.paths) {
         if (path.verdict != PathVerdict::kViolated) continue;
-        std::string chain;
-        for (const std::string& fn : path.call_chain) {
-          if (!chain.empty()) chain += " -> ";
-          chain += fn;
-        }
-        report.findings.push_back("constituent " + contract.id + " violated on " + chain +
+        report.findings.push_back("constituent " + contract.id + " violated on " +
+                                  support::join(path.call_chain, " -> ") +
                                   " (counterexample " + path.counterexample + ")");
       }
       for (const std::string& violation : constituent.structural_violations)

@@ -6,11 +6,11 @@
 
 #include "support/jsonl.hpp"
 #include "support/log.hpp"
+#include "support/strings.hpp"
 
 namespace lisa::core {
 
 using support::Json;
-using support::JsonObject;
 
 namespace {
 
@@ -19,42 +19,23 @@ constexpr std::int64_t kJournalVersion = 1;
 
 }  // namespace
 
-std::string CheckJournal::fingerprint(const std::string& inputs) {
-  // FNV-1a 64-bit (support/jsonl.hpp): stable across runs, cheap, and good
-  // enough to tell "same inputs" from "different inputs" — the journal is a
-  // cache keyed by it, not a security boundary.
-  return support::fnv1a_fingerprint(inputs);
-}
-
 bool CheckJournal::load(const std::string& expected_fingerprint) {
   entries_.clear();
-  std::ifstream in(path_);
-  if (!in) return false;
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  if (!support::jsonl_header_matches(line, kJournalKind, kJournalVersion,
-                                     expected_fingerprint)) {
-    support::log(support::LogLevel::warn, "journal ", path_,
-                 " does not match this run's inputs; starting fresh");
+  const support::JsonlRead read = support::read_jsonl(
+      path_, kJournalKind, kJournalVersion, expected_fingerprint, [this](const Json& line) {
+        ContractCheckReport report = ContractCheckReport::from_json(line);
+        if (report.contract_id.empty()) return false;
+        entries_[report.contract_id] = std::move(report);
+        return true;
+      });
+  if (!read.matched) {
+    if (read.found)
+      support::log(support::LogLevel::warn, "journal ", path_,
+                   " does not match this run's inputs; starting fresh");
     return false;
   }
-  std::size_t dropped = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      ContractCheckReport report = ContractCheckReport::from_json(Json::parse(line));
-      if (report.contract_id.empty()) {
-        ++dropped;
-        continue;
-      }
-      entries_[report.contract_id] = std::move(report);
-    } catch (const std::exception&) {
-      // A torn tail from a crash mid-append: everything before it is good.
-      ++dropped;
-    }
-  }
-  if (dropped > 0)
-    support::log(support::LogLevel::warn, "journal ", path_, ": dropped ", dropped,
+  if (read.dropped > 0)
+    support::log(support::LogLevel::warn, "journal ", path_, ": dropped ", read.dropped,
                  " unreadable entr(ies)");
   support::log(support::LogLevel::info, "journal ", path_, ": loaded ",
                entries_.size(), " checkpointed report(s)");
@@ -99,8 +80,66 @@ const ContractCheckReport* CheckJournal::replayable(const SemanticContract& cont
              : nullptr;
 }
 
-std::int64_t record_outcomes(const std::vector<ContractCheckReport>& reports,
-                             const obs::ProvenanceLedger& ledger, obs::RunRecord& record) {
+CheckedContracts check_contracts(const staticcheck::Screener& analysis,
+                                 const std::vector<const SemanticContract*>& contracts,
+                                 const CheckOptions& options, const RunOptions& run_options,
+                                 const std::string& inputs) {
+  if (run_options.ledger != nullptr) run_options.ledger->bind(inputs);
+  CheckJournal journal(run_options.journal_path);
+  const bool journaling = !run_options.journal_path.empty();
+  if (journaling) {
+    if (run_options.resume) (void)journal.load("");
+    journal.begin(support::fnv1a_fingerprint(inputs));
+  }
+  CheckOptions contract_options = options;
+  contract_options.ledger = run_options.ledger;
+  contract_options.compute_slice_fp = run_options.names_inputs();
+  const Checker checker;
+  CheckedContracts checked;
+  checked.reports.reserve(contracts.size());
+  for (const SemanticContract* contract : contracts) {
+    // Per-entry resume: an edit only re-checks the contracts whose verdict
+    // cone contains it; inconclusive entries are always re-checked.
+    if (const ContractCheckReport* checkpointed =
+            journal.replayable(*contract, analysis, options.run_concolic)) {
+      checked.reports.push_back(*checkpointed);
+      ++checked.resumed;
+    } else {
+      checked.reports.push_back(checker.check(analysis, *contract, contract_options));
+    }
+    if (journaling) journal.record(checked.reports.back());
+  }
+  return checked;
+}
+
+RunTotals tally(const std::vector<ContractCheckReport>& reports) {
+  RunTotals totals;
+  for (const ContractCheckReport& report : reports) {
+    if (report.screen_verdict == "proved-safe")
+      ++totals.proved_safe;
+    else if (report.screen_verdict == "proved-violated")
+      ++totals.proved_violated;
+    else if (!report.screen_verdict.empty())
+      ++totals.unknown;
+    if (report.screen_skipped_concolic) ++totals.concolic_skipped;
+    if (!report.conclusive()) ++totals.inconclusive;
+    if (report.schedules_explored > 0 || !report.schedule_conclusive) {
+      ++totals.schedule_contracts;
+      totals.schedules_explored += report.schedules_explored;
+      if (!report.schedule_conclusive) ++totals.schedule_inconclusive;
+    }
+  }
+  return totals;
+}
+
+obs::RunRecord history_record(std::string kind, std::string label,
+                              const std::vector<ContractCheckReport>& reports,
+                              const RunTotals& totals, double summary_ms,
+                              const obs::ProvenanceLedger& ledger) {
+  obs::RunRecord record;
+  record.kind = std::move(kind);
+  record.label = std::move(label);
+  record.input_fingerprint = ledger.run_fingerprint();
   std::int64_t total_smt_queries = 0;
   std::vector<std::string> smt_digests;
   for (const ContractCheckReport& report : reports) {
@@ -122,11 +161,22 @@ std::int64_t record_outcomes(const std::vector<ContractCheckReport>& reports,
   }
   if (!smt_digests.empty()) {
     std::sort(smt_digests.begin(), smt_digests.end());
-    std::string joined;
-    for (const std::string& digest : smt_digests) joined += digest + "\n";
-    record.smt_digest = support::fnv1a_fingerprint(joined);
+    record.smt_digest = support::fnv1a_fingerprint(support::join(smt_digests, "\n") + "\n");
   }
-  return total_smt_queries;
+  record.metrics["summary_ms"] = summary_ms;
+  record.metrics["settled_fraction"] = totals.settled_fraction();
+  record.metrics["smt_queries"] = static_cast<double>(total_smt_queries);
+  record.metrics["contracts"] = static_cast<double>(reports.size());
+  record.metrics["inconclusive"] = static_cast<double>(totals.inconclusive);
+  // Interleaving coverage: `lisa trends` and the interleaving-conclusive-drop
+  // drift rule watch these to catch schedule exploration that quietly stops
+  // concluding — including exploration cut before its first schedule.
+  if (totals.schedule_contracts > 0) {
+    record.metrics["schedules_explored"] = static_cast<double>(totals.schedules_explored);
+    record.metrics["interleaving_conclusive_fraction"] =
+        totals.interleaving_conclusive_fraction();
+  }
+  return record;
 }
 
 }  // namespace lisa::core

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "inference/mock_llm.hpp"
-#include "lisa/checker.hpp"
 #include "lisa/contract.hpp"
+#include "lisa/journal.hpp"
 
 namespace lisa::core {
 
@@ -41,40 +41,9 @@ struct StageTimings {
   }
 };
 
-/// Screened-vs-explored accounting across a run's contracts.
-struct ScreeningSummary {
-  int proved_safe = 0;
-  int proved_violated = 0;
-  int unknown = 0;           // fell through to the full check
-  int concolic_skipped = 0;  // contracts whose replay the screener avoided
-
-  [[nodiscard]] int settled() const { return proved_safe + proved_violated; }
-  /// Fraction of screened contracts the screener settled (1.0 when no
-  /// contract was screened — nothing fell through).
-  [[nodiscard]] double settled_fraction() const {
-    const int total = settled() + unknown;
-    return total == 0 ? 1.0 : static_cast<double>(settled()) / total;
-  }
-};
-
-/// Per-run knobs orthogonal to CheckOptions: checkpointing and resume.
-struct PipelineRunOptions {
-  /// JSONL checkpoint journal (lisa/journal.hpp). Empty = no journal.
-  std::string journal_path;
-  /// Reuse conclusive reports from a matching journal instead of
-  /// re-checking; inconclusive entries are always re-checked.
-  bool resume = false;
-  /// Verdict provenance (obs/provenance.hpp): when set, the run binds the
-  /// ledger to its inputs, records the inference proposal's retry history,
-  /// and every contract check captures its full evidence chain. nullptr =
-  /// zero-cost (run output byte-identical to an uncaptured run).
-  obs::ProvenanceLedger* ledger = nullptr;
-  /// Longitudinal observability (obs/history.hpp): when set, the run appends
-  /// one RunRecord (kind "check", label = the ticket's case id) with stage
-  /// timings, settled fraction, and per-contract outcomes to this history
-  /// file. Empty = zero-cost, byte-identical output.
-  std::string history_path;
-};
+/// Per-run knobs orthogonal to CheckOptions (lisa/journal.hpp). A history
+/// record is kind "check", labelled with the case id, plus stage timings.
+using PipelineRunOptions = RunOptions;
 
 struct PipelineResult {
   inference::SemanticsProposal proposal;
@@ -89,6 +58,8 @@ struct PipelineResult {
   int inference_attempts = 1;
   bool inference_failed = false;
   std::string inference_error;
+  /// Screening, inconclusive and schedule-exploration counts over `reports`.
+  RunTotals totals;
   /// Contracts whose reports were replayed from the checkpoint journal.
   int resumed_contracts = 0;
 
@@ -99,13 +70,6 @@ struct PipelineResult {
   /// Total violated paths + structural + dynamic + schedule violations
   /// across contracts.
   [[nodiscard]] int total_violations() const;
-  /// Total interleavings the schedule explorer ran across contracts.
-  [[nodiscard]] int schedules_explored() const;
-  /// Fraction of schedule-explored contracts whose exploration drained the
-  /// reduced interleaving space (1.0 when none was explored).
-  [[nodiscard]] double interleaving_conclusive_fraction() const;
-  /// Screening verdict counts aggregated over `reports`.
-  [[nodiscard]] ScreeningSummary screening() const;
 
   [[nodiscard]] support::Json to_json() const;
 };

@@ -119,22 +119,19 @@ std::string render_markdown(const PipelineResult& result) {
     out += render_markdown(result.reports[i], contract);
     out += "\n";
   }
-  const ScreeningSummary screening = result.screening();
-  if (screening.settled() + screening.unknown > 0) {
+  const RunTotals& totals = result.totals;
+  if (totals.screened() > 0) {
     char fraction[32];
-    std::snprintf(fraction, sizeof(fraction), "%.0f%%", screening.settled_fraction() * 100.0);
-    out += "_Screening: " + std::to_string(screening.settled()) + " settled statically (" +
-           std::to_string(screening.proved_safe) + " safe, " +
-           std::to_string(screening.proved_violated) + " violated, " + fraction +
-           " settled), " + std::to_string(screening.unknown) +
-           " explored by the full check, " + std::to_string(screening.concolic_skipped) +
+    std::snprintf(fraction, sizeof(fraction), "%.0f%%", totals.settled_fraction() * 100.0);
+    out += "_Screening: " + std::to_string(totals.settled()) + " settled statically (" +
+           std::to_string(totals.proved_safe) + " safe, " +
+           std::to_string(totals.proved_violated) + " violated, " + fraction +
+           " settled), " + std::to_string(totals.unknown) +
+           " explored by the full check, " + std::to_string(totals.concolic_skipped) +
            " concolic replay(s) skipped._\n\n";
   }
-  int inconclusive_reports = 0;
-  for (const ContractCheckReport& report : result.reports)
-    if (!report.conclusive()) ++inconclusive_reports;
-  if (inconclusive_reports > 0)
-    out += "_⏳ " + std::to_string(inconclusive_reports) +
+  if (totals.inconclusive > 0)
+    out += "_⏳ " + std::to_string(totals.inconclusive) +
            " contract(s) inconclusive (budget or fault): rerun with a larger "
            "budget or `--resume` to settle them._\n\n";
   if (result.resumed_contracts > 0)
@@ -160,8 +157,8 @@ std::string render_markdown(const GateDecision& decision) {
   }
   // needs_attention can also be set by warn-only drift findings, which have
   // their own section below — the budget blurb only fits incomplete checks.
-  if (decision.needs_attention && decision.inconclusive_contracts > 0)
-    out += "**⏳ Needs attention:** " + std::to_string(decision.inconclusive_contracts) +
+  if (decision.needs_attention && decision.totals.inconclusive > 0)
+    out += "**⏳ Needs attention:** " + std::to_string(decision.totals.inconclusive) +
            " contract(s) were not checked to completion (budget or fault). The "
            "commit decision above covers only the settled contracts — rerun "
            "with a larger budget or `--resume` to close the gap.\n\n";
@@ -182,12 +179,11 @@ std::string render_markdown(const GateDecision& decision) {
     out += "\n";
   }
   char timing[160];
-  if (decision.screened_settled + decision.screened_unknown > 0) {
+  if (decision.totals.screened() > 0) {
     std::snprintf(timing, sizeof(timing),
                   "_Gate evaluation: %.1f ms (%d/%d contracts settled statically, "
                   "summaries %.2f ms)._\n",
-                  decision.evaluation_ms, decision.screened_settled,
-                  decision.screened_settled + decision.screened_unknown,
+                  decision.evaluation_ms, decision.totals.settled(), decision.totals.screened(),
                   decision.summary_ms);
   } else {
     std::snprintf(timing, sizeof(timing), "_Gate evaluation: %.1f ms._\n",

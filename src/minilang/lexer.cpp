@@ -1,6 +1,7 @@
 #include "minilang/lexer.hpp"
 
 #include <cctype>
+#include <limits>
 #include <unordered_map>
 
 namespace lisa::minilang {
@@ -230,8 +231,12 @@ class Lexer {
   Token number(SourceLoc loc, char first) {
     Token token = make(TokenKind::kIntLit, loc);
     std::int64_t value = first - '0';
-    while (std::isdigit(static_cast<unsigned char>(peek())) != 0)
-      value = value * 10 + (advance() - '0');
+    while (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
+      const int digit = advance() - '0';
+      if (value > (std::numeric_limits<std::int64_t>::max() - digit) / 10)
+        throw LexError("integer literal above 9223372036854775807", loc);
+      value = value * 10 + digit;
+    }
     token.int_value = value;
     return token;
   }

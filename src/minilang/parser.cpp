@@ -1,5 +1,7 @@
 #include "minilang/parser.hpp"
 
+#include <algorithm>
+
 #include "minilang/lexer.hpp"
 
 namespace lisa::minilang {
@@ -69,6 +71,35 @@ class Parser {
     throw ParseError(message, peek().loc);
   }
 
+  [[noreturn]] void fail_nesting() const {
+    fail("nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+  }
+
+  /// One level of parser recursion, held while a statement, expression,
+  /// unary operand or type argument is parsed.
+  struct Nest {
+    explicit Nest(Parser& parser) : depth(parser.depth_) {
+      if (++depth > kMaxNesting) parser.fail_nesting();
+    }
+    ~Nest() { --depth; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    int& depth;
+  };
+
+  static int height(const Expr& expr) {
+    int tallest = 0;
+    for (const ExprPtr& arg : expr.args) tallest = std::max(tallest, height(*arg));
+    return tallest + 1;
+  }
+
+  /// `expr`, a new link of an operator chain. Chains grow the tree without
+  /// recursing, so the parser's depth alone does not bound its height.
+  ExprPtr link(ExprPtr expr) const {
+    if (height(*expr) > kMaxNesting) fail_nesting();
+    return expr;
+  }
+
   // -- Declarations ---------------------------------------------------------
 
   StructDecl parse_struct() {
@@ -114,6 +145,7 @@ class Parser {
   }
 
   TypePtr parse_type() {
+    const Nest nest(*this);
     TypePtr base;
     const Token& token = peek();
     if (token.kind == TokenKind::kIdent) {
@@ -176,6 +208,7 @@ class Parser {
   }
 
   StmtPtr parse_stmt() {
+    const Nest nest(*this);
     const SourceLoc loc = peek().loc;
     switch (peek().kind) {
       case TokenKind::kLet: {
@@ -303,14 +336,17 @@ class Parser {
     return expr;
   }
 
-  ExprPtr parse_expr() { return parse_or(); }
+  ExprPtr parse_expr() {
+    const Nest nest(*this);
+    return parse_or();
+  }
 
   ExprPtr binary(ExprPtr lhs, BinOp op, ExprPtr rhs) {
     auto expr = make_expr(Expr::Kind::kBinary, lhs->loc);
     expr->bin_op = op;
     expr->args.push_back(std::move(lhs));
     expr->args.push_back(std::move(rhs));
-    return expr;
+    return link(std::move(expr));
   }
 
   ExprPtr parse_or() {
@@ -383,12 +419,14 @@ class Parser {
   ExprPtr parse_unary() {
     const SourceLoc loc = peek().loc;
     if (accept(TokenKind::kBang)) {
+      const Nest nest(*this);
       auto expr = make_expr(Expr::Kind::kUnary, loc);
       expr->un_op = UnOp::kNot;
       expr->args.push_back(parse_unary());
       return expr;
     }
     if (accept(TokenKind::kMinus)) {
+      const Nest nest(*this);
       auto expr = make_expr(Expr::Kind::kUnary, loc);
       expr->un_op = UnOp::kNeg;
       expr->args.push_back(parse_unary());
@@ -409,19 +447,19 @@ class Parser {
           call->text = member;
           call->args.push_back(std::move(expr));
           parse_call_args(*call);
-          expr = std::move(call);
+          expr = link(std::move(call));
         } else {
           auto field = make_expr(Expr::Kind::kField, loc);
           field->text = member;
           field->args.push_back(std::move(expr));
-          expr = std::move(field);
+          expr = link(std::move(field));
         }
       } else if (accept(TokenKind::kLBracket)) {
         auto index = make_expr(Expr::Kind::kIndex, loc);
         index->args.push_back(std::move(expr));
         index->args.push_back(parse_expr());
         expect(TokenKind::kRBracket, "']'");
-        expr = std::move(index);
+        expr = link(std::move(index));
       } else {
         return expr;
       }
@@ -507,6 +545,7 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   Program* program_;
+  int depth_ = 0;  // Nest levels currently open
 };
 
 }  // namespace

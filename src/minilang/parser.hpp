@@ -22,6 +22,14 @@ class ParseError : public std::runtime_error {
   SourceLoc loc_;
 };
 
+/// Deepest nesting the parser accepts, so that neither the parser nor a pass
+/// that walks the tree exhausts the stack. Each statement, expression, unary
+/// operand and type argument opens one level of parser recursion, and no
+/// expression tree may be taller: operator chains such as `a + b + c` and
+/// `a.b.c` add one level per operator. Deeper input throws ParseError; the
+/// corpus needs at most 6 levels.
+inline constexpr int kMaxNesting = 256;
+
 /// Parses a complete MiniLang compilation unit.
 /// Throws LexError / ParseError on malformed input.
 [[nodiscard]] Program parse(std::string_view source);

@@ -13,12 +13,6 @@ using support::JsonObject;
 
 namespace {
 
-std::string format_value(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.2f", value);
-  return buffer;
-}
-
 std::string or_absent(const std::string& verdict) {
   return verdict.empty() ? "(absent)" : verdict;
 }

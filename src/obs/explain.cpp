@@ -8,6 +8,7 @@
 #include "minilang/interp.hpp"
 #include "minilang/printer.hpp"
 #include "obs/diff.hpp"
+#include "smt/minilang_bridge.hpp"
 #include "support/strings.hpp"
 
 namespace lisa::obs {
@@ -39,28 +40,10 @@ std::string truncate(std::string text, std::size_t limit) {
   return text;
 }
 
-/// Dotted access path of a var/field chain ("" for anything else). A local
-/// copy of the staticcheck helper: explain sits below lisa_staticcheck in
-/// the layer graph.
-std::string access_path_of(const minilang::Expr& expr) {
-  if (expr.kind == minilang::Expr::Kind::kVar) return expr.text;
-  if (expr.kind == minilang::Expr::Kind::kField && expr.args.size() == 1 &&
-      expr.args[0]) {
-    const std::string base = access_path_of(*expr.args[0]);
-    return base.empty() ? "" : base + "." + expr.text;
-  }
-  return "";
-}
-
 /// Monitor names from summaries may carry `fn::` namespace prefixes; the
 /// runtime sync-header text never does. Compare the de-namespaced tails.
-std::string monitor_tail(const std::string& name) {
-  const std::size_t sep = name.rfind("::");
-  return sep == std::string::npos ? name : name.substr(sep + 2);
-}
-
 bool monitor_matches(const std::string& runtime, const std::string& name) {
-  return monitor_tail(runtime) == monitor_tail(name);
+  return support::name_tail(runtime) == support::name_tail(name);
 }
 
 std::string value_brief(const Value& v) {
@@ -200,12 +183,8 @@ class Narrator final : public minilang::ExecObserver {
   void on_blocking(const std::string& name, int sync_depth) override {
     if (!structural_ || sync_depth <= 0) return;
     target_reached_ = true;
-    if (!out_->steps.empty()) {
-      std::string& note = out_->steps.back().note;
-      if (!note.empty()) note += "; ";
-      note += "blocking call '" + name + "' while holding " + std::to_string(sync_depth) +
-              " monitor(s)";
-    }
+    annotate_last_step("blocking call '" + name + "' while holding " +
+                       std::to_string(sync_depth) + " monitor(s)");
     out_->kind = "structural-replay";
     out_->reproduced = true;
     out_->detail = "blocking call '" + name + "' executed under a held monitor (depth " +
@@ -290,7 +269,7 @@ class Narrator final : public minilang::ExecObserver {
     if (request_->guarded_field.empty() || stmt.kind != Stmt::Kind::kAssign ||
         !stmt.expr)
       return;
-    const std::string path = access_path_of(*stmt.expr);
+    const std::string path = smt::access_path(*stmt.expr);
     const std::size_t dot = path.rfind('.');
     if (dot == std::string::npos || path.substr(dot + 1) != request_->guarded_field)
       return;
@@ -417,11 +396,7 @@ class Narrator final : public minilang::ExecObserver {
         delta += it == last_snapshot_.end() ? name + " := " + value
                                             : name + ": " + it->second + " -> " + value;
       }
-      if (!delta.empty()) {
-        std::string& prev = out_->steps.back().note;
-        if (!prev.empty()) prev += "; ";
-        prev += delta;
-      }
+      if (!delta.empty()) annotate_last_step(delta);
     }
     last_fn_ = fn.name;
     last_snapshot_ = std::move(snapshot);

@@ -83,22 +83,16 @@ RunRecord RunRecord::from_json(const Json& json) {
 
 bool RunHistory::load() {
   records_.clear();
-  std::ifstream in(path_);
-  if (!in) return false;  // absent file: fresh history, first append creates it
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  if (!support::jsonl_header_matches(line, kHistoryKind, kHistoryVersion, "")) return false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      RunRecord record = RunRecord::from_json(Json::parse(line));
-      if (record.kind.empty()) continue;
-      records_.push_back(std::move(record));
-    } catch (const std::exception&) {
-      // Torn tail from a crash mid-append: keep everything before it.
-    }
-  }
-  return true;
+  // An absent file is a fresh history, not an error: the first append
+  // creates it.
+  return support::read_jsonl(path_, kHistoryKind, kHistoryVersion, "",
+                             [this](const Json& line) {
+                               RunRecord record = RunRecord::from_json(line);
+                               if (record.kind.empty()) return false;
+                               records_.push_back(std::move(record));
+                               return true;
+                             })
+      .matched;
 }
 
 bool RunHistory::append(const RunRecord& record) {
@@ -155,13 +149,13 @@ double drift_median(std::vector<double> values) {
   return values[mid];
 }
 
-namespace {
-
 std::string format_value(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.2f", value);
   return buffer;
 }
+
+namespace {
 
 /// Baseline values of one metric over the window, oldest first.
 std::vector<double> metric_series(const std::vector<const RunRecord*>& window,

@@ -179,6 +179,9 @@ struct DriftFinding {
 /// middle (conservative for regression thresholds). Exposed for tests.
 [[nodiscard]] double drift_median(std::vector<double> values);
 
+/// `value` with two decimals, as drift causes and run diffs print metrics.
+[[nodiscard]] std::string format_value(double value);
+
 /// Compares `current` against the trailing `options.window` records of
 /// `baseline` (oldest first — the gate passes RunHistory::matching output).
 /// Rules:

@@ -1,6 +1,7 @@
 #include "obs/provenance.hpp"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "support/jsonl.hpp"
@@ -446,39 +447,28 @@ bool ProvenanceLedger::write_jsonl(const std::string& path) const {
 }
 
 bool ProvenanceLedger::load_jsonl(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  if (!support::jsonl_header_matches(line, kLedgerKind, kLedgerVersion, "")) return false;
-  std::string fingerprint;
-  try {
-    fingerprint = Json::parse(line).get_string("fingerprint");
-  } catch (const std::exception&) {
-    return false;
-  }
+  std::optional<ProposalEvidence> proposal;
+  std::map<std::string, std::unique_ptr<ContractCapture>> captures;
+  const support::JsonlRead read =
+      support::read_jsonl(path, kLedgerKind, kLedgerVersion, "", [&](const Json& entry) {
+        if (entry.has("proposal")) {
+          proposal = proposal_from_json(entry.at("proposal"));
+          return true;
+        }
+        ContractCapture capture = ContractCapture::from_json(entry);
+        if (capture.contract_id.empty()) return false;
+        // The key must be copied out first: the RHS of the assignment is
+        // sequenced before the subscript, so moving the capture there would
+        // empty contract_id before the map reads it.
+        const std::string id = capture.contract_id;
+        captures[id] = std::make_unique<ContractCapture>(std::move(capture));
+        return true;
+      });
+  if (!read.matched) return false;
   const std::lock_guard<std::mutex> lock(mutex_);
-  fingerprint_ = fingerprint;
-  captures_.clear();
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      const Json entry = Json::parse(line);
-      if (entry.has("proposal")) {
-        proposal_ = proposal_from_json(entry.at("proposal"));
-        continue;
-      }
-      ContractCapture capture = ContractCapture::from_json(entry);
-      if (capture.contract_id.empty()) continue;
-      // The key must be copied out first: the RHS of the assignment is
-      // sequenced before the subscript, so moving the capture there would
-      // empty contract_id before the map reads it.
-      const std::string id = capture.contract_id;
-      captures_[id] = std::make_unique<ContractCapture>(std::move(capture));
-    } catch (const std::exception&) {
-      // Torn tail from a crash mid-append: keep everything before it.
-    }
-  }
+  fingerprint_ = read.fingerprint;
+  captures_ = std::move(captures);
+  if (proposal) proposal_ = std::move(*proposal);
   return true;
 }
 

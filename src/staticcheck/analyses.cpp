@@ -5,6 +5,7 @@
 
 #include "minilang/builtins.hpp"
 #include "minilang/printer.hpp"
+#include "smt/minilang_bridge.hpp"
 #include "staticcheck/concurrency.hpp"
 #include "staticcheck/dataflow.hpp"
 #include "staticcheck/depgraph.hpp"
@@ -20,6 +21,7 @@ using minilang::Stmt;
 using minilang::StructDecl;
 using minilang::Type;
 using minilang::UnOp;
+using smt::access_path;
 
 // ---------------------------------------------------------------------------
 // Shared helpers
@@ -33,21 +35,6 @@ bool contains_call(const Expr& expr) {
 }
 
 namespace {
-
-/// Dotted rendering of a var/field chain ("s", "req.session.owner"), or ""
-/// when the expression is not a simple access path.
-std::string access_path(const Expr& expr) {
-  switch (expr.kind) {
-    case Expr::Kind::kVar:
-      return expr.text;
-    case Expr::Kind::kField: {
-      const std::string base = access_path(*expr.args[0]);
-      return base.empty() ? std::string() : base + "." + expr.text;
-    }
-    default:
-      return {};
-  }
-}
 
 /// Walks every sub-expression of `expr`, including `expr` itself.
 void walk_expr(const Expr& expr, const std::function<void(const Expr&)>& visit) {
@@ -118,8 +105,6 @@ bool null_trackable(const Type* type) {
 }
 
 }  // namespace
-
-std::string expr_access_path(const Expr& expr) { return access_path(expr); }
 
 bool mentions_field(const std::string& path, const std::string& field) {
   std::size_t dot = path.find('.');

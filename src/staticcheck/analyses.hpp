@@ -45,10 +45,6 @@ class SummaryMap;  // summaries.hpp; analyses only need the pointer
 /// True if any expression reachable from `expr` is a call.
 [[nodiscard]] bool contains_call(const minilang::Expr& expr);
 
-/// Dotted rendering of a var/field chain ("s", "req.session.owner"), or ""
-/// when the expression is not a simple access path.
-[[nodiscard]] std::string expr_access_path(const minilang::Expr& expr);
-
 /// Access paths whose facts must die when `written` is assigned: the path
 /// itself, any extension of it, and (for field writes) any path mentioning
 /// the written field name — the conservative aliasing rule.

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <functional>
+#include <ranges>
 
 #include "minilang/printer.hpp"
+#include "smt/minilang_bridge.hpp"
 #include "staticcheck/analyses.hpp"
 #include "staticcheck/dataflow.hpp"
+#include "support/strings.hpp"
 
 namespace lisa::staticcheck {
 
@@ -21,18 +24,11 @@ namespace {
 /// safety from an incomplete set.
 constexpr std::size_t kMaxFieldSites = 16;
 
-/// Monitor/base names carry `callee::` namespace prefixes after import;
-/// the tail is the name in the frame that actually holds the lock.
-std::string name_tail(const std::string& name) {
-  const std::size_t sep = name.rfind("::");
-  return sep == std::string::npos ? name : name.substr(sep + 2);
-}
-
 /// Every field read reachable from `expr`: (base path, field name) pairs.
 void collect_field_reads(const Expr& expr,
                          std::vector<std::pair<std::string, std::string>>& out) {
   if (expr.kind == Expr::Kind::kField && expr.args.size() == 1 && expr.args[0]) {
-    const std::string base = expr_access_path(*expr.args[0]);
+    const std::string base = smt::access_path(*expr.args[0]);
     if (!base.empty()) out.emplace_back(base, expr.text);
   }
   for (const auto& arg : expr.args)
@@ -52,7 +48,7 @@ std::string rewrite_path(const std::string& path, const Expr& call,
     for (std::size_t i = 0;
          i < callee_decl->params.size() && i < call.args.size(); ++i) {
       if (callee_decl->params[i].name != root || !call.args[i]) continue;
-      const std::string arg = expr_access_path(*call.args[i]);
+      const std::string arg = smt::access_path(*call.args[i]);
       if (arg.empty()) break;  // computed argument: fall through to prefix
       return arg + rest;
     }
@@ -129,7 +125,7 @@ std::vector<const FuncDecl*> thread_roots(const analysis::CallGraph& graph) {
 }  // namespace
 
 std::string monitor_path(const Expr& expr) {
-  const std::string path = expr_access_path(expr);
+  const std::string path = smt::access_path(expr);
   return path.empty() ? minilang::expr_text(expr) : path;
 }
 
@@ -193,7 +189,7 @@ void summarize_concurrency(const Program& program, const analysis::CallGraph& gr
 
     // Field accesses under the must-held lockset.
     if (node.stmt != nullptr && node.stmt->kind == Stmt::Kind::kAssign) {
-      const std::string path = expr_access_path(*node.stmt->expr);
+      const std::string path = smt::access_path(*node.stmt->expr);
       const std::size_t dot = path.rfind('.');
       if (dot != std::string::npos)
         record_access(path.substr(0, dot), path.substr(dot + 1), /*is_write=*/true,
@@ -264,12 +260,7 @@ void summarize_concurrency(const Program& program, const analysis::CallGraph& gr
 }
 
 std::string LockCycle::render() const {
-  std::string text;
-  for (const LockOrderEdge& edge : edges) {
-    if (!text.empty()) text += "; ";
-    text += render_edge(edge);
-  }
-  return text;
+  return support::join(edges | std::views::transform(render_edge), "; ");
 }
 
 LockGraph LockGraph::build(const Program& program, const analysis::CallGraph& graph,
@@ -329,9 +320,9 @@ std::map<std::string, FieldAccesses> shared_field_accesses(
 }
 
 bool lockset_guards(const std::set<std::string>& lockset, const std::string& base) {
-  const std::string base_tail = name_tail(base);
+  const std::string base_tail = support::name_tail(base);
   for (const std::string& monitor : lockset) {
-    const std::string tail = name_tail(monitor);
+    const std::string tail = support::name_tail(monitor);
     if (tail == base_tail || base_tail.rfind(tail + ".", 0) == 0) return true;
   }
   return false;
@@ -339,7 +330,7 @@ bool lockset_guards(const std::set<std::string>& lockset, const std::string& bas
 
 bool lockset_covers(const std::set<std::string>& lockset, const std::string& guard) {
   for (const std::string& monitor : lockset)
-    if (monitor == guard || name_tail(monitor) == guard) return true;
+    if (monitor == guard || support::name_tail(monitor) == guard) return true;
   return false;
 }
 
@@ -393,15 +384,11 @@ std::vector<Diagnostic> race_diagnostics(const Program& program,
     std::string guard_monitor;
     for (const std::string& monitor : guarded->lockset)
       if (lockset_guards({monitor}, guarded->base)) {
-        guard_monitor = name_tail(monitor);
+        guard_monitor = support::name_tail(monitor);
         break;
       }
 
-    std::string root_list;
-    for (const std::string& root : roots) {
-      if (!root_list.empty()) root_list += ", ";
-      root_list += root;
-    }
+    const std::string root_list = support::join(roots, ", ");
 
     std::set<std::string> reported;
     for (const auto& [root, site] : accesses.sites) {
@@ -414,7 +401,7 @@ std::vector<Diagnostic> race_diagnostics(const Program& program,
       diag.function = site.function;
       diag.loc = {site.line, site.column};
       diag.message = "possible race: field '" + field + "' of '" +
-                     name_tail(site.base) + "' written without monitor '" +
+                     support::name_tail(site.base) + "' written without monitor '" +
                      guard_monitor + "' held, but guarded at " +
                      locate(guarded->function, guarded->line, guarded->column) +
                      " (thread roots: " + root_list + ")";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "smt/minilang_bridge.hpp"
 #include "staticcheck/analyses.hpp"
 #include "staticcheck/dataflow.hpp"
 #include "staticcheck/summaries.hpp"
@@ -122,7 +123,7 @@ namespace {
 /// var/field chain (reading "a.f" records "a.f", not also "a" — prefix
 /// definitions still match through `write_kills`' extension rule).
 void collect_read_paths(const Expr& expr, std::set<std::string>& out) {
-  const std::string path = expr_access_path(expr);
+  const std::string path = smt::access_path(expr);
   if (!path.empty()) {
     out.insert(path);
     return;
@@ -140,7 +141,7 @@ std::set<std::string> node_read_paths(const CfgNode& node) {
   if (stmt.kind == Stmt::Kind::kAssign) {
     if (stmt.expr2) collect_read_paths(*stmt.expr2, reads);
     if (stmt.expr) {
-      const std::string lvalue = expr_access_path(*stmt.expr);
+      const std::string lvalue = smt::access_path(*stmt.expr);
       if (!lvalue.empty()) {
         const std::size_t dot = lvalue.rfind('.');
         if (dot != std::string::npos) reads.insert(lvalue.substr(0, dot));
@@ -250,7 +251,7 @@ FuncDepGraph FuncDepGraph::build(const FuncDecl& fn, const Program& program,
         add_def(std::move(def));
       } else if (node.kind == CfgNode::Kind::kStmt && stmt.kind == Stmt::Kind::kAssign &&
                  stmt.expr) {
-        const std::string lvalue = expr_access_path(*stmt.expr);
+        const std::string lvalue = smt::access_path(*stmt.expr);
         if (!lvalue.empty()) {
           Definition def;
           def.kind = Definition::Kind::kAssign;
@@ -301,7 +302,7 @@ FuncDepGraph FuncDepGraph::build(const FuncDecl& fn, const Program& program,
       for (std::size_t arg = 0; arg < call->args.size(); ++arg) {
         if (!effect.writes_param(arg)) continue;
         const std::string path =
-            call->args[arg] ? expr_access_path(*call->args[arg]) : std::string();
+            call->args[arg] ? smt::access_path(*call->args[arg]) : std::string();
         if (path.empty()) continue;
         Definition def;
         def.kind = Definition::Kind::kCallMod;

@@ -9,6 +9,7 @@
 #include "staticcheck/dataflow.hpp"
 #include "support/log.hpp"
 #include "support/stopwatch.hpp"
+#include "support/strings.hpp"
 
 namespace lisa::staticcheck {
 
@@ -133,16 +134,7 @@ void record_summary_evidence(const obs::CaptureHandle& capture,
   const FunctionSummary* summary = summaries->find(fn.name);
   if (summary == nullptr) return;
 
-  const auto join = [](const std::set<std::string>& items) {
-    std::string out;
-    for (const std::string& item : items) {
-      if (!out.empty()) out += ", ";
-      out += item;
-    }
-    return out;
-  };
-
-  std::string text = "mod-fields {" + join(summary->mod_fields) + "}";
+  std::string text = "mod-fields {" + support::join(summary->mod_fields, ", ") + "}";
   text += summary->may_throw ? "; may-throw" : "; no-throw";
   text += summary->may_block ? "; may-block" : "; no-block";
   if (summary->opaque_effects) text += "; opaque-effects";
@@ -438,12 +430,7 @@ ScreenResult Screener::screen_state_predicate(const std::string& target_fragment
     }
 
     result.verdict = ScreenVerdict::kProvedViolated;
-    std::string chain;
-    for (const std::string& fn : path.call_chain) {
-      if (!chain.empty()) chain += " -> ";
-      chain += fn;
-    }
-    result.witness = chain + " | " + sat.model.to_string();
+    result.witness = support::join(path.call_chain, " -> ") + " | " + sat.model.to_string();
     result.reason = "path condition admits the contract's complement";
     result.elapsed_ms = timer.elapsed_ms();
     return result;
@@ -592,14 +579,9 @@ ScreenResult Screener::screen_interleaving(const std::string& pattern,
     const FieldAccesses& accesses = found->second;
     result.targets = accesses.sites.size();
     for (const auto& [root, site] : accesses.sites) {
-      std::string locks;
-      for (const std::string& monitor : site.lockset) {
-        if (!locks.empty()) locks += ", ";
-        locks += monitor;
-      }
       record("lockset", site.function, site.line, site.column,
-             std::string(site.is_write ? "write" : "read") + " of '" +
-                 target_fragment + "' holds {" + locks + "} (root " + root + ")");
+             std::string(site.is_write ? "write" : "read") + " of '" + target_fragment +
+                 "' holds {" + support::join(site.lockset, ", ") + "} (root " + root + ")");
     }
     // A concretely uncovered site refutes the contract even when the site
     // set is otherwise incomplete — the witness access is real.

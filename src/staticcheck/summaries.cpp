@@ -8,6 +8,7 @@
 #include "minilang/builtins.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "smt/minilang_bridge.hpp"
 #include "staticcheck/cfg.hpp"
 #include "staticcheck/concurrency.hpp"
 #include "staticcheck/dataflow.hpp"
@@ -56,7 +57,7 @@ FunctionSummary::Nullability classify_nullness(const Expr& expr,
                                : callee->return_nullness;
     }
     default: {
-      const std::string path = expr_access_path(expr);
+      const std::string path = smt::access_path(expr);
       if (path.empty()) return FunctionSummary::Nullability::kUnknown;
       const auto fact = state.find(path);
       if (fact == state.end()) return FunctionSummary::Nullability::kUnknown;
@@ -118,7 +119,7 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
       // written through.
       for (std::size_t i = 0; i < call.args.size(); ++i) {
         if (cs->mod_params.count(i) == 0) continue;
-        const std::string path = expr_access_path(*call.args[i]);
+        const std::string path = smt::access_path(*call.args[i]);
         if (path.empty()) continue;
         const int pi = param_index(path_root(path));
         if (pi >= 0) s.mod_params.insert(static_cast<std::size_t>(pi));
@@ -135,7 +136,7 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
       // survive the call.
       for (const auto& arg : call.args) {
         if (!arg) continue;
-        const std::string path = expr_access_path(*arg);
+        const std::string path = smt::access_path(*arg);
         if (path.empty()) continue;
         const int pi = param_index(path_root(path));
         if (pi >= 0) s.mod_params.insert(static_cast<std::size_t>(pi));
@@ -177,7 +178,7 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
               break;
             case Stmt::Kind::kAssign: {
               const Expr& lvalue = *stmt->expr;
-              const std::string path = expr_access_path(lvalue);
+              const std::string path = smt::access_path(lvalue);
               if (!path.empty()) {
                 const std::size_t dot = path.rfind('.');
                 if (dot != std::string::npos) {
@@ -188,7 +189,7 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
                   rebound.insert(path);
                 }
               } else if (lvalue.kind == Expr::Kind::kIndex) {
-                const std::string base = expr_access_path(*lvalue.args[0]);
+                const std::string base = smt::access_path(*lvalue.args[0]);
                 if (!base.empty()) {
                   const std::size_t dot = base.rfind('.');
                   if (dot != std::string::npos) s.mod_fields.insert(base.substr(dot + 1));

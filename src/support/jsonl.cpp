@@ -1,5 +1,6 @@
 #include "support/jsonl.hpp"
 
+#include <fstream>
 #include <sstream>
 
 namespace lisa::support {
@@ -24,19 +25,58 @@ std::string jsonl_header(const std::string& kind, std::int64_t version,
   return Json(std::move(header)).dump();
 }
 
-bool jsonl_header_matches(const std::string& line, const std::string& kind,
-                          std::int64_t version, const std::string& expected_fingerprint) {
+namespace {
+
+/// Reads the next line, without its newline, into `line`; false at end of
+/// file. A line longer than kMaxJsonlLineBytes is read to its newline but
+/// comes back as "\n", which never parses: its buffer is released at once.
+bool next_line(std::istream& in, std::string& line) {
+  line.clear();
+  std::streambuf& buffer = *in.rdbuf();
+  int c = buffer.sbumpc();
+  if (c == std::streambuf::traits_type::eof()) return false;
+  bool over_long = false;
+  for (; c != std::streambuf::traits_type::eof() && c != '\n'; c = buffer.sbumpc()) {
+    if (line.size() < kMaxJsonlLineBytes)
+      line.push_back(static_cast<char>(c));
+    else
+      over_long = true;
+  }
+  if (over_long) std::string("\n").swap(line);
+  return true;
+}
+
+}  // namespace
+
+JsonlRead read_jsonl(const std::string& path, const std::string& kind, std::int64_t version,
+                     const std::string& expected_fingerprint,
+                     const std::function<bool(const Json&)>& on_record) {
+  JsonlRead read;
+  std::ifstream in(path);
+  std::string line;
+  if (!in || !next_line(in, line)) return read;
+  read.found = true;
   try {
     const Json header = Json::parse(line);
-    if (header.get_string("journal") != kind) return false;
-    if (header.get_int("version") != version) return false;
-    if (!expected_fingerprint.empty() &&
-        header.get_string("fingerprint") != expected_fingerprint)
-      return false;
-    return true;
+    if (header.get_string("journal") != kind || header.get_int("version") != version)
+      return read;
+    read.fingerprint = header.get_string("fingerprint");
   } catch (const std::exception&) {
-    return false;
+    return read;
   }
+  if (!expected_fingerprint.empty() && read.fingerprint != expected_fingerprint) return read;
+  read.matched = true;
+  while (next_line(in, line)) {
+    if (line.empty()) continue;
+    try {
+      if (!on_record(Json::parse(line))) ++read.dropped;
+    } catch (const std::exception&) {
+      // A torn tail from a crash mid-append, or an over-long line:
+      // everything else is good.
+      ++read.dropped;
+    }
+  }
+  return read;
 }
 
 }  // namespace lisa::support

@@ -1,19 +1,22 @@
 // Shared JSONL journal framing: fingerprinted headers over line-oriented
 // JSON files.
 //
-// Two artifacts use the format — the checkpoint journal (lisa/journal.hpp,
-// kind "lisa-check") and the provenance ledger (obs/provenance.hpp, kind
-// "lisa-ledger"). Both start with a one-line header
+// Three artifacts use the format — the checkpoint journal (lisa/journal.hpp,
+// kind "lisa-check"), the provenance ledger (obs/provenance.hpp, kind
+// "lisa-ledger") and the run history (obs/history.hpp, kind
+// "lisa-history"). Each starts with a one-line header
 //
 //   {"journal":"<kind>","version":N,"fingerprint":"<hex>"}
 //
 // followed by one JSON document per line. The fingerprint binds the file to
 // the run's identifying inputs; a mismatched header means "different inputs,
-// do not trust". This header centralizes the hash and the header handling so
-// the two formats cannot drift apart.
+// do not trust". This header centralizes the hash, the header and the
+// reader so the formats cannot drift apart.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "support/json.hpp"
@@ -29,11 +32,28 @@ namespace lisa::support {
 [[nodiscard]] std::string jsonl_header(const std::string& kind, std::int64_t version,
                                        const std::string& fingerprint);
 
-/// Parses `line` as a journal header and checks kind, version, and (when
-/// `expected_fingerprint` is non-empty) the fingerprint. Returns false on a
-/// torn/malformed line or any mismatch.
-[[nodiscard]] bool jsonl_header_matches(const std::string& line, const std::string& kind,
-                                        std::int64_t version,
-                                        const std::string& expected_fingerprint);
+/// Longest line read_jsonl buffers. Far above anything LISA writes: the
+/// longest corpus line is a 9.6 KB ledger capture, and a capture at the
+/// 4,096-path cap would be about 2.5 MB.
+inline constexpr std::size_t kMaxJsonlLineBytes = std::size_t{64} << 20;
+
+/// What read_jsonl found besides the records it handed over.
+struct JsonlRead {
+  bool found = false;       // the file exists and has a first line
+  bool matched = false;     // that line is a header of the expected kind
+  std::string fingerprint;  // the header's fingerprint, when matched
+  std::size_t dropped = 0;  // record lines torn, over-long or refused
+};
+
+/// Reads a file written as jsonl_header(kind, version, fingerprint) plus one
+/// JSON document per line; a non-empty `expected_fingerprint` must match
+/// too. Each record line that parses goes to `on_record`; one that does not
+/// parse, or that `on_record` refuses (returns false or throws), is dropped.
+/// A line is buffered only up to kMaxJsonlLineBytes and then skipped to its
+/// newline: an over-long header is the wrong kind, an over-long record is
+/// dropped like a torn line.
+[[nodiscard]] JsonlRead read_jsonl(const std::string& path, const std::string& kind,
+                                   std::int64_t version, const std::string& expected_fingerprint,
+                                   const std::function<bool(const Json&)>& on_record);
 
 }  // namespace lisa::support

@@ -63,13 +63,9 @@ std::string to_lower(std::string_view text) {
   return out;
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
+std::string name_tail(std::string_view name) {
+  const std::size_t sep = name.rfind("::");
+  return std::string(sep == std::string_view::npos ? name : name.substr(sep + 2));
 }
 
 std::string replace_all(std::string_view text, std::string_view from, std::string_view to) {

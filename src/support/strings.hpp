@@ -34,8 +34,23 @@ namespace lisa::support {
 /// ASCII lower-casing.
 [[nodiscard]] std::string to_lower(std::string_view text);
 
-/// Joins `parts` with `sep` between consecutive elements.
-[[nodiscard]] std::string join(const std::vector<std::string>& parts, std::string_view sep);
+/// Joins `parts`, any range of strings, with `sep` between consecutive
+/// elements.
+template <typename Parts = std::vector<std::string>>
+[[nodiscard]] std::string join(const Parts& parts, std::string_view sep) {
+  std::string out;
+  bool first = true;
+  for (const auto& part : parts) {
+    if (!first) out += sep;
+    first = false;
+    out += part;
+  }
+  return out;
+}
+
+/// The part of `name` after its last `::` ("fn::lock" -> "lock"); all of
+/// `name` when it has none.
+[[nodiscard]] std::string name_tail(std::string_view name);
 
 /// Replaces every occurrence of `from` with `to`.
 [[nodiscard]] std::string replace_all(std::string_view text, std::string_view from,

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,8 @@
 #include "obs/diff.hpp"
 #include "obs/history.hpp"
 #include "obs/provenance.hpp"
+#include "support/faultpoint.hpp"
+#include "support/jsonl.hpp"
 
 namespace {
 
@@ -46,6 +49,16 @@ obs::RunRecord make_record(const std::string& kind, const std::string& label,
   record.metrics["settled_fraction"] = settled;
   record.metrics["smt_queries"] = smt_queries;
   return record;
+}
+
+/// Writes one JSON object line with `fields` plus a padding field that
+/// takes it past the JSONL line limit.
+void write_over_long_line(std::ostream& out, const std::string& fields) {
+  out << "{" << fields << ",\"pad\":\"";
+  const std::string chunk(1 << 20, 'x');
+  for (std::size_t written = 0; written <= support::kMaxJsonlLineBytes; written += chunk.size())
+    out << chunk;
+  out << "\"}\n";
 }
 
 // --- record serialization ---------------------------------------------------
@@ -151,6 +164,32 @@ TEST(RunHistory, DeeplyNestedLinesAreRejectedNotFatal) {
   obs::RunHistory reloaded(path);
   EXPECT_TRUE(reloaded.load());
   EXPECT_EQ(reloaded.records().size(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(RunHistory, OverLongLinesAreSkippedNotBuffered) {
+  // An over-long header is the wrong file kind even when it would match;
+  // an over-long record is dropped like a torn line.
+  const std::string path = temp_path("long.jsonl");
+  {
+    std::ofstream out(path);
+    write_over_long_line(out, "\"fingerprint\":\"\",\"journal\":\"lisa-history\",\"version\":1");
+  }
+  obs::RunHistory foreign(path);
+  EXPECT_FALSE(foreign.load());
+  std::remove(path.c_str());
+
+  obs::RunHistory history(path);
+  EXPECT_TRUE(history.append(make_record("gate", "a", 1.0)));
+  {
+    std::ofstream out(path, std::ios::app);
+    write_over_long_line(out, "\"kind\":\"gate\",\"label\":\"a\"");
+  }
+  EXPECT_TRUE(history.append(make_record("gate", "a", 2.0)));
+  obs::RunHistory reloaded(path);
+  EXPECT_TRUE(reloaded.load());
+  ASSERT_EQ(reloaded.records().size(), 2u);
+  EXPECT_EQ(reloaded.records()[1].metrics.at("evaluation_ms"), 2.0);
   std::remove(path.c_str());
 }
 
@@ -564,6 +603,31 @@ TEST(PipelineHistory, ChecksAppendRecordsKeyedByCaseId) {
     EXPECT_EQ(outcome.verdict, "passed") << id;
     EXPECT_FALSE(outcome.signature_digest.empty()) << id;
   }
+  std::remove(path.c_str());
+}
+
+TEST(PipelineHistory, ExplorationCutBeforeItsFirstScheduleIsRecorded) {
+  // `lisa check` records the interleaving metrics under the gate's rule:
+  // whenever a contract went to the explorer, even one that ran no schedule.
+  const corpus::FailureTicket& ticket = ticket_or_die("hbase-counter-race");
+  const std::string path = temp_path("pipeline_cut.jsonl");
+  core::PipelineRunOptions run_options;
+  run_options.history_path = path;
+  support::FaultRegistry::instance().configure("schedule.explore=fail");
+  const core::PipelineResult result =
+      core::Pipeline().run(ticket, ticket.patched_source, run_options);
+  support::FaultRegistry::instance().clear();
+  EXPECT_EQ(result.totals.schedule_contracts, 1);
+  EXPECT_EQ(result.totals.schedules_explored, 0);
+  obs::RunHistory history(path);
+  ASSERT_TRUE(history.load());
+  ASSERT_EQ(history.records().size(), 1u);
+  const std::map<std::string, double>& metrics = history.records()[0].metrics;
+  EXPECT_EQ(metrics.at("inconclusive"), 1.0);
+  ASSERT_EQ(metrics.count("schedules_explored"), 1u);
+  EXPECT_EQ(metrics.at("schedules_explored"), 0.0);
+  ASSERT_EQ(metrics.count("interleaving_conclusive_fraction"), 1u);
+  EXPECT_EQ(metrics.at("interleaving_conclusive_fraction"), 0.0);
   std::remove(path.c_str());
 }
 

@@ -16,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "support/budget.hpp"
+#include "support/jsonl.hpp"
 
 namespace {
 
@@ -96,6 +97,16 @@ TEST(ProvenanceLedger, JsonlRoundTripPreservesEveryField) {
   std::remove(path.c_str());
 }
 
+/// Writes one JSON object line with `fields` plus a padding field that
+/// takes it past the JSONL line limit.
+void write_over_long_line(std::ostream& out, const std::string& fields) {
+  out << "{" << fields << ",\"pad\":\"";
+  const std::string chunk(1 << 20, 'x');
+  for (std::size_t written = 0; written <= support::kMaxJsonlLineBytes; written += chunk.size())
+    out << chunk;
+  out << "\"}\n";
+}
+
 TEST(ProvenanceLedger, DeeplyNestedLinesAreRejectedNotFatal) {
   // Past Json::kMaxParseDepth a line is a parse error, not a stack
   // overflow: a deep header is the wrong file kind, a deep record a
@@ -113,6 +124,34 @@ TEST(ProvenanceLedger, DeeplyNestedLinesAreRejectedNotFatal) {
   const std::size_t header_end = jsonl.find('\n') + 1;
   std::ofstream(path) << jsonl.substr(0, header_end) << deep << "\n"
                       << jsonl.substr(header_end);
+  obs::ProvenanceLedger loaded;
+  ASSERT_TRUE(loaded.load_jsonl(path));
+  EXPECT_EQ(loaded.to_jsonl(), jsonl);
+  std::remove(path.c_str());
+}
+
+TEST(ProvenanceLedger, OverLongLinesAreSkippedNotBuffered) {
+  // An over-long header is the wrong file kind even when it would match;
+  // an over-long record is dropped like a torn line.
+  const std::string path = ::testing::TempDir() + "provenance_long.jsonl";
+  {
+    std::ofstream out(path);
+    write_over_long_line(out, "\"fingerprint\":\"\",\"journal\":\"lisa-ledger\",\"version\":1");
+  }
+  obs::ProvenanceLedger foreign;
+  EXPECT_FALSE(foreign.load_jsonl(path));
+
+  const corpus::FailureTicket& ticket = ticket_or_die("hbase-27671-snapshot-ttl");
+  obs::ProvenanceLedger ledger;
+  (void)run_with_ledger(ticket, ticket.buggy_source, &ledger);
+  const std::string jsonl = ledger.to_jsonl();
+  const std::size_t header_end = jsonl.find('\n') + 1;
+  {
+    std::ofstream out(path);
+    out << jsonl.substr(0, header_end);
+    write_over_long_line(out, "\"contract_id\":\"over-long\"");
+    out << jsonl.substr(header_end);
+  }
   obs::ProvenanceLedger loaded;
   ASSERT_TRUE(loaded.load_jsonl(path));
   EXPECT_EQ(loaded.to_jsonl(), jsonl);

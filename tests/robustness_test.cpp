@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "concolic/explorer.hpp"
 #include "corpus/ticket.hpp"
@@ -15,11 +17,13 @@
 #include "lisa/journal.hpp"
 #include "lisa/pipeline.hpp"
 #include "minilang/interp.hpp"
+#include "minilang/parser.hpp"
 #include "minilang/sema.hpp"
 #include "smt/minilang_bridge.hpp"
 #include "smt/solver.hpp"
 #include "support/budget.hpp"
 #include "support/faultpoint.hpp"
+#include "support/jsonl.hpp"
 
 namespace lisa {
 namespace {
@@ -412,15 +416,15 @@ TEST_F(Robustness, ReportJsonRoundTripsThroughTheJournalFormat) {
 TEST_F(Robustness, JournalRejectsMismatchedFingerprint) {
   const std::string path = temp_path("fingerprint.jsonl");
   CheckJournal writer(path);
-  ASSERT_TRUE(writer.begin(CheckJournal::fingerprint("inputs-a")));
+  ASSERT_TRUE(writer.begin(support::fnv1a_fingerprint("inputs-a")));
   ContractCheckReport report;
   report.contract_id = "c#0";
   writer.record(report);
   CheckJournal wrong(path);
-  EXPECT_FALSE(wrong.load(CheckJournal::fingerprint("inputs-b")));
+  EXPECT_FALSE(wrong.load(support::fnv1a_fingerprint("inputs-b")));
   EXPECT_EQ(wrong.loaded_entries(), 0u);
   CheckJournal right(path);
-  EXPECT_TRUE(right.load(CheckJournal::fingerprint("inputs-a")));
+  EXPECT_TRUE(right.load(support::fnv1a_fingerprint("inputs-a")));
   EXPECT_EQ(right.loaded_entries(), 1u);
   EXPECT_NE(right.find("c#0"), nullptr);
   std::remove(path.c_str());
@@ -428,7 +432,7 @@ TEST_F(Robustness, JournalRejectsMismatchedFingerprint) {
 
 TEST_F(Robustness, JournalSurvivesTornTail) {
   const std::string path = temp_path("torn.jsonl");
-  const std::string fingerprint = CheckJournal::fingerprint("inputs");
+  const std::string fingerprint = support::fnv1a_fingerprint("inputs");
   {
     CheckJournal writer(path);
     ASSERT_TRUE(writer.begin(fingerprint));
@@ -451,6 +455,16 @@ TEST_F(Robustness, JournalSurvivesTornTail) {
   std::remove(path.c_str());
 }
 
+/// Writes one JSON object line with `fields` plus a padding field that
+/// takes it past the JSONL line limit.
+void write_over_long_line(std::ostream& out, const std::string& fields) {
+  out << "{" << fields << ",\"pad\":\"";
+  const std::string chunk(1 << 20, 'x');
+  for (std::size_t written = 0; written <= support::kMaxJsonlLineBytes; written += chunk.size())
+    out << chunk;
+  out << "\"}\n";
+}
+
 TEST_F(Robustness, JournalRejectsDeeplyNestedLines) {
   // Past Json::kMaxParseDepth a line is a parse error, not a stack
   // overflow: a deep header is the wrong file kind, a deep record is a
@@ -460,7 +474,7 @@ TEST_F(Robustness, JournalRejectsDeeplyNestedLines) {
   std::ofstream(path) << deep << "\n";
   CheckJournal foreign(path);
   EXPECT_FALSE(foreign.load(""));
-  const std::string fingerprint = CheckJournal::fingerprint("inputs");
+  const std::string fingerprint = support::fnv1a_fingerprint("inputs");
   {
     CheckJournal writer(path);
     ASSERT_TRUE(writer.begin(fingerprint));
@@ -473,6 +487,36 @@ TEST_F(Robustness, JournalRejectsDeeplyNestedLines) {
   EXPECT_TRUE(reader.load(fingerprint));
   EXPECT_EQ(reader.loaded_entries(), 1u);
   EXPECT_NE(reader.find("c#0"), nullptr);
+  std::remove(path.c_str());
+}
+
+TEST_F(Robustness, JournalSkipsOverLongLines) {
+  // An over-long header is the wrong file kind even when it would match;
+  // an over-long record is dropped like a torn line.
+  const std::string path = temp_path("long.jsonl");
+  {
+    std::ofstream out(path);
+    write_over_long_line(out, "\"fingerprint\":\"\",\"journal\":\"lisa-check\",\"version\":1");
+  }
+  CheckJournal foreign(path);
+  EXPECT_FALSE(foreign.load(""));
+  const std::string fingerprint = support::fnv1a_fingerprint("inputs");
+  {
+    CheckJournal writer(path);
+    ASSERT_TRUE(writer.begin(fingerprint));
+    {
+      std::ofstream out(path, std::ios::app);
+      write_over_long_line(out, "\"contract_id\":\"c#9\"");
+    }
+    ContractCheckReport report;
+    report.contract_id = "c#0";
+    writer.record(report);
+  }
+  CheckJournal reader(path);
+  EXPECT_TRUE(reader.load(fingerprint));
+  EXPECT_EQ(reader.loaded_entries(), 1u);
+  EXPECT_NE(reader.find("c#0"), nullptr);
+  EXPECT_EQ(reader.find("c#9"), nullptr);
   std::remove(path.c_str());
 }
 
@@ -610,6 +654,88 @@ TEST_F(Robustness, MinIntDividedByMinusOneDoesNotCrashTheGate) {
                    "1) % (0 - 1); }\n");
   EXPECT_EQ(probed.allowed, plain.allowed);
   EXPECT_EQ(probed.violations, plain.violations);
+}
+
+std::string repeat(const std::string& text, std::size_t times) {
+  std::string out;
+  out.reserve(text.size() * times);
+  for (std::size_t i = 0; i < times; ++i) out += text;
+  return out;
+}
+
+/// True when the gate blocked the commit with one "does not build" reason
+/// that mentions `cause`.
+bool blocked_as_not_building(const core::GateDecision& decision, const std::string& cause) {
+  return !decision.allowed && decision.violations.size() == 1 &&
+         decision.violations[0].rfind("commit does not build: ", 0) == 0 &&
+         decision.violations[0].find(cause) != std::string::npos;
+}
+
+TEST_F(Robustness, DeeplyNestedCommitsAreBlockedAsNotBuilding) {
+  // Each of these exhausted the stack of the recursive parser, or of a pass
+  // over the tree an operator chain builds without recursing.
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-election-deadlock");
+  ASSERT_NE(ticket, nullptr);
+  const std::size_t n = 200'000;
+  const std::vector<std::string> probes = {
+      "fn deep_probe() -> int { return " + std::string(n, '(') + "1" + std::string(n, ')') +
+          "; }",
+      "fn deep_probe() -> bool { return " + std::string(n, '!') + "true; }",
+      "fn deep_probe() -> int { " + repeat("if (true) { ", n / 2) + "return 1;" +
+          repeat(" }", n / 2) + " return 0; }",
+      "fn deep_probe() -> int { return 1" + repeat(" + 1", n) + "; }",
+      "fn deep_id(x: int) -> int { return x; }\nfn deep_probe() -> int { return " +
+          repeat("deep_id(", n) + "1" + std::string(n, ')') + "; }",
+  };
+  for (const std::string& probe : probes)
+    EXPECT_TRUE(blocked_as_not_building(
+        gate_commit(*ticket, ticket->patched_source + "\n" + probe + "\n"),
+        "nesting deeper than 256 levels"))
+        << probe.substr(0, 60);
+}
+
+TEST_F(Robustness, CommitAtTheNestingLimitStillGates) {
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-election-deadlock");
+  ASSERT_NE(ticket, nullptr);
+  // The return statement and its expression take two levels; each
+  // parenthesis takes one more. A chain of k operators is k + 1 levels tall.
+  const auto parens = [](int depth) {
+    return "fn paren_probe() -> int { return " + std::string(depth - 2, '(') + "1" +
+           std::string(depth - 2, ')') + "; }\n";
+  };
+  const auto chain = [](int height) {
+    return "fn chain_probe() -> int { return 1" + repeat(" + 1", height - 1) + "; }\n";
+  };
+  const core::GateDecision plain = gate_commit(*ticket, ticket->patched_source);
+  const core::GateDecision at_limit =
+      gate_commit(*ticket, ticket->patched_source + "\n" + parens(minilang::kMaxNesting) +
+                               chain(minilang::kMaxNesting));
+  EXPECT_EQ(at_limit.allowed, plain.allowed);
+  EXPECT_EQ(at_limit.violations, plain.violations);
+  EXPECT_EQ(at_limit.reports.size(), plain.reports.size());
+  for (const std::string& past_limit :
+       {parens(minilang::kMaxNesting + 1), chain(minilang::kMaxNesting + 1)})
+    EXPECT_TRUE(blocked_as_not_building(
+        gate_commit(*ticket, ticket->patched_source + "\n" + past_limit),
+        "nesting deeper than 256 levels"))
+        << past_limit.substr(0, 40);
+}
+
+TEST_F(Robustness, OutOfRangeLiteralIsBlockedAsNotBuilding) {
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-election-deadlock");
+  ASSERT_NE(ticket, nullptr);
+  const core::GateDecision plain = gate_commit(*ticket, ticket->patched_source);
+  const core::GateDecision largest = gate_commit(
+      *ticket,
+      ticket->patched_source + "\nfn literal_probe() -> int { return 9223372036854775807; }\n");
+  EXPECT_EQ(largest.allowed, plain.allowed);
+  EXPECT_EQ(largest.violations, plain.violations);
+  for (const char* literal : {"9223372036854775808", "12345678901234567890123"})
+    EXPECT_TRUE(blocked_as_not_building(
+        gate_commit(*ticket, ticket->patched_source + "\nfn literal_probe() -> int { return " +
+                                 literal + "; }\n"),
+        "integer literal above 9223372036854775807"))
+        << literal;
 }
 
 }  // namespace

@@ -507,7 +507,7 @@ TEST(GateSchedule, InconclusiveExplorationBlocksUnlessDowngraded) {
 
   const core::GateDecision blocked = gate.evaluate(ticket.patched_source, store);
   EXPECT_FALSE(blocked.allowed);
-  EXPECT_EQ(blocked.schedule_inconclusive, 1);
+  EXPECT_EQ(blocked.totals.schedule_inconclusive, 1);
   bool narrated = false;
   for (const std::string& violation : blocked.violations)
     if (violation.find("schedule exploration inconclusive") != std::string::npos)
@@ -520,7 +520,7 @@ TEST(GateSchedule, InconclusiveExplorationBlocksUnlessDowngraded) {
       gate.evaluate(ticket.patched_source, store, downgraded);
   EXPECT_TRUE(warned.allowed);
   EXPECT_TRUE(warned.needs_attention);
-  EXPECT_EQ(warned.schedule_inconclusive, 1);
+  EXPECT_EQ(warned.totals.schedule_inconclusive, 1);
 }
 
 TEST(GateSchedule, ViolatingInterleavingBlocksWithLedgerRecordedWitness) {

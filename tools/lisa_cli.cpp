@@ -222,6 +222,31 @@ bool parse_budget_flag(int argc, char** argv, int* i, support::BudgetLimits* lim
   return false;
 }
 
+/// Parses the run flags `check` and `gate` share (--journal, --resume,
+/// --history). Returns false when `argv[*i]` is none of them or lacks its
+/// value; `i` advances past the consumed value.
+bool parse_run_flag(int argc, char** argv, int* i, core::RunOptions* run_options) {
+  const auto path_value = [&](std::string* out) {
+    if (*i + 1 >= argc) return false;
+    *out = argv[++*i];
+    return true;
+  };
+  if (std::strcmp(argv[*i], "--journal") == 0) return path_value(&run_options->journal_path);
+  if (std::strcmp(argv[*i], "--history") == 0) return path_value(&run_options->history_path);
+  if (std::strcmp(argv[*i], "--resume") != 0) return false;
+  run_options->resume = true;
+  return true;
+}
+
+/// False, with the reason on stderr, when the run flags do not fit together.
+bool run_flags_valid(const core::RunOptions& run_options) {
+  if (run_options.resume && run_options.journal_path.empty()) {
+    std::fprintf(stderr, "--resume requires --journal <path>\n");
+    return false;
+  }
+  return true;
+}
+
 /// `--max-schedules N` is both a budget limit and the explorer's own bound:
 /// "at most N interleavings total". Exhausting it is a typed inconclusive.
 void apply_schedule_limits(const support::BudgetLimits& limits,
@@ -256,22 +281,14 @@ int cmd_check(const std::string& case_id, int argc, char** argv) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc) {
-      run_options.journal_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      run_options.resume = true;
-    } else if (std::strcmp(argv[i], "--history") == 0 && i + 1 < argc) {
-      run_options.history_path = argv[++i];
-    } else if (parse_budget_flag(argc, argv, &i, &limits)) {
+    } else if (parse_run_flag(argc, argv, &i, &run_options) ||
+               parse_budget_flag(argc, argv, &i, &limits)) {
       // consumed
     } else {
       return usage();
     }
   }
-  if (run_options.resume && run_options.journal_path.empty()) {
-    std::fprintf(stderr, "--resume requires --journal <path>\n");
-    return 2;
-  }
+  if (!run_flags_valid(run_options)) return 2;
   if (!trace_path.empty()) obs::tracer().set_enabled(true);
   apply_schedule_limits(limits, &options);
   support::Budget budget(limits);
@@ -280,9 +297,6 @@ int cmd_check(const std::string& case_id, int argc, char** argv) {
   const core::PipelineResult result = pipeline.run(*ticket, source, run_options);
   std::printf("%s", core::render_markdown(result).c_str());
   if (options.budget != nullptr) {
-    int inconclusive = 0;
-    for (const core::ContractCheckReport& report : result.reports)
-      if (!report.conclusive()) ++inconclusive;
     const std::string exhausted_note =
         budget.exhausted() ? " — exhausted: " + budget.exhausted_reason() : "";
     std::string schedule_note;
@@ -294,7 +308,7 @@ int cmd_check(const std::string& case_id, int argc, char** argv) {
         "%d contract(s) inconclusive._\n",
         static_cast<long long>(budget.smt_queries()), static_cast<long long>(budget.paths()),
         static_cast<long long>(budget.fork_points()), static_cast<long long>(budget.steps()),
-        schedule_note.c_str(), exhausted_note.c_str(), inconclusive);
+        schedule_note.c_str(), exhausted_note.c_str(), result.totals.inconclusive);
   }
   if (!trace_path.empty() &&
       !write_json_file(trace_path, obs::tracer().chrome_trace()))
@@ -394,18 +408,12 @@ int cmd_gate(const std::string& case_id, const std::string& path, int argc, char
   std::string metrics_path;
   std::string report_dir;
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc)
-      run_options.journal_path = argv[++i];
-    else if (std::strcmp(argv[i], "--resume") == 0)
-      run_options.resume = true;
-    else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
       trace_path = argv[++i];
     else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc)
       metrics_path = argv[++i];
     else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc)
       report_dir = argv[++i];
-    else if (std::strcmp(argv[i], "--history") == 0 && i + 1 < argc)
-      run_options.history_path = argv[++i];
     else if (std::strcmp(argv[i], "--history-label") == 0 && i + 1 < argc)
       run_options.history_label = argv[++i];
     else if (std::strcmp(argv[i], "--drift-window") == 0 && i + 1 < argc)
@@ -414,7 +422,8 @@ int cmd_gate(const std::string& case_id, const std::string& path, int argc, char
       run_options.drift.fail_gate = false;
     else if (std::strcmp(argv[i], "--schedule-warn-only") == 0)
       run_options.schedule_warn_only = true;
-    else if (parse_budget_flag(argc, argv, &i, &limits)) {
+    else if (parse_run_flag(argc, argv, &i, &run_options) ||
+             parse_budget_flag(argc, argv, &i, &limits)) {
       // consumed
     } else {
       return usage();
@@ -425,10 +434,7 @@ int cmd_gate(const std::string& case_id, const std::string& path, int argc, char
     std::fprintf(stderr, "--history-label/--drift-* require --history <file>\n");
     return 2;
   }
-  if (run_options.resume && run_options.journal_path.empty()) {
-    std::fprintf(stderr, "--resume requires --journal <path>\n");
-    return 2;
-  }
+  if (!run_flags_valid(run_options)) return 2;
   if (!trace_path.empty()) obs::tracer().set_enabled(true);
 
   const inference::SemanticsProposal proposal = inference::MockLlm().infer(*ticket);
