@@ -52,6 +52,12 @@ case "${1:-}" in
     ;;
 esac
 
+if [[ "$SANITIZE" == address,undefined ]]; then
+  # The build already makes UBSan findings fatal; this keeps them fatal and
+  # adds the stack, whatever UBSAN_OPTIONS the caller had set.
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+fi
+
 cmake -B "$BUILD_DIR" -S . -DLISA_SANITIZE="$SANITIZE"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
