@@ -13,11 +13,17 @@
 //     the real systems; the corpus carries scaled-down suites),
 //   * the ephemeral-node feature history (46 bugs over 14 years in the
 //     paper) extrapolated from the corpus cases' recurrence rate.
+//
+// Exits non-zero unless the table reads 16 cases, 34 bugs, 18/18
+// regressions, and statement coverage of 92/93/89/97% for
+// cassandra/hbase/hdfs/zookeeper.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <unordered_set>
 
 #include "corpus/ticket.hpp"
 #include "minilang/interp.hpp"
@@ -34,7 +40,21 @@ int year_of(const std::string& iso_date) {
   return std::stoi(iso_date.substr(0, 4));
 }
 
-void print_study_tables() {
+/// Statement ids executed while attached to an Interp.
+class CoverageObserver final : public lisa::minilang::ExecObserver {
+ public:
+  void on_stmt(const lisa::minilang::FuncDecl& fn, const lisa::minilang::Stmt& stmt) override {
+    (void)fn;
+    covered.insert(stmt.id);
+  }
+  std::unordered_set<int> covered;
+};
+
+/// Prints the tables; returns whether they have the shape the header states.
+bool print_study_tables() {
+  const std::map<std::string, int> expected_coverage = {
+      {"cassandra", 92}, {"hbase", 93}, {"hdfs", 89}, {"zookeeper", 97}};
+  std::map<std::string, int> coverage;
   std::printf("=== Fig. 1 / Table: regression failures across cloud systems ===\n\n");
   std::printf("%-12s %7s %6s %12s %17s %10s\n", "system", "cases", "bugs", "test fns",
               "mean gap (years)", "stmt cov");
@@ -69,7 +89,9 @@ void print_study_tables() {
       }
       // Statement coverage of the case's test suite ("satisfactory code
       // coverage", §2.2): run every test, count executed statement ids.
+      CoverageObserver observer;
       lisa::minilang::Interp interp(program);
+      interp.set_observer(&observer);
       interp.run_all_tests();
       int non_test_stmts = 0;
       std::set<int> non_test_ids;
@@ -80,14 +102,15 @@ void print_study_tables() {
             non_test_ids.insert(stmt.id);
           });
       int covered = 0;
-      for (const int id : interp.covered_stmts())
+      for (const int id : observer.covered)
         if (non_test_ids.count(id) > 0) ++covered;
       covered_stmts += covered;
       total_stmts += non_test_stmts;
     }
+    const double percent = total_stmts > 0 ? 100.0 * covered_stmts / total_stmts : 0.0;
     std::printf("%-12s %7zu %6d %12d %17.1f %9.0f%%\n", system.c_str(), tickets.size(),
-                bugs, tests, gap_count > 0 ? gap_sum / gap_count : 0.0,
-                total_stmts > 0 ? 100.0 * covered_stmts / total_stmts : 0.0);
+                bugs, tests, gap_count > 0 ? gap_sum / gap_count : 0.0, percent);
+    coverage[system] = static_cast<int>(std::lround(percent));
     total_cases += static_cast<int>(tickets.size());
     total_bugs += bugs;
     total_tests += tests;
@@ -109,6 +132,8 @@ void print_study_tables() {
   std::printf("regressions violating pre-existing semantics: %d/%d (100%%; paper cites "
               "68%% of *all* failures violating old semantics [OSDI'22])\n\n",
               regressions, regressions);
+  const bool ok = total_cases == 16 && total_bugs == 34 && regressions == 18 &&
+                  coverage == expected_coverage;
 
   // Ephemeral-node feature history (Fig. 1's per-feature view): extrapolate
   // a 14-year bug arrival series at the corpus-wide recurrence rate and
@@ -132,6 +157,10 @@ void print_study_tables() {
     std::printf("%4d", cumulative);
   }
   std::printf("   (paper: 46 bugs over 14 years)\n\n");
+  std::printf("shape check: %s — 16 cases, 34 bugs, 18/18 regressions, statement\n"
+              "coverage 92/93/89/97%% (cassandra/hbase/hdfs/zookeeper).\n\n",
+              ok ? "PASS" : "FAIL");
+  return ok;
 }
 
 void BM_CorpusLoadAndParse(benchmark::State& state) {
@@ -151,8 +180,8 @@ BENCHMARK(BM_CorpusLoadAndParse)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_study_tables();
+  const bool shape_ok = print_study_tables();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return shape_ok ? 0 : 1;
 }

@@ -307,8 +307,11 @@ void ScheduleExplorer::explore_into(const std::string& test_name,
                                     ScheduleExplorationResult& out) {
   // One span per explored test. Each run only records its time in a
   // histogram: a span per run would cost too much at hundreds of runs.
+  // Pruned runs are also recorded apart, to show what abandoned schedules
+  // cost.
   obs::ScopedSpan span("schedule.explore");
   obs::Histogram& run_us = obs::metrics().histogram("schedule.run_us");
+  obs::Histogram& pruned_run_us = obs::metrics().histogram("schedule.pruned_run_us");
   const int first_schedule = out.schedules_explored;
   int pruned = 0;
   bool conclusive = true;
@@ -332,11 +335,13 @@ void ScheduleExplorer::explore_into(const std::string& test_name,
     DfsController controller(stack);
     const minilang::ScheduleRunResult run =
         interp.run_scheduled_test(test_name, controller);
-    run_us.record(timer.elapsed_us());
+    const double elapsed_us = timer.elapsed_us();
+    run_us.record(elapsed_us);
     ++out.schedules_explored;
     if (run.pruned) {
       // Sleep-set cut: this interleaving only permutes commuting segments
       // of one already explored. A charged probe, not a verdict.
+      pruned_run_us.record(elapsed_us);
       ++pruned;
     } else if (run.degraded) {
       inconclusive("schedule run degraded: " + run.error);

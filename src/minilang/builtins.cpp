@@ -39,11 +39,12 @@ constexpr std::array kTable{
     Builtin{"abs", 1, 1, {kInt, kAny}, kNone, false, SchedOp::kNone,
             [](std::vector<Value>& args, BuiltinContext&) {
               const std::int64_t a = args[0].as_int();
-              return Value::of_int(a < 0 ? -a : a);
+              return Value::of_int(a < 0 ? int_neg(a) : a);
             }},
     Builtin{"advance_clock", 1, 1, {kInt, kAny}, kNone, false, SchedOp::kNone,
             [](std::vector<Value>& args, BuiltinContext& context) {
-              if (context.now_ms != nullptr) *context.now_ms += args[0].as_int();
+              if (context.now_ms != nullptr)
+                *context.now_ms = int_add(*context.now_ms, args[0].as_int());
               return Value::null();
             }},
     Builtin{"assert", 1, -1, {kBool, kAny}, kNone, true, SchedOp::kNone,

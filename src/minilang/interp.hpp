@@ -12,7 +12,7 @@
 // completion at the spawn point (serial semantics — single-schedule replay
 // by construction). Inside run_scheduled_test() every spawn becomes a fiber
 // (its own stack, on the calling OS thread) and a single execution token
-// moves between fibers by direct context switches: the interpreter yields at
+// moves between fibers by direct stack switches: the interpreter yields at
 // scheduling points (spawn, sync enter, blocking builtins, shared field
 // access, wait/notify/join), and a ScheduleController decides which runnable
 // thread proceeds. A monitor release does not yield: it leaves the thread
@@ -39,7 +39,6 @@
 #include <utility>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "minilang/ast.hpp"
@@ -120,8 +119,8 @@ inline constexpr ShadowId kNoShadow = 0;
 /// Fuel steps between ExecObserver::on_fuel calls.
 inline constexpr std::int64_t kFuelStride = 256;
 
-/// Observation points used by coverage measurement and the runtime
-/// blocking-in-sync detector. All callbacks default to no-ops.
+/// Observation points used by coverage measurement (on_stmt) and the
+/// runtime blocking-in-sync detector. All callbacks default to no-ops.
 class ExecObserver {
  public:
   virtual ~ExecObserver() = default;
@@ -317,9 +316,6 @@ class Interp {
   /// Output accumulated by print(); cleared by take_output().
   [[nodiscard]] std::string take_output() { return std::exchange(output_, std::string()); }
 
-  /// Statement ids executed since construction (coverage).
-  [[nodiscard]] const std::unordered_set<int>& covered_stmts() const { return covered_; }
-
  private:
   /// A local or argument: its value plus the shadow observer's handle.
   struct Slot {
@@ -390,7 +386,6 @@ class Interp {
   ThreadCtx* ctx_ = &main_ctx_;
   Scheduler* sched_ = nullptr;  // non-null only inside run_scheduled_test
   std::uint64_t next_object_id_ = 1;
-  std::unordered_set<int> covered_;
 };
 
 }  // namespace lisa::minilang

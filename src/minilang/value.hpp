@@ -14,11 +14,32 @@ namespace lisa::minilang {
 struct Object;
 using ObjectPtr = std::shared_ptr<Object>;
 
+/// MiniLang `int` arithmetic: 64-bit two's complement that wraps on
+/// overflow, like Java's `long` (INT64_MAX + 1 is INT64_MIN, and -INT64_MIN
+/// is INT64_MIN). Interp and the interval domain's constant folding both
+/// use these.
+constexpr std::int64_t int_add(std::int64_t a, std::int64_t b) {
+  std::int64_t sum = 0;
+  __builtin_add_overflow(a, b, &sum);
+  return sum;
+}
+constexpr std::int64_t int_sub(std::int64_t a, std::int64_t b) {
+  std::int64_t difference = 0;
+  __builtin_sub_overflow(a, b, &difference);
+  return difference;
+}
+constexpr std::int64_t int_mul(std::int64_t a, std::int64_t b) {
+  std::int64_t product = 0;
+  __builtin_mul_overflow(a, b, &product);
+  return product;
+}
+constexpr std::int64_t int_neg(std::int64_t a) { return int_sub(0, a); }
+
 /// MiniLang `/` and `%` on a non-zero divisor, with Java's answer for the
 /// one overflowing pair: INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is
-/// 0. Interp and the interval domain's constant folding both use these.
+/// 0.
 constexpr std::int64_t int_div(std::int64_t a, std::int64_t b) {
-  return b == -1 ? static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(a)) : a / b;
+  return b == -1 ? int_neg(a) : a / b;
 }
 constexpr std::int64_t int_mod(std::int64_t a, std::int64_t b) { return b == -1 ? 0 : a % b; }
 

@@ -1,6 +1,7 @@
 #include "staticcheck/analyses.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
 
 #include "minilang/builtins.hpp"
@@ -556,16 +557,33 @@ namespace {
 constexpr std::int64_t kNegInf = Interval::kMin;
 constexpr std::int64_t kPosInf = Interval::kMax;
 
-std::int64_t add_sat(std::int64_t a, std::int64_t b) {
+Interval top() { return {}; }
+
+/// Sum of two bounds. An infinite bound stays infinite; two finite bounds
+/// whose sum leaves int64 give nullopt, because MiniLang's `+` wraps there
+/// (minilang::int_add) and the result could be any value.
+std::optional<std::int64_t> add_bounds(std::int64_t a, std::int64_t b) {
   if (a == kNegInf || b == kNegInf) return kNegInf;
   if (a == kPosInf || b == kPosInf) return kPosInf;
-  const __int128 sum = static_cast<__int128>(a) + b;
-  if (sum <= kNegInf) return kNegInf;
-  if (sum >= kPosInf) return kPosInf;
-  return static_cast<std::int64_t>(sum);
+  std::int64_t sum = 0;
+  if (__builtin_add_overflow(a, b, &sum)) return std::nullopt;
+  return sum;
 }
 
-Interval top() { return {}; }
+/// The negation of a bound: -∞ and +∞ swap.
+std::int64_t negate_bound(std::int64_t v) {
+  if (v == kNegInf) return kPosInf;
+  if (v == kPosInf) return kNegInf;
+  return -v;
+}
+
+/// [a.lo + b.lo, a.hi + b.hi], or top when a finite bound overflows.
+Interval add_intervals(const Interval& a, const Interval& b) {
+  const std::optional<std::int64_t> lo = add_bounds(a.lo, b.lo);
+  const std::optional<std::int64_t> hi = add_bounds(a.hi, b.hi);
+  if (!lo || !hi) return top();
+  return {*lo, *hi};
+}
 
 }  // namespace
 
@@ -627,33 +645,31 @@ Interval IntervalAnalysis::eval(const Expr& expr, const State& state) const {
     case Expr::Kind::kUnary: {
       if (expr.un_op != UnOp::kNeg) return top();
       const Interval v = eval(*expr.args[0], state);
+      if (v.is_constant()) return Interval::constant(minilang::int_neg(v.lo));
       if (v.unbounded()) return top();
-      const std::int64_t lo = v.hi == kPosInf ? kNegInf : -v.hi;
-      const std::int64_t hi = v.lo == kNegInf ? kPosInf : -v.lo;
-      return {lo, hi};
+      return {negate_bound(v.hi), negate_bound(v.lo)};
     }
     case Expr::Kind::kBinary: {
+      // Constant operands fold to the value the run computes, wrapped on
+      // overflow. Other operands add bound by bound.
       const Interval a = eval(*expr.args[0], state);
       const Interval b = eval(*expr.args[1], state);
+      const bool constants = a.is_constant() && b.is_constant();
       switch (expr.bin_op) {
         case BinOp::kAdd:
-          return {add_sat(a.lo, b.lo), add_sat(a.hi, b.hi)};
+          if (constants) return Interval::constant(minilang::int_add(a.lo, b.lo));
+          return add_intervals(a, b);
         case BinOp::kSub:
-          return {add_sat(a.lo, b.hi == kPosInf ? kNegInf : -b.hi),
-                  add_sat(a.hi, b.lo == kNegInf ? kPosInf : -b.lo)};
+          if (constants) return Interval::constant(minilang::int_sub(a.lo, b.lo));
+          return add_intervals(a, {negate_bound(b.hi), negate_bound(b.lo)});
         case BinOp::kMul:
-          if (a.is_constant() && b.is_constant()) {
-            const __int128 product = static_cast<__int128>(a.lo) * b.lo;
-            if (product <= kNegInf || product >= kPosInf) return top();
-            return Interval::constant(static_cast<std::int64_t>(product));
-          }
+          if (constants) return Interval::constant(minilang::int_mul(a.lo, b.lo));
           return top();
         case BinOp::kDiv:
-          if (a.is_constant() && b.is_constant() && b.lo != 0)
-            return Interval::constant(minilang::int_div(a.lo, b.lo));
+          if (constants && b.lo != 0) return Interval::constant(minilang::int_div(a.lo, b.lo));
           return top();
         case BinOp::kMod:
-          if (a.is_constant() && b.is_constant() && b.lo != 0)
+          if (constants && b.lo != 0)
             return Interval::constant(minilang::int_mod(a.lo, b.lo));
           return top();
         default:

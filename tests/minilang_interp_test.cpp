@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_set>
 
 #include "minilang/interp.hpp"
 #include "minilang/sema.hpp"
@@ -238,11 +239,19 @@ fn main(flag: bool) -> int {
   return 2;
 }
 )");
+  struct Coverage final : ExecObserver {
+    void on_stmt(const FuncDecl& fn, const Stmt& stmt) override {
+      (void)fn;
+      ids.insert(stmt.id);
+    }
+    std::unordered_set<int> ids;
+  } coverage;
   Interp interp(program);
+  interp.set_observer(&coverage);
   interp.call("main", {Value::of_bool(true)});
-  const std::size_t after_true = interp.covered_stmts().size();
+  const std::size_t after_true = coverage.ids.size();
   interp.call("main", {Value::of_bool(false)});
-  EXPECT_GT(interp.covered_stmts().size(), after_true);
+  EXPECT_GT(coverage.ids.size(), after_true);
 }
 
 TEST(Interp, MethodSugarDispatch) {
@@ -420,6 +429,71 @@ TEST(Interp, MinIntDividedByMinusOneWrapsLikeJava) {
             0);
   EXPECT_EQ(run("fn main() -> int { return 7 / (0 - 1); }").as_int(), -7);
   EXPECT_EQ(run("fn main() -> int { return (0 - 7) % 3; }").as_int(), -1);
+}
+
+TEST(Interp, IntArithmeticWrapsLikeJava) {
+  const std::string max = "let x = 9223372036854775807; ";
+  EXPECT_TRUE(run("fn main() -> bool { " + max + "return x + 1 < 0; }").as_bool());
+  EXPECT_TRUE(run("fn main() -> bool { " + max + "return -x - 2 == x; }").as_bool());
+  EXPECT_EQ(run("fn main() -> int { " + max + "return x * 2; }").as_int(), -2);
+  EXPECT_EQ(run("fn main() -> int { " + max + "return -(-x - 1); }").as_int(), INT64_MIN);
+  EXPECT_EQ(run("fn main() -> int { " + max + "return abs(-x - 1); }").as_int(), INT64_MIN);
+  // The virtual clock wraps the same way, by advance_clock or a blocking call.
+  EXPECT_EQ(run("fn main() -> int { " + max + "advance_clock(x); advance_clock(1); return now(); }")
+                .as_int(),
+            INT64_MIN);
+  EXPECT_TRUE(run("fn main() -> bool { " + max + "advance_clock(x); write_record(1, \"r\"); "
+                  "return now() < 0; }")
+                  .as_bool());
+}
+
+/// Records the executing thread's call stack and sync depth at each statement.
+class StackObserver final : public ExecObserver {
+ public:
+  bool wants_state() override { return true; }
+  void on_state(const FuncDecl& fn, const Stmt& stmt, StateAccess& state) override {
+    (void)fn, (void)stmt;
+    stack.clear();
+    for (const FuncDecl* call : state.call_stack()) stack.push_back(call->name);
+    sync_depth = state.sync_depth();
+  }
+  std::vector<std::string> stack;
+  int sync_depth = -1;
+};
+
+TEST(Interp, CallAndSyncStateRestoredAfterManyCaughtThrows) {
+  // Each throw leaves two calls and a sync. 300 of them would pass the
+  // 256-call depth limit if a call's depth outlived its exception.
+  Program program = parse_checked(R"(
+struct L { id: int; }
+fn inner(l: L) {
+  sync (l) {
+    throw "boom";
+  }
+}
+fn outer(l: L) {
+  inner(l);
+}
+fn main() -> int {
+  let l = new L { id: 1 };
+  let caught = 0;
+  while (caught < 300) {
+    try {
+      outer(l);
+    } catch (e) {
+      caught = caught + 1;
+    }
+  }
+  return caught;
+}
+)");
+  Interp interp(program);
+  StackObserver observer;
+  interp.set_observer(&observer);
+  EXPECT_EQ(interp.call("main", {}).as_int(), 300);
+  // The last statement observed is main's return, after the loop.
+  EXPECT_EQ(observer.stack, std::vector<std::string>{"main"});
+  EXPECT_EQ(observer.sync_depth, 0);
 }
 
 }  // namespace

@@ -656,6 +656,31 @@ TEST_F(Robustness, MinIntDividedByMinusOneDoesNotCrashTheGate) {
   EXPECT_EQ(probed.violations, plain.violations);
 }
 
+TEST_F(Robustness, IntOverflowInSpawnedTestWrapsAndGates) {
+  // `x + 1` on INT64_MAX wraps to INT64_MIN like Java's long. Computed as
+  // a host `+`, it is signed-overflow UB, which the sanitizer build aborts
+  // on. Wrapped, the spawned thread ends normally and the commit is
+  // admitted.
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("hbase-counter-race");
+  ASSERT_NE(ticket, nullptr);
+  const core::GateDecision plain = gate_commit(*ticket, ticket->patched_source);
+  const core::GateDecision probed = gate_commit(*ticket, ticket->patched_source + R"(
+fn overflow_add() -> int {
+  let x = 9223372036854775807;
+  return x + 1;
+}
+
+@test
+fn test_overflow_add() {
+  spawn overflow_add();
+  join_all();
+}
+)");
+  EXPECT_TRUE(plain.allowed);
+  EXPECT_TRUE(probed.allowed);
+  EXPECT_EQ(probed.violations, plain.violations);
+}
+
 std::string repeat(const std::string& text, std::size_t times) {
   std::string out;
   out.reserve(text.size() * times);

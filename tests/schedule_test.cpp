@@ -283,11 +283,14 @@ std::vector<std::map<std::string, support::Json>> explore_spans(
 }
 
 TEST(ScheduleExplorer, ExploreSpanCarriesEachTestsCounts) {
-  // One span per explored test, one run_us sample per explored schedule.
+  // One span per explored test, one run_us sample per explored schedule
+  // and one pruned_run_us sample per pruned one.
   const corpus::FailureTicket& ticket = ticket_or_die("zk-session-close-race");
   const minilang::Program program = minilang::parse_checked(ticket.patched_source);
   const obs::Histogram& run_us = obs::metrics().histogram("schedule.run_us");
+  const obs::Histogram& pruned_run_us = obs::metrics().histogram("schedule.pruned_run_us");
   const std::int64_t samples_before = run_us.count();
+  const std::int64_t pruned_samples_before = pruned_run_us.count();
   concolic::ScheduleExplorationResult result;
   const auto spans = explore_spans([&] {
     concolic::ScheduleExplorer explorer(program, {});
@@ -295,15 +298,19 @@ TEST(ScheduleExplorer, ExploreSpanCarriesEachTestsCounts) {
   });
   ASSERT_EQ(static_cast<int>(spans.size()), result.tests_with_threads);
   std::int64_t schedules = 0;
+  std::int64_t pruned = 0;
   for (const auto& attrs : spans) {
     EXPECT_FALSE(attrs.at("test").as_string().empty());
     schedules += attrs.at("schedules").as_int();
+    pruned += attrs.at("pruned").as_int();
     EXPECT_GE(attrs.at("pruned").as_int(), 0);
     EXPECT_LE(attrs.at("pruned").as_int(), attrs.at("schedules").as_int());
     EXPECT_TRUE(attrs.at("conclusive").as_bool());
   }
   EXPECT_EQ(schedules, result.schedules_explored);
   EXPECT_EQ(run_us.count() - samples_before, result.schedules_explored);
+  EXPECT_EQ(pruned, 5);
+  EXPECT_EQ(pruned_run_us.count() - pruned_samples_before, pruned);
 
   // A bound that cuts the search shows on the span, not only on the result.
   const minilang::Program hbase =

@@ -360,6 +360,42 @@ fn f(n: int) {
   EXPECT_TRUE(saw);
 }
 
+TEST(Dataflow, IntervalFoldWrapsLikeExecution) {
+  // INT64_MAX + 1 wraps to INT64_MIN at run time, so `> 0` is always
+  // false there. A fold that saturated to +inf would call it always true.
+  const Program program = minilang::parse_checked(R"(
+@entry
+fn f(n: int) {
+  let x = 9223372036854775807;
+  if (x + 1 > 0) {
+    print(1);
+  }
+}
+)");
+  bool always_false = false;
+  for (const Diagnostic& diagnostic : lint_program(program)) {
+    if (diagnostic.analysis != "intervals") continue;
+    EXPECT_EQ(diagnostic.message.find("always true"), std::string::npos) << diagnostic.render();
+    if (diagnostic.message.find("always false") != std::string::npos) always_false = true;
+  }
+  EXPECT_TRUE(always_false);
+
+  // Bounds whose sum leaves int64 may wrap anywhere: nothing is decided.
+  const Program ranged = minilang::parse_checked(R"(
+@entry
+fn g(n: int) {
+  if (n > 0 && n < 10) {
+    let y = n + 9223372036854775800;
+    if (y > 0) {
+      print(1);
+    }
+  }
+}
+)");
+  for (const Diagnostic& diagnostic : lint_program(ranged))
+    EXPECT_NE(diagnostic.analysis, "intervals") << diagnostic.render();
+}
+
 TEST(Dataflow, IntervalFixpointTerminatesOnLoops) {
   // An incrementing loop has an infinite ascending chain without widening;
   // the engine must still reach a fixpoint well under the visit cap.
