@@ -200,6 +200,40 @@ python3 -m json.tool "$diff_dir/a.json" > /dev/null || {
 rm -rf "$diff_dir"
 echo "diff smoke: OK (one flip, byte-stable, JSON valid)"
 
+# Resume smoke: `--journal` names a provenance ledger. A resumed gate run
+# replays the journaled contract and carries its capture into the run's
+# ledger, so the `--report` ledgers of the cold and the resumed run are
+# byte-identical. Both runs block the commit (exit 1).
+resume_dir=$(mktemp -d)
+"$BUILD_DIR"/tools/lisa source zk-1208-ephemeral-create > "$resume_dir/commit.ml"
+resume_status=0
+"$BUILD_DIR"/tools/lisa gate zk-1208-ephemeral-create "$resume_dir/commit.ml" \
+  --journal "$resume_dir/journal.jsonl" --report "$resume_dir/R1" \
+  > /dev/null 2>&1 || resume_status=$?
+if [[ "$resume_status" -ne 1 ]]; then
+  echo "check.sh: journaled gate run exited $resume_status (expected 1: blocked)" >&2
+  exit 1
+fi
+resume_status=0
+"$BUILD_DIR"/tools/lisa gate zk-1208-ephemeral-create "$resume_dir/commit.ml" \
+  --journal "$resume_dir/journal.jsonl" --resume --report "$resume_dir/R2" \
+  > "$resume_dir/resumed.md" 2>/dev/null || resume_status=$?
+if [[ "$resume_status" -ne 1 ]]; then
+  echo "check.sh: resumed gate run exited $resume_status (expected 1: blocked)" >&2
+  exit 1
+fi
+if ! grep -q "Resumed 1 contract(s)" "$resume_dir/resumed.md"; then
+  echo "check.sh: the resumed gate run replayed nothing:" >&2
+  cat "$resume_dir/resumed.md" >&2
+  exit 1
+fi
+if ! cmp "$resume_dir/R1/ledger.jsonl" "$resume_dir/R2/ledger.jsonl"; then
+  echo "check.sh: the resumed run's ledger differs from the cold run's" >&2
+  exit 1
+fi
+rm -rf "$resume_dir"
+echo "resume smoke: OK (both runs blocked, ledgers byte-identical)"
+
 # Drift smoke: three clean gate runs seed a baseline history, then a run with
 # an injected 40 ms delay (LISA_FAULTPOINTS) must turn the gate red with a
 # narrated latency-regression cause — never silently.

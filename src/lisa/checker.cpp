@@ -364,7 +364,6 @@ void finalize_capture(const obs::CaptureHandle& capture, const ContractCheckRepo
                       const support::Budget* budget) {
   if (!capture.active()) return;
   obs::ContractCapture* cell = capture.capture;
-  if (!report.slice_fp.empty()) cell->slice_fp = report.slice_fp;
   cell->passed = report.passed();
   cell->conclusive = report.conclusive();
   cell->verdict =
@@ -790,14 +789,11 @@ ContractCheckReport Checker::check(const staticcheck::Screener& analysis,
   span.attr("target", contract.target_fragment);
   const minilang::Program& program = analysis.program();
 
-  // ---- Setup: capture, slice fingerprint, target count --------------------
+  // ---- Setup: capture, target count --------------------------------------
   ContractCheckReport report;
   report.contract_id = contract.id;
   report.target_fragment = contract.target_fragment;
   const obs::CaptureHandle capture = bind_capture(options.ledger, contract);
-  if (options.compute_slice_fp)
-    report.slice_fp =
-        contract_slice_fingerprint(analysis.slicer(), contract, options.run_concolic);
   report.target_statements =
       analysis::find_target_statements(program, contract.target_fragment).size();
 

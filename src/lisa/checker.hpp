@@ -41,8 +41,8 @@ enum class PathVerdict { kVerified, kViolated, kUnmappable, kInconclusive };
 
 [[nodiscard]] const char* path_verdict_name(PathVerdict verdict);
 
-/// Inverse of path_verdict_name; nullopt on an unrecognized name (journal
-/// entries written by a different build).
+/// Inverse of path_verdict_name; nullopt on an unrecognized name (ledger
+/// reports written by a different build).
 [[nodiscard]] std::optional<PathVerdict> path_verdict_from_name(const std::string& name);
 
 struct PathReport {
@@ -130,9 +130,9 @@ struct ContractCheckReport {
 
   /// Slice fingerprint of this contract's verdict cone
   /// (staticcheck/slice.hpp): the canonical identity of everything the
-  /// verdict can depend on. Journal resume replays a checkpointed entry iff
-  /// its slice_fp still matches the current program; empty when fingerprint
-  /// computation was not requested (CheckOptions::compute_slice_fp).
+  /// verdict can depend on. Resume replays a report from the previous
+  /// run's ledger iff its slice_fp still matches the current program.
+  /// check_contracts stamps it when the run has a ledger; empty otherwise.
   std::string slice_fp;
 
   /// True when the checked program satisfies the contract everywhere.
@@ -160,7 +160,7 @@ struct ContractCheckReport {
   [[nodiscard]] std::string verdict_signature() const;
 
   [[nodiscard]] support::Json to_json() const;
-  /// Rebuilds a report from its to_json form (checkpoint journal resume).
+  /// Rebuilds a report from its to_json form (resume from a ledger).
   /// Best-effort: unknown verdict names degrade to kInconclusive.
   [[nodiscard]] static ContractCheckReport from_json(const support::Json& json);
 };
@@ -199,11 +199,6 @@ struct CheckOptions {
   /// counterexample for violated contracts. nullptr = zero-cost (the check
   /// output is byte-identical to an uncaptured run).
   obs::ProvenanceLedger* ledger = nullptr;
-  /// Compute the contract's slice fingerprint and record it on the report
-  /// (and ledger capture). Off by default so ungoverned check output stays
-  /// byte-identical; the pipeline and gate turn it on whenever a journal or
-  /// ledger is attached.
-  bool compute_slice_fp = false;
 };
 
 /// The canonical slice request for `contract` — the single construction the
@@ -215,9 +210,8 @@ struct CheckOptions {
 [[nodiscard]] staticcheck::SliceRequest contract_slice_request(
     const SemanticContract& contract, bool run_concolic);
 
-/// The slice fingerprint Checker::check records for `contract` — exposed so
-/// resume can recompute it against the current program without running the
-/// check.
+/// The slice fingerprint check_contracts records for `contract` and that
+/// resume recomputes against the current program.
 [[nodiscard]] std::string contract_slice_fingerprint(const staticcheck::SliceEngine& engine,
                                                      const SemanticContract& contract,
                                                      bool run_concolic);

@@ -97,9 +97,9 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
     return decision;
   }
   obs::ProvenanceLedger local_ledger;
-  const RunOptions run = run_options.with_history_ledger(local_ledger);
+  const RunOptions run = run_options.with_ledger(local_ledger);
   std::string inputs;
-  if (run.names_inputs()) {
+  if (run.ledger != nullptr) {
     inputs = source;
     for (const SemanticContract& contract : store.all()) inputs += "\n" + contract.id;
   }

@@ -1,34 +1,27 @@
 // The bookkeeping `lisa check` (Pipeline::run) and `lisa gate`
 // (CiGate::evaluate) share around Checker::check: the contract loop with its
-// checkpoint journal, the run's totals, and its history record.
+// resume, the run's totals, and its history record.
 //
-// Checkpoint journal: crash-safe resume for long checking runs.
+// Resume: crash-safe checkpointing for long checking runs.
 //
 // A governed run (deadline, query budget) can be cut off mid-corpus — by
-// its own budget, a CI timeout, or a crash. The journal makes the work
-// durable at contract granularity: every finished ContractCheckReport is
-// appended as one JSONL line, and a resumed run (`lisa check --resume`,
-// `lisa gate --resume`) replays conclusive entries from the journal instead
-// of re-checking them. Inconclusive entries (budget-refused paths, degraded
-// replays) are deliberately *not* reused — resuming is the second chance to
-// settle them.
-//
-// Format (one JSON document per line):
-//   {"journal":"lisa-check","version":1,"fingerprint":"<hex>"}
-//   {<ContractCheckReport::to_json()>}
-//   ...
-//
-// The header fingerprint records the inputs the journal was written
-// against. Callers that demand identical inputs pass it to load();
-// check_contracts, the journal's only user, instead loads any compatible
-// journal (empty expected fingerprint) and decides replay per entry by
-// matching each report's slice fingerprint (staticcheck/slice.hpp) against
+// its own budget, a CI timeout, or a crash. `--journal <file>` makes the
+// work durable at contract granularity: the run writes its provenance
+// ledger (obs/provenance.hpp) to the file as it goes, one capture line per
+// finished contract, and each capture embeds the contract's report. A
+// resumed run (`lisa check --resume`, `lisa gate --resume`) loads the
+// previous run's file and replays a contract instead of re-checking it when
+// its capture and embedded report are conclusive, name the contract, and
+// carry the slice fingerprint (staticcheck/slice.hpp) the contract has on
 // the current program — a one-function edit then re-checks only the
-// contracts whose verdict cone contains it. A torn final line (crash
-// mid-append) is dropped; everything before it survives.
+// contracts whose verdict cone contains it. The replayed capture goes into
+// this run's ledger unchanged. Inconclusive entries (budget-refused paths,
+// degraded replays) are deliberately *not* reused — resuming is the second
+// chance to settle them. A torn final line (crash mid-append) is dropped;
+// everything before it survives. A file of another kind is ignored with a
+// warning, and every contract is checked.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,73 +31,36 @@
 namespace lisa::core {
 
 /// Per-run options `lisa check` and `lisa gate` share. The defaults cost
-/// nothing: no inputs string, no fingerprint, no slice fingerprint, and
+/// nothing: no inputs string, no slice fingerprint, no embedded report, and
 /// output byte-identical to a run without them.
 struct RunOptions {
-  /// JSONL checkpoint journal (CheckJournal below). Empty = no journal.
+  /// Ledger file the run writes as it goes and a resumed run reads (the
+  /// JSONL form of obs/provenance.hpp). Empty = none.
   std::string journal_path;
-  /// Replay conclusive journaled reports whose slice fingerprint still
-  /// matches instead of re-checking; inconclusive entries are re-checked.
+  /// Replay conclusive reports from the journal whose slice fingerprint
+  /// still matches instead of re-checking; inconclusive entries are
+  /// re-checked.
   bool resume = false;
   /// Verdict provenance (obs/provenance.hpp): when set, the run binds the
   /// ledger to its inputs and every checked contract captures its full
-  /// evidence chain (the pipeline adds the inference proposal's retry
-  /// history). nullptr = zero-cost.
+  /// evidence chain, its slice fingerprint and its report (the pipeline
+  /// adds the inference proposal's retry history). nullptr = zero-cost.
   obs::ProvenanceLedger* ledger = nullptr;
   /// Longitudinal observability (obs/history.hpp): when set, the run appends
   /// one RunRecord (history_record below, plus the run's own timings) to
   /// this file. Empty = zero-cost, byte-identical output.
   std::string history_path;
 
-  /// True when the run journals or captures provenance: only then does it
-  /// need the string naming its inputs (check_contracts).
-  [[nodiscard]] bool names_inputs() const { return !journal_path.empty() || ledger != nullptr; }
-
   /// These options, with `local` as the ledger when there is none but the
-  /// history record needs one: it reads per-contract SMT evidence, which
-  /// only a ledger captures (and capture is output-neutral).
-  [[nodiscard]] RunOptions with_history_ledger(obs::ProvenanceLedger& local) const {
+  /// run needs one: the journal is a ledger file, and the history record
+  /// reads per-contract SMT evidence, which only a ledger captures (and
+  /// capture is output-neutral).
+  [[nodiscard]] RunOptions with_ledger(obs::ProvenanceLedger& local) const {
     RunOptions run = *this;
-    if (!history_path.empty() && ledger == nullptr) run.ledger = &local;
+    if (ledger == nullptr && (!journal_path.empty() || !history_path.empty()))
+      run.ledger = &local;
     return run;
   }
-};
-
-class CheckJournal {
- public:
-  explicit CheckJournal(std::string path) : path_(std::move(path)) {}
-
-  /// Loads an existing journal. Returns true iff the file exists, its
-  /// header matches `expected_fingerprint` (empty = accept any journal of
-  /// this kind/version), and at least the header parsed. Entries with
-  /// unparseable lines (torn tail) are skipped with a warning.
-  [[nodiscard]] bool load(const std::string& expected_fingerprint);
-
-  /// Starts a fresh journal: truncates the file and writes the header.
-  /// Returns false (and disables recording) when the file cannot be opened.
-  bool begin(const std::string& fingerprint);
-
-  /// Appends one finished report and flushes, so a crash right after loses
-  /// nothing. No-op when the journal is disabled (begin failed / no path).
-  void record(const ContractCheckReport& report);
-
-  /// The journaled report for `contract_id`, or nullptr. Loaded entries
-  /// only — records written this run are not replayed back.
-  [[nodiscard]] const ContractCheckReport* find(const std::string& contract_id) const;
-
-  /// The loaded report resume replays for `contract`: a conclusive entry
-  /// whose slice fingerprint still matches the program `analysis` was built
-  /// for. nullptr = check the contract again.
-  [[nodiscard]] const ContractCheckReport* replayable(const SemanticContract& contract,
-                                                      const staticcheck::Screener& analysis,
-                                                      bool run_concolic) const;
-
-  [[nodiscard]] std::size_t loaded_entries() const { return entries_.size(); }
-
- private:
-  std::string path_;
-  bool writable_ = false;
-  std::map<std::string, ContractCheckReport> entries_;
 };
 
 /// One run's reports and how many of them were replayed from the journal.
@@ -113,11 +69,12 @@ struct CheckedContracts {
   int resumed = 0;
 };
 
-/// Checks `contracts` in order against the program `analysis` was built for,
-/// binding the run's ledger to `inputs` and journaling under their
-/// fingerprint: on resume each contract with a replayable entry is replayed
-/// instead of checked. `inputs` is read, and slice fingerprints computed,
-/// only when run_options.names_inputs().
+/// Checks `contracts` in order against the program `analysis` was built
+/// for. With a ledger, binds it to `inputs`, stamps each report and capture
+/// with the contract's slice fingerprint, embeds the report in the capture,
+/// writes the ledger to the journal as it goes, and on resume replays each
+/// contract the previous journal settled (see the file comment). Without
+/// one, `inputs` is not read and no fingerprint is computed.
 [[nodiscard]] CheckedContracts check_contracts(
     const staticcheck::Screener& analysis, const std::vector<const SemanticContract*>& contracts,
     const CheckOptions& options, const RunOptions& run_options, const std::string& inputs);

@@ -89,7 +89,7 @@ PipelineResult Pipeline::run(const corpus::FailureTicket& ticket,
   obs::ScopedSpan run_span("pipeline.run");
   run_span.attr("case", ticket.case_id);
   obs::ProvenanceLedger local_ledger;
-  const RunOptions run = run_options.with_history_ledger(local_ledger);
+  const RunOptions run = run_options.with_ledger(local_ledger);
 
   {
     obs::ScopedSpan stage("pipeline.infer");
@@ -151,7 +151,7 @@ PipelineResult Pipeline::run(const corpus::FailureTicket& ticket,
     std::vector<const SemanticContract*> contracts;
     for (const SemanticContract& contract : result.contracts) contracts.push_back(&contract);
     const std::string inputs =
-        run.names_inputs() ? ticket.case_id + "\n" + source_to_check : std::string();
+        run.ledger != nullptr ? ticket.case_id + "\n" + source_to_check : std::string();
     CheckedContracts checked = check_contracts(analysis, contracts, check_options_, run, inputs);
     result.reports = std::move(checked.reports);
     result.resumed_contracts = checked.resumed;

@@ -85,7 +85,7 @@ bool RunHistory::load() {
   records_.clear();
   // An absent file is a fresh history, not an error: the first append
   // creates it.
-  return support::read_jsonl(path_, kHistoryKind, kHistoryVersion, "",
+  return support::read_jsonl(path_, kHistoryKind, kHistoryVersion,
                              [this](const Json& line) {
                                RunRecord record = RunRecord::from_json(line);
                                if (record.kind.empty()) return false;

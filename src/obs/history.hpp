@@ -72,7 +72,7 @@ struct RunRecord {
   /// series survives source edits; `lisa check` uses the case id.
   std::string label;
   /// fnv1a over the run's identifying inputs (source + contract ids) — the
-  /// same inputs string the checkpoint journal and ledger bind to.
+  /// same inputs string the provenance ledger binds to.
   std::string input_fingerprint;
   std::map<std::string, ContractOutcome> contracts;
   /// Numeric observations the drift rules and `lisa trends` watch: stage
@@ -95,7 +95,7 @@ struct RunRecord {
 
 /// Append-only JSONL store of RunRecords. Load tolerates a missing file
 /// (fresh history) and a torn trailing line (crash mid-append), same as the
-/// checkpoint journal.
+/// provenance ledger.
 class RunHistory {
  public:
   explicit RunHistory(std::string path) : path_(std::move(path)) {}

@@ -7,7 +7,9 @@
 // int64 or double.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -61,9 +63,16 @@ class Json {
   [[nodiscard]] bool is_object() const { return std::holds_alternative<JsonObject>(value_); }
 
   [[nodiscard]] bool as_bool() const { return std::get<bool>(value_); }
+  /// A double outside int64's range saturates and NaN reads 0: casting
+  /// either would be undefined behaviour, and a loaded file may hold any
+  /// number where an integer belongs.
   [[nodiscard]] std::int64_t as_int() const {
-    if (is_double()) return static_cast<std::int64_t>(std::get<double>(value_));
-    return std::get<std::int64_t>(value_);
+    if (!is_double()) return std::get<std::int64_t>(value_);
+    const double d = std::get<double>(value_);
+    if (std::isnan(d)) return 0;
+    if (d >= 0x1p63) return std::numeric_limits<std::int64_t>::max();
+    if (d < -0x1p63) return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(d);
   }
   [[nodiscard]] double as_double() const {
     if (is_int()) return static_cast<double>(std::get<std::int64_t>(value_));
@@ -101,7 +110,7 @@ class Json {
   [[nodiscard]] static Json parse(std::string_view text);
   /// Deepest array/object nesting `parse` accepts. The parser recurses once
   /// per level, so deeper input throws JsonParseError rather than exhaust
-  /// the stack; the deepest line LISA writes (a ledger record) nests 4.
+  /// the stack; the deepest line LISA writes (a ledger capture) nests 5.
   static constexpr int kMaxParseDepth = 256;
 
   friend bool operator==(const Json& a, const Json& b) { return a.value_ == b.value_; }

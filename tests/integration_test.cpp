@@ -211,11 +211,11 @@ TEST(SharedAnalysis, GateVerdictsEqualFromScratchChecks) {
             [&](const core::SemanticContract& c) { return c.id == report.contract_id; });
         ASSERT_NE(contract, store.all().end());
         obs::ProvenanceLedger own;
-        CheckOptions fresh_options = options;
-        fresh_options.ledger = &own;
-        fresh_options.compute_slice_fp = true;
+        core::RunOptions own_run;
+        own_run.ledger = &own;
+        const staticcheck::Screener own_analysis(program);
         const ContractCheckReport fresh =
-            Checker().check(staticcheck::Screener(program), *contract, fresh_options);
+            core::check_contracts(own_analysis, {&*contract}, options, own_run, "").reports.at(0);
         EXPECT_EQ(report.verdict_signature(), fresh.verdict_signature());
         ASSERT_NE(shared.find(report.contract_id), nullptr);
         ASSERT_NE(own.find(report.contract_id), nullptr);

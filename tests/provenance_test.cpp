@@ -3,8 +3,10 @@
 // reproduce the violation the checker reported).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "corpus/ticket.hpp"
@@ -155,6 +157,27 @@ TEST(ProvenanceLedger, OverLongLinesAreSkippedNotBuffered) {
   obs::ProvenanceLedger loaded;
   ASSERT_TRUE(loaded.load_jsonl(path));
   EXPECT_EQ(loaded.to_jsonl(), jsonl);
+  std::remove(path.c_str());
+}
+
+TEST(ProvenanceLedger, OutOfRangeNumbersLoadSaturated) {
+  // A number where an integer belongs may be any double; one outside
+  // int64's range saturates instead of overflowing the cast.
+  const std::string path = ::testing::TempDir() + "provenance_huge_numbers.jsonl";
+  std::ofstream(path) << support::jsonl_header(obs::ProvenanceLedger::kLedgerKind,
+                                               obs::ProvenanceLedger::kLedgerVersion, "f")
+                      << "\n"
+                      << R"({"contract_id":"c#0","budget":{"charges":{"steps":1e300}},)"
+                      << R"("paths":[{"target_stmt_id":-1e300,"model_ints":{"x":-1e300}}],)"
+                      << R"("schedule":{"explored":1e300}})"
+                      << "\n";
+  obs::ProvenanceLedger loaded;
+  ASSERT_TRUE(loaded.load_jsonl(path));
+  const obs::ContractCapture* capture = loaded.find("c#0");
+  ASSERT_NE(capture, nullptr);
+  EXPECT_EQ(capture->budget.charges.at("steps"), std::numeric_limits<std::int64_t>::max());
+  ASSERT_EQ(capture->paths.size(), 1u);
+  EXPECT_EQ(capture->paths[0].model_ints.at("x"), std::numeric_limits<std::int64_t>::min());
   std::remove(path.c_str());
 }
 

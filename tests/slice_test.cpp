@@ -14,8 +14,10 @@
 #include "inference/mock_llm.hpp"
 #include "lisa/checker.hpp"
 #include "lisa/ci_gate.hpp"
+#include "lisa/journal.hpp"
 #include "lisa/pipeline.hpp"
 #include "minilang/sema.hpp"
+#include "obs/provenance.hpp"
 #include "smt/minilang_bridge.hpp"
 #include "staticcheck/screener.hpp"
 #include "staticcheck/slice.hpp"
@@ -307,32 +309,42 @@ TEST(IncrementalResume, EditRechecksOnlyContractsWhoseConeContainsIt) {
 }
 
 TEST(IncrementalResume, SliceFpRecordedOnlyWhenRequested) {
+  // check_contracts records a contract's slice fingerprint, on its report
+  // and its capture, exactly when the run has a ledger.
   const corpus::FailureTicket* zk = corpus::Corpus::find("zk-1208-ephemeral-create");
   ASSERT_NE(zk, nullptr);
   const inference::SemanticsProposal proposal = inference::MockLlm().infer(*zk);
   core::TranslationResult translation = core::translate(proposal, zk->system);
   ASSERT_FALSE(translation.contracts.empty());
+  const core::SemanticContract& contract = translation.contracts[0];
   const Program program = minilang::parse_checked(zk->patched_source);
 
-  const core::Checker checker;
   for (const bool static_screen : {true, false}) {
     SCOPED_TRACE(static_screen ? "screening on" : "screening off");
     const Screener analysis(program);
     core::CheckOptions options;
     options.run_concolic = false;
     options.static_screen = static_screen;
-    const core::ContractCheckReport without =
-        checker.check(analysis, translation.contracts[0], options);
-    EXPECT_TRUE(without.slice_fp.empty());
+    const core::CheckedContracts without =
+        core::check_contracts(analysis, {&contract}, options, core::RunOptions{}, "");
+    ASSERT_EQ(without.reports.size(), 1u);
+    EXPECT_TRUE(without.reports[0].slice_fp.empty());
 
-    options.compute_slice_fp = true;
-    const core::ContractCheckReport with =
-        checker.check(analysis, translation.contracts[0], options);
-    EXPECT_FALSE(with.slice_fp.empty());
+    obs::ProvenanceLedger ledger;
+    core::RunOptions capturing;
+    capturing.ledger = &ledger;
+    const core::CheckedContracts with =
+        core::check_contracts(analysis, {&contract}, options, capturing, "inputs");
+    ASSERT_EQ(with.reports.size(), 1u);
+    const std::string& slice_fp = with.reports[0].slice_fp;
+    EXPECT_FALSE(slice_fp.empty());
     // And the recorded fingerprint is exactly what resume will recompute.
-    EXPECT_EQ(with.slice_fp,
-              core::contract_slice_fingerprint(Screener(program).slicer(),
-                                               translation.contracts[0], options.run_concolic));
+    EXPECT_EQ(slice_fp, core::contract_slice_fingerprint(Screener(program).slicer(), contract,
+                                                         options.run_concolic));
+    const obs::ContractCapture* capture = ledger.find(contract.id);
+    ASSERT_NE(capture, nullptr);
+    EXPECT_EQ(capture->slice_fp, slice_fp);
+    EXPECT_EQ(capture->report.get_string("slice_fp"), slice_fp);
   }
 }
 

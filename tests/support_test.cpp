@@ -1,6 +1,9 @@
 // Unit tests for src/support: strings, JSON, RNG.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <thread>
 
 #include "support/json.hpp"
@@ -124,6 +127,22 @@ TEST(Json, NegativeAndDoubleNumbers) {
   EXPECT_EQ(v.as_array()[0].as_int(), -5);
   EXPECT_DOUBLE_EQ(v.as_array()[1].as_double(), 2.5);
   EXPECT_DOUBLE_EQ(v.as_array()[2].as_double(), 1000.0);
+}
+
+TEST(Json, OutOfRangeDoublesSaturateAsInts) {
+  // A plain cast of these is undefined behaviour (the sanitizer build
+  // traps float-cast-overflow); every loader reads integers through as_int.
+  const Json v = Json::parse("[1e300, -1e300, 9.3e18, -9.3e18, -9223372036854775808.0, 2.9]");
+  const JsonArray& items = v.as_array();
+  EXPECT_EQ(items[0].as_int(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(items[1].as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(items[2].as_int(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(items[3].as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(items[4].as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(items[5].as_int(), 2);
+  EXPECT_EQ(Json::parse(R"({"n":1e300})").get_int("n"),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(Json(std::nan("")).as_int(), 0);
 }
 
 TEST(Json, StableKeyOrderInDump) {
