@@ -1,7 +1,7 @@
 // Incremental re-checking (slice-fingerprint resume): after an edit, a
 // resumed gate re-checks only the contracts whose verdict cone contains the
 // edit and replays the rest from the journal, which is the previous run's
-// provenance ledger with each contract's report embedded in its capture.
+// provenance ledger, whose capture of each contract holds its report.
 // The final verdicts are byte-identical to a cold full run.
 //
 // Three scenarios over the full corpus contract store against the ZK-1208

@@ -124,7 +124,7 @@ import json, sys
 ledger = json.load(open(sys.argv[1]))
 assert ledger["journal"] == "lisa-ledger", ledger.get("journal")
 assert ledger["fingerprint"], "missing run fingerprint"
-violated = [c for c in ledger["contracts"] if c["verdict"] == "violated"]
+violated = [c for c in ledger["contracts"] if not c["report"]["passed"]]
 assert violated, "expected a violated contract"
 for contract in violated:
     assert contract["smt_queries"], f"{contract['contract_id']}: no SMT evidence"
@@ -203,7 +203,10 @@ echo "diff smoke: OK (one flip, byte-stable, JSON valid)"
 # Resume smoke: `--journal` names a provenance ledger. A resumed gate run
 # replays the journaled contract and carries its capture into the run's
 # ledger, so the `--report` ledgers of the cold and the resumed run are
-# byte-identical. Both runs block the commit (exit 1).
+# byte-identical. A journal whose violation count was corrupted (to 1e300)
+# no longer matches its capture line's digest: the third run checks the
+# contract again instead of replaying it, and records what the cold run
+# recorded. Every run blocks the commit (exit 1).
 resume_dir=$(mktemp -d)
 "$BUILD_DIR"/tools/lisa source zk-1208-ephemeral-create > "$resume_dir/commit.ml"
 resume_status=0
@@ -231,8 +234,31 @@ if ! cmp "$resume_dir/R1/ledger.jsonl" "$resume_dir/R2/ledger.jsonl"; then
   echo "check.sh: the resumed run's ledger differs from the cold run's" >&2
   exit 1
 fi
+sed -i 's/"violated":[1-9][0-9]*/"violated":1e300/' "$resume_dir/journal.jsonl"
+if ! grep -q '"violated":1e300' "$resume_dir/journal.jsonl"; then
+  echo "check.sh: the journal has no violation count to corrupt" >&2
+  exit 1
+fi
+resume_status=0
+"$BUILD_DIR"/tools/lisa gate zk-1208-ephemeral-create "$resume_dir/commit.ml" \
+  --journal "$resume_dir/journal.jsonl" --resume --report "$resume_dir/R3" \
+  > "$resume_dir/corrupted.md" 2>/dev/null || resume_status=$?
+if [[ "$resume_status" -ne 1 ]]; then
+  echo "check.sh: gate run resumed from a corrupted journal exited $resume_status" \
+    "(expected 1: blocked)" >&2
+  exit 1
+fi
+if grep -q "Resumed 1 contract(s)" "$resume_dir/corrupted.md"; then
+  echo "check.sh: the gate run replayed a corrupted journal line:" >&2
+  cat "$resume_dir/corrupted.md" >&2
+  exit 1
+fi
+if ! cmp "$resume_dir/R1/ledger.jsonl" "$resume_dir/R3/ledger.jsonl"; then
+  echo "check.sh: the run resumed from a corrupted journal differs from the cold run" >&2
+  exit 1
+fi
 rm -rf "$resume_dir"
-echo "resume smoke: OK (both runs blocked, ledgers byte-identical)"
+echo "resume smoke: OK (all runs blocked, ledgers byte-identical, corrupted line re-checked)"
 
 # Drift smoke: three clean gate runs seed a baseline history, then a run with
 # an injected 40 ms delay (LISA_FAULTPOINTS) must turn the gate red with a
@@ -256,15 +282,26 @@ if [[ "$drift_out" != *"drift [latency-regression]"* ]]; then
   echo "$drift_out" >&2
   exit 1
 fi
-# All four runs (including the red one) are on record for `lisa trends`.
-trends_out=$("$BUILD_DIR"/tools/lisa trends "$drift_dir/history.jsonl")
+# All four runs (including the red one) are on record for `lisa trends`. A
+# fifth run with a label that contains markup gets a timeline of its own;
+# the HTML page shows the label as text.
+"$BUILD_DIR"/tools/lisa gate hdfs-pending-race "$drift_dir/commit.ml" \
+  --history "$drift_dir/history.jsonl" --history-label '<b>pending</b>' > /dev/null
+trends_out=$("$BUILD_DIR"/tools/lisa trends "$drift_dir/history.jsonl" \
+  --html "$drift_dir/trends.html")
 if [[ "$trends_out" != *"4 run(s)"* || "$trends_out" != *"evaluation_ms"* ]]; then
   echo "check.sh: lisa trends does not show the recorded runs:" >&2
   echo "$trends_out" >&2
   exit 1
 fi
+if ! grep -q "gate &lt;b&gt;pending&lt;/b&gt; (1 run(s))" "$drift_dir/trends.html" || \
+   grep -q "<b>pending" "$drift_dir/trends.html"; then
+  echo "check.sh: lisa trends --html does not escape the run label:" >&2
+  cat "$drift_dir/trends.html" >&2
+  exit 1
+fi
 rm -rf "$drift_dir"
-echo "drift smoke: OK (injected regression blocked the gate, narrated)"
+echo "drift smoke: OK (injected regression blocked the gate, narrated; trends HTML escaped)"
 
 # Schedule chaos smoke: injecting a failure into schedule exploration must
 # block the gate with a narrated inconclusive cause — an undrained schedule

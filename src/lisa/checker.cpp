@@ -14,282 +14,8 @@
 #include "smt/solver.hpp"
 #include "staticcheck/concurrency.hpp"
 #include "staticcheck/slice.hpp"
-#include "support/faultpoint.hpp"
-#include "support/strings.hpp"
 
 namespace lisa::core {
-
-using support::Json;
-using support::JsonArray;
-using support::JsonObject;
-
-const char* path_verdict_name(PathVerdict verdict) {
-  switch (verdict) {
-    case PathVerdict::kVerified: return "verified";
-    case PathVerdict::kViolated: return "violated";
-    case PathVerdict::kUnmappable: return "unmappable";
-    case PathVerdict::kInconclusive: return "inconclusive";
-  }
-  return "?";
-}
-
-std::optional<PathVerdict> path_verdict_from_name(const std::string& name) {
-  if (name == "verified") return PathVerdict::kVerified;
-  if (name == "violated") return PathVerdict::kViolated;
-  if (name == "unmappable") return PathVerdict::kUnmappable;
-  if (name == "inconclusive") return PathVerdict::kInconclusive;
-  return std::nullopt;
-}
-
-Json ContractCheckReport::to_json() const {
-  // Degradation hook for the robustness harness: a faulted serialization
-  // yields a minimal-but-valid record instead of a torn artifact. Consumers
-  // see `serialization_degraded` and keep the verdict counts.
-  if (support::faultpoint("report.serialize") != support::FaultAction::kNone) {
-    obs::metrics().counter("fault.report.serialize").add();
-    JsonObject stub;
-    stub["contract_id"] = contract_id;
-    stub["target_fragment"] = target_fragment;
-    stub["verified"] = verified;
-    stub["violated"] = violated;
-    stub["unmappable"] = unmappable;
-    stub["inconclusive"] = inconclusive;
-    stub["passed"] = passed();
-    stub["conclusive"] = conclusive();
-    stub["serialization_degraded"] = true;
-    return Json(std::move(stub));
-  }
-  JsonObject root;
-  root["contract_id"] = contract_id;
-  root["target_fragment"] = target_fragment;
-  root["target_statements"] = target_statements;
-  root["verified"] = verified;
-  root["violated"] = violated;
-  root["unmappable"] = unmappable;
-  if (inconclusive > 0) root["inconclusive"] = inconclusive;
-  root["uncovered"] = uncovered;
-  root["raw_paths"] = raw_paths;
-  root["truncated"] = truncated;
-  root["sanity_ok"] = sanity_ok;
-  root["passed"] = passed();
-  if (!conclusive()) root["conclusive"] = false;
-  if (budget_exhausted) {
-    root["budget_exhausted"] = true;
-    root["budget_reason"] = budget_reason;
-    if (!budget_resource.empty()) root["budget_resource"] = budget_resource;
-  }
-  JsonArray path_entries;
-  for (const PathReport& path : paths) {
-    JsonObject entry;
-    entry["chain"] = support::join(path.call_chain, " -> ");
-    entry["target_stmt"] = path.target_text;
-    entry["target_stmt_id"] = path.target_stmt_id;
-    entry["path_condition"] = path.path_condition;
-    entry["contract_condition"] = path.contract_condition;
-    entry["verdict"] = path_verdict_name(path.verdict);
-    if (!path.counterexample.empty()) entry["counterexample"] = path.counterexample;
-    if (!path.detail.empty()) entry["detail"] = path.detail;
-    entry["covered_by_test"] = path.covered_by_test;
-    if (!path.covering_tests.empty()) {
-      JsonArray covering;
-      for (const std::string& test : path.covering_tests) covering.push_back(Json(test));
-      entry["covering_tests"] = Json(std::move(covering));
-    }
-    path_entries.emplace_back(std::move(entry));
-  }
-  root["paths"] = Json(std::move(path_entries));
-  JsonObject dyn;
-  JsonArray selected;
-  for (const std::string& test : dynamic.selected_tests) selected.push_back(Json(test));
-  dyn["selected_tests"] = Json(std::move(selected));
-  dyn["tests_run"] = dynamic.tests_run;
-  dyn["tests_passed"] = dynamic.tests_passed;
-  dyn["target_hits"] = dynamic.target_hits;
-  dyn["symbolic_violations"] = dynamic.symbolic_violations;
-  dyn["concrete_violations"] = dynamic.concrete_violations;
-  if (dynamic.inconclusive_hits > 0) dyn["inconclusive_hits"] = dynamic.inconclusive_hits;
-  if (dynamic.degraded_runs > 0) dyn["degraded_runs"] = dynamic.degraded_runs;
-  if (!dynamic.violation_details.empty()) {
-    JsonArray details;
-    for (const std::string& detail : dynamic.violation_details)
-      details.push_back(Json(detail));
-    dyn["violation_details"] = Json(std::move(details));
-  }
-  root["dynamic"] = Json(std::move(dyn));
-  JsonArray structural;
-  for (const std::string& violation : structural_violations)
-    structural.push_back(Json(violation));
-  root["structural_violations"] = Json(std::move(structural));
-  if (!screen_verdict.empty()) {
-    JsonObject screen;
-    screen["verdict"] = screen_verdict;
-    if (!screen_witness.empty()) screen["witness"] = screen_witness;
-    screen["reason"] = screen_reason;
-    screen["elapsed_ms"] = screen_ms;
-    screen["skipped_concolic"] = screen_skipped_concolic;
-    root["screen"] = Json(std::move(screen));
-  }
-  // Emitted only when exploration actually ran (or degraded), so reports for
-  // thread-free programs stay byte-identical to the pre-scheduler checker.
-  if (schedules_explored > 0 || !schedule_conclusive) {
-    JsonObject schedule;
-    schedule["explored"] = schedules_explored;
-    schedule["conclusive"] = schedule_conclusive;
-    schedule["violations"] = schedule_violations;
-    if (!schedule_witness.empty()) schedule["witness"] = schedule_witness;
-    if (!schedule_inconclusive_reason.empty())
-      schedule["reason"] = schedule_inconclusive_reason;
-    if (!schedule_violation_details.empty()) {
-      JsonArray details;
-      for (const std::string& detail : schedule_violation_details)
-        details.push_back(Json(detail));
-      schedule["violation_details"] = Json(std::move(details));
-    }
-    root["schedule"] = Json(std::move(schedule));
-  }
-  if (!slice_fp.empty()) root["slice_fp"] = slice_fp;
-  return Json(std::move(root));
-}
-
-ContractCheckReport ContractCheckReport::from_json(const Json& json) {
-  ContractCheckReport report;
-  if (!json.is_object()) return report;
-  report.contract_id = json.get_string("contract_id");
-  report.target_fragment = json.get_string("target_fragment");
-  report.target_statements = static_cast<std::size_t>(json.get_int("target_statements"));
-  report.verified = static_cast<int>(json.get_int("verified"));
-  report.violated = static_cast<int>(json.get_int("violated"));
-  report.unmappable = static_cast<int>(json.get_int("unmappable"));
-  report.inconclusive = static_cast<int>(json.get_int("inconclusive"));
-  report.uncovered = static_cast<int>(json.get_int("uncovered"));
-  report.raw_paths = static_cast<std::size_t>(json.get_int("raw_paths"));
-  report.truncated = json.has("truncated") && json.at("truncated").is_bool() &&
-                     json.at("truncated").as_bool();
-  report.sanity_ok = json.has("sanity_ok") && json.at("sanity_ok").is_bool() &&
-                     json.at("sanity_ok").as_bool();
-  report.budget_exhausted = json.has("budget_exhausted") &&
-                            json.at("budget_exhausted").is_bool() &&
-                            json.at("budget_exhausted").as_bool();
-  report.budget_reason = json.get_string("budget_reason");
-  report.budget_resource = json.get_string("budget_resource");
-  if (json.has("paths") && json.at("paths").is_array()) {
-    for (const Json& entry : json.at("paths").as_array()) {
-      if (!entry.is_object()) continue;
-      PathReport path;
-      const std::string chain = entry.get_string("chain");
-      for (std::size_t pos = 0; pos <= chain.size();) {
-        const std::size_t arrow = chain.find(" -> ", pos);
-        const std::size_t end = arrow == std::string::npos ? chain.size() : arrow;
-        if (end > pos) path.call_chain.push_back(chain.substr(pos, end - pos));
-        if (arrow == std::string::npos) break;
-        pos = arrow + 4;
-      }
-      path.target_text = entry.get_string("target_stmt");
-      path.target_stmt_id = static_cast<int>(entry.get_int("target_stmt_id", -1));
-      path.path_condition = entry.get_string("path_condition");
-      path.contract_condition = entry.get_string("contract_condition");
-      path.verdict = path_verdict_from_name(entry.get_string("verdict"))
-                         .value_or(PathVerdict::kInconclusive);
-      path.counterexample = entry.get_string("counterexample");
-      path.detail = entry.get_string("detail");
-      path.covered_by_test = entry.has("covered_by_test") &&
-                             entry.at("covered_by_test").is_bool() &&
-                             entry.at("covered_by_test").as_bool();
-      if (entry.has("covering_tests") && entry.at("covering_tests").is_array())
-        for (const Json& test : entry.at("covering_tests").as_array())
-          if (test.is_string()) path.covering_tests.push_back(test.as_string());
-      report.paths.push_back(std::move(path));
-    }
-  }
-  if (json.has("dynamic") && json.at("dynamic").is_object()) {
-    const Json& dyn = json.at("dynamic");
-    if (dyn.has("selected_tests") && dyn.at("selected_tests").is_array())
-      for (const Json& test : dyn.at("selected_tests").as_array())
-        if (test.is_string()) report.dynamic.selected_tests.push_back(test.as_string());
-    report.dynamic.tests_run = static_cast<int>(dyn.get_int("tests_run"));
-    report.dynamic.tests_passed = static_cast<int>(dyn.get_int("tests_passed"));
-    report.dynamic.target_hits = static_cast<int>(dyn.get_int("target_hits"));
-    report.dynamic.symbolic_violations =
-        static_cast<int>(dyn.get_int("symbolic_violations"));
-    report.dynamic.concrete_violations =
-        static_cast<int>(dyn.get_int("concrete_violations"));
-    report.dynamic.inconclusive_hits = static_cast<int>(dyn.get_int("inconclusive_hits"));
-    report.dynamic.degraded_runs = static_cast<int>(dyn.get_int("degraded_runs"));
-    if (dyn.has("violation_details") && dyn.at("violation_details").is_array())
-      for (const Json& detail : dyn.at("violation_details").as_array())
-        if (detail.is_string())
-          report.dynamic.violation_details.push_back(detail.as_string());
-  }
-  if (json.has("structural_violations") && json.at("structural_violations").is_array())
-    for (const Json& violation : json.at("structural_violations").as_array())
-      if (violation.is_string())
-        report.structural_violations.push_back(violation.as_string());
-  if (json.has("screen") && json.at("screen").is_object()) {
-    const Json& screen = json.at("screen");
-    report.screen_verdict = screen.get_string("verdict");
-    report.screen_witness = screen.get_string("witness");
-    report.screen_reason = screen.get_string("reason");
-    if (screen.has("elapsed_ms") && screen.at("elapsed_ms").is_number())
-      report.screen_ms = screen.at("elapsed_ms").as_double();
-    report.screen_skipped_concolic = screen.has("skipped_concolic") &&
-                                     screen.at("skipped_concolic").is_bool() &&
-                                     screen.at("skipped_concolic").as_bool();
-  }
-  if (json.has("schedule") && json.at("schedule").is_object()) {
-    const Json& schedule = json.at("schedule");
-    report.schedules_explored = static_cast<int>(schedule.get_int("explored"));
-    report.schedule_conclusive = !schedule.has("conclusive") ||
-                                 !schedule.at("conclusive").is_bool() ||
-                                 schedule.at("conclusive").as_bool();
-    report.schedule_violations = static_cast<int>(schedule.get_int("violations"));
-    report.schedule_witness = schedule.get_string("witness");
-    report.schedule_inconclusive_reason = schedule.get_string("reason");
-    if (schedule.has("violation_details") && schedule.at("violation_details").is_array())
-      for (const Json& detail : schedule.at("violation_details").as_array())
-        if (detail.is_string())
-          report.schedule_violation_details.push_back(detail.as_string());
-  }
-  report.slice_fp = json.get_string("slice_fp");
-  return report;
-}
-
-std::string ContractCheckReport::verdict_signature() const {
-  std::string sig = contract_id + "|" + target_fragment;
-  sig += "|verified=" + std::to_string(verified);
-  sig += "|violated=" + std::to_string(violated);
-  sig += "|unmappable=" + std::to_string(unmappable);
-  sig += "|inconclusive=" + std::to_string(inconclusive);
-  sig += "|uncovered=" + std::to_string(uncovered);
-  if (truncated) sig += "|truncated";
-  sig += sanity_ok ? "|sane" : "|unsane";
-  sig += passed() ? "|passed" : "|failed";
-  for (const PathReport& path : paths) {
-    sig += "\npath ";
-    for (const std::string& fn : path.call_chain) sig += fn + ">";
-    // The target is named by its text, not its statement id: ids are
-    // positional and shift when an edit inserts statements elsewhere, and a
-    // pure shift is not a verdict change.
-    sig += "[" + path.target_text + "]";
-    sig += " " + std::string(path_verdict_name(path.verdict));
-    if (!path.counterexample.empty()) sig += " " + path.counterexample;
-  }
-  for (const std::string& violation : structural_violations)
-    sig += "\nstructural " + violation;
-  sig += "\ndynamic tests=" + std::to_string(dynamic.tests_run);
-  sig += " passed=" + std::to_string(dynamic.tests_passed);
-  sig += " hits=" + std::to_string(dynamic.target_hits);
-  sig += " symbolic=" + std::to_string(dynamic.symbolic_violations);
-  sig += " concrete=" + std::to_string(dynamic.concrete_violations);
-  for (const std::string& detail : dynamic.violation_details) sig += "\nviolation " + detail;
-  if (!screen_verdict.empty()) sig += "\nscreen " + screen_verdict;
-  if (schedules_explored > 0 || !schedule_conclusive) {
-    sig += "\nschedule explored=" + std::to_string(schedules_explored);
-    sig += " violations=" + std::to_string(schedule_violations);
-    sig += schedule_conclusive ? " conclusive" : " inconclusive";
-    if (!schedule_witness.empty()) sig += " " + schedule_witness;
-  }
-  return sig;
-}
 
 namespace {
 
@@ -357,20 +83,14 @@ obs::CaptureHandle bind_capture(obs::ProvenanceLedger* ledger,
   return {ledger, capture};
 }
 
-/// Copies the final verdict and budget accounting onto the capture cell.
+/// Stores the report and the budget accounting in the capture cell.
 /// Charges are counter snapshots (deterministic for non-deadline budgets);
 /// elapsed time deliberately stays out of the ledger.
 void finalize_capture(const obs::CaptureHandle& capture, const ContractCheckReport& report,
                       const support::Budget* budget) {
   if (!capture.active()) return;
   obs::ContractCapture* cell = capture.capture;
-  cell->passed = report.passed();
-  cell->conclusive = report.conclusive();
-  cell->verdict =
-      !report.passed() ? "violated" : (report.conclusive() ? "passed" : "inconclusive");
-  cell->screen_verdict = report.screen_verdict;
-  cell->screen_reason = report.screen_reason;
-  cell->screen_witness = report.screen_witness;
+  cell->report = report;
   cell->budget.attached = budget != nullptr;
   if (budget != nullptr) {
     cell->budget.exhausted = budget->exhausted();
@@ -468,7 +188,7 @@ void screen_lock_state(const staticcheck::Screener& analysis,
 /// the narration replays.
 std::optional<concolic::ScheduleWitness> explore_schedules(
     const minilang::Program& program, const CheckOptions& options,
-    const obs::CaptureHandle& capture, ContractCheckReport& report) {
+    ContractCheckReport& report) {
   report.sanity_ok = true;  // the witness schedule is its own evidence
   concolic::ScheduleExploreOptions schedule_options;
   schedule_options.max_schedules = options.max_schedules;
@@ -495,15 +215,6 @@ std::optional<concolic::ScheduleWitness> explore_schedules(
     obs::metrics().counter("checker.schedule_violations").add();
   if (!explored.conclusive)
     obs::metrics().counter("checker.schedule_inconclusive").add();
-  if (capture.active()) {
-    capture.capture->schedules_explored = report.schedules_explored;
-    capture.capture->schedule_conclusive = report.schedule_conclusive;
-    capture.capture->schedule_witness = report.schedule_witness;
-    capture.capture->schedule_reason =
-        !report.schedule_violation_details.empty()
-            ? report.schedule_violation_details.front()
-            : report.schedule_inconclusive_reason;
-  }
   if (explored.witnesses.empty()) return std::nullopt;
   return explored.witnesses.front();
 }
@@ -599,7 +310,6 @@ void check_paths(const staticcheck::Screener& analysis, const SemanticContract& 
         path.target != nullptr ? minilang::stmt_header_text(*path.target) : "";
     path_report.path_condition = path.condition->to_string();
     path_report.contract_condition = path.renamed_contract->to_string();
-    smt::Model violated_model;
     if (options.budget != nullptr && !options.budget->charge_path()) {
       // A refused path is inconclusive, never silently verified: the report
       // keeps the full path entry so a resumed run can pick it back up.
@@ -619,7 +329,6 @@ void check_paths(const staticcheck::Screener& analysis, const SemanticContract& 
       } else if (result.sat()) {
         path_report.verdict = PathVerdict::kViolated;
         path_report.counterexample = result.model.to_string();
-        violated_model = result.model;
         if (narration.target_stmt_id < 0) {
           // The first violated path's model, in canonical frame vocabulary.
           narration.model_bools = result.model.bools;
@@ -631,20 +340,6 @@ void check_paths(const staticcheck::Screener& analysis, const SemanticContract& 
         path_report.verdict = PathVerdict::kVerified;
         ++report.verified;
       }
-    }
-    if (capture.active()) {
-      obs::PathEvidence evidence;
-      evidence.chain = support::join(path_report.call_chain, " -> ");
-      evidence.target_stmt_id = path_report.target_stmt_id;
-      evidence.target_text = path_report.target_text;
-      evidence.path_condition = path_report.path_condition;
-      evidence.contract_condition = path_report.contract_condition;
-      evidence.verdict = path_verdict_name(path_report.verdict);
-      evidence.counterexample = path_report.counterexample;
-      evidence.detail = path_report.detail;
-      evidence.model_bools = violated_model.bools;
-      evidence.model_ints = violated_model.ints;
-      capture.path(std::move(evidence));
     }
     report.paths.push_back(std::move(path_report));
   }
@@ -808,7 +503,7 @@ ContractCheckReport Checker::check(const staticcheck::Screener& analysis,
     screen_lock_state(analysis, screen_options, report);
   } else if (contract.kind == corpus::SemanticsKind::kInterleavingSensitive &&
              (contract.pattern == "atomic" || contract.pattern == "eventually")) {
-    schedule_witness = explore_schedules(program, options, capture, report);
+    schedule_witness = explore_schedules(program, options, report);
   } else if (contract.kind == corpus::SemanticsKind::kInterleavingSensitive) {
     screen_locksets(analysis, contract, screen_options, report, narration);
   } else {

@@ -23,8 +23,6 @@
 // summaries, slicer and lock graph.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,137 +31,17 @@
 #include "obs/provenance.hpp"
 #include "staticcheck/screener.hpp"
 #include "support/budget.hpp"
-#include "support/json.hpp"
 
 namespace lisa::core {
 
-enum class PathVerdict { kVerified, kViolated, kUnmappable, kInconclusive };
-
-[[nodiscard]] const char* path_verdict_name(PathVerdict verdict);
-
-/// Inverse of path_verdict_name; nullopt on an unrecognized name (ledger
-/// reports written by a different build).
-[[nodiscard]] std::optional<PathVerdict> path_verdict_from_name(const std::string& name);
-
-struct PathReport {
-  std::vector<std::string> call_chain;
-  int target_stmt_id = -1;
-  std::string target_text;
-  std::string path_condition;
-  std::string contract_condition;  // renamed to canonical names
-  PathVerdict verdict = PathVerdict::kVerified;
-  std::string counterexample;  // model of π ∧ ¬P for violated paths
-  std::string detail;          // kInconclusive: why the verdict was refused
-  bool covered_by_test = false;
-  std::vector<std::string> covering_tests;
-};
-
-struct DynamicReport {
-  std::vector<std::string> selected_tests;
-  int tests_run = 0;
-  int tests_passed = 0;
-  int target_hits = 0;
-  int symbolic_violations = 0;
-  int concrete_violations = 0;
-  /// Target hits whose π ∧ ¬P query came back unknown (budget or fault):
-  /// neither a violation nor a confirmation.
-  int inconclusive_hits = 0;
-  /// Runs cut short by the step limit or an exhausted budget.
-  int degraded_runs = 0;
-  std::vector<std::string> violation_details;
-};
-
-struct ContractCheckReport {
-  std::string contract_id;
-  std::string target_fragment;
-  std::size_t target_statements = 0;
-  std::vector<PathReport> paths;
-  int verified = 0;
-  int violated = 0;
-  int unmappable = 0;
-  int inconclusive = 0;     // paths refused by budget / fault / solver unknown
-  int uncovered = 0;        // static paths no selected test exercised
-  std::size_t raw_paths = 0;  // before pruning/dedup (ablation metric)
-  bool truncated = false;
-  /// ≥1 statically verified path (the fixed path) — the paper's sanity
-  /// check; also the cross-validation signal that grounds LLM output
-  /// against actual system behaviour (§5).
-  bool sanity_ok = false;
-  DynamicReport dynamic;
-  std::vector<std::string> structural_violations;  // structural contracts
-
-  // Static screening (src/staticcheck): three-valued verdict computed before
-  // the expensive phases. Empty string when screening was disabled.
-  std::string screen_verdict;   // "proved-safe" | "proved-violated" | "unknown"
-  std::string screen_witness;   // entry->target chain + model for refutations
-  std::string screen_reason;
-  double screen_ms = 0.0;
-  /// True when the screener verdict made the concolic replay unnecessary.
-  bool screen_skipped_concolic = false;
-
-  /// Resource governance (support/budget.hpp): set when the attached budget
-  /// latched exhausted at any point during this contract's check. The
-  /// skipped work is accounted under `inconclusive` / dynamic degradation —
-  /// never silently dropped.
-  bool budget_exhausted = false;
-  std::string budget_reason;
-  /// Typed exhaustion cause ("deadline" | "smt-queries" | "paths" |
-  /// "fork-points" | "steps"); empty unless budget_exhausted.
-  std::string budget_resource;
-
-  /// Schedule exploration (concolic/schedule.hpp): interleaving contracts
-  /// with `atomic` / `eventually` patterns are decided by re-running every
-  /// spawning @test under the cooperative scheduler, one interleaving per
-  /// run. Serial replay sees exactly one schedule and is provably blind to
-  /// these bugs, so the explorer's verdict is the contract's verdict.
-  int schedules_explored = 0;
-  /// False when the DFS could not drain the reduced schedule space within
-  /// the bound (or the budget): "no violation found so far", never a pass.
-  bool schedule_conclusive = true;
-  int schedule_violations = 0;
-  /// Compact replayable witness of the first violating interleaving
-  /// (ScheduleWitness::to_compact): seed + decision list re-derive the
-  /// identical trace on any later run.
-  std::string schedule_witness;
-  std::string schedule_inconclusive_reason;
-  std::vector<std::string> schedule_violation_details;
-
-  /// Slice fingerprint of this contract's verdict cone
-  /// (staticcheck/slice.hpp): the canonical identity of everything the
-  /// verdict can depend on. Resume replays a report from the previous
-  /// run's ledger iff its slice_fp still matches the current program.
-  /// check_contracts stamps it when the run has a ledger; empty otherwise.
-  std::string slice_fp;
-
-  /// True when the checked program satisfies the contract everywhere.
-  [[nodiscard]] bool passed() const {
-    return violated == 0 && structural_violations.empty() &&
-           dynamic.symbolic_violations == 0 && dynamic.concrete_violations == 0 &&
-           schedule_violations == 0;
-  }
-
-  /// True when every phase ran to completion: no path refused, no run
-  /// degraded, no budget exhaustion. `passed() && !conclusive()` means
-  /// "no violation found so far" — needs attention, not a green light.
-  [[nodiscard]] bool conclusive() const {
-    return !budget_exhausted && inconclusive == 0 &&
-           dynamic.inconclusive_hits == 0 && dynamic.degraded_runs == 0 &&
-           schedule_conclusive;
-  }
-
-  /// Canonical rendering of everything verdict-relevant — counts, per-path
-  /// verdicts and counterexamples, dynamic violations, structural findings,
-  /// screen verdict — excluding timings and the screen reason/witness
-  /// phrasing. Two runs decided a contract identically iff their signatures
-  /// are byte-identical: the equivalence oracle for incremental re-checking
-  /// (bench_incremental) and resume tests.
-  [[nodiscard]] std::string verdict_signature() const;
-
-  [[nodiscard]] support::Json to_json() const;
-  /// Rebuilds a report from its to_json form (resume from a ledger).
-  /// Best-effort: unknown verdict names degrade to kInconclusive.
-  [[nodiscard]] static ContractCheckReport from_json(const support::Json& json);
-};
+// The report types live in obs (obs/provenance.hpp), so a ledger capture
+// can hold its contract's report; the checker's callers name them here.
+using obs::ContractCheckReport;
+using obs::DynamicReport;
+using obs::path_verdict_from_name;
+using obs::path_verdict_name;
+using obs::PathReport;
+using obs::PathVerdict;
 
 struct CheckOptions {
   bool run_concolic = true;
@@ -195,9 +73,10 @@ struct CheckOptions {
   support::Budget* budget = nullptr;
   /// Verdict provenance (obs/provenance.hpp): when set, the checker records
   /// the complete evidence chain — screen facts and summaries, every static
-  /// path's π ∧ ¬P query, concolic hits, budget charges, and a narrated
-  /// counterexample for violated contracts. nullptr = zero-cost (the check
-  /// output is byte-identical to an uncaptured run).
+  /// path's π ∧ ¬P query, concolic hits, budget charges, a narrated
+  /// counterexample for violated contracts, and the report itself.
+  /// nullptr = zero-cost (the check output is byte-identical to an
+  /// uncaptured run).
   obs::ProvenanceLedger* ledger = nullptr;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <optional>
 
 #include "support/jsonl.hpp"
 #include "support/log.hpp"
@@ -11,34 +10,18 @@
 
 namespace lisa::core {
 
-using support::Json;
-
 namespace {
 
-/// The report as a capture embeds it: to_json() without the screen's
-/// elapsed time, because ledger lines carry no timings.
-Json embedded_report(const ContractCheckReport& report) {
-  Json json = report.to_json();
-  if (json.has("screen")) json.as_object().at("screen").as_object().erase("elapsed_ms");
-  return json;
-}
-
-/// The report `contract` replays from its capture in the previous run's
-/// ledger: the capture is conclusive and embeds a conclusive report of the
-/// same contract with the capture's pass/fail outcome, and both carry
-/// `slice_fp`, the contract's slice fingerprint on this program. The
-/// outcome check keeps a corrupted count in the report from replaying as a
-/// pass. nullopt = check the contract again.
-std::optional<ContractCheckReport> replayable(const obs::ContractCapture* capture,
-                                              const SemanticContract& contract,
-                                              const std::string& slice_fp) {
-  if (capture == nullptr || !capture->conclusive || capture->slice_fp != slice_fp)
-    return std::nullopt;
-  ContractCheckReport report = ContractCheckReport::from_json(capture->report);
-  if (report.contract_id != contract.id || !report.conclusive() ||
-      report.passed() != capture->passed || report.slice_fp != slice_fp)
-    return std::nullopt;
-  return report;
+/// True when `contract` replays its capture in the previous run's ledger:
+/// the capture is intact (its line's digest still matches), and its report
+/// names the contract, is conclusive, and carries `slice_fp`, the
+/// contract's slice fingerprint on this program. False = check it again.
+bool replayable(const obs::ContractCapture* capture, const SemanticContract& contract,
+                const std::string& slice_fp) {
+  if (capture == nullptr || !capture->intact()) return false;
+  const ContractCheckReport& report = capture->report;
+  return report.contract_id == contract.id && report.conclusive() &&
+         report.slice_fp == slice_fp;
 }
 
 }  // namespace
@@ -67,7 +50,8 @@ CheckedContracts check_contracts(const staticcheck::Screener& analysis,
                    " capture(s)");
     else if (std::ifstream(journal).peek() != std::ifstream::traits_type::eof())
       support::log(support::LogLevel::warn, "journal ", journal,
-                   " is not a provenance ledger; checking every contract");
+                   " is not a version-", obs::ProvenanceLedger::kLedgerVersion,
+                   " provenance ledger; checking every contract");
   }
   bool journaling = !journal.empty();
   if (journaling && !ledger->start_jsonl(journal)) {
@@ -81,16 +65,14 @@ CheckedContracts check_contracts(const staticcheck::Screener& analysis,
     // Per-contract resume: an edit only re-checks the contracts whose verdict
     // cone contains it; inconclusive entries are always re-checked.
     const obs::ContractCapture* prior = previous.find(contract->id);
-    if (std::optional<ContractCheckReport> replayed = replayable(prior, *contract, slice_fp)) {
+    if (replayable(prior, *contract, slice_fp)) {
       *ledger->capture_for(contract->id) = *prior;
-      checked.reports.push_back(std::move(*replayed));
+      checked.reports.push_back(prior->report);
       ++checked.resumed;
     } else {
       ContractCheckReport report = checker.check(analysis, *contract, contract_options);
       report.slice_fp = slice_fp;
-      obs::ContractCapture* capture = ledger->capture_for(contract->id);
-      capture->slice_fp = slice_fp;
-      capture->report = embedded_report(report);
+      ledger->capture_for(contract->id)->report.slice_fp = slice_fp;
       checked.reports.push_back(std::move(report));
     }
     if (journaling) ledger->append_jsonl(journal, contract->id);
@@ -109,7 +91,7 @@ RunTotals tally(const std::vector<ContractCheckReport>& reports) {
       ++totals.unknown;
     if (report.screen_skipped_concolic) ++totals.concolic_skipped;
     if (!report.conclusive()) ++totals.inconclusive;
-    if (report.schedules_explored > 0 || !report.schedule_conclusive) {
+    if (report.explored_schedules()) {
       ++totals.schedule_contracts;
       totals.schedules_explored += report.schedules_explored;
       if (!report.schedule_conclusive) ++totals.schedule_inconclusive;
@@ -132,9 +114,7 @@ obs::RunRecord history_record(std::string kind, std::string label,
     obs::ContractOutcome outcome;
     outcome.passed = report.passed();
     outcome.conclusive = report.conclusive();
-    outcome.verdict = !outcome.conclusive ? "inconclusive"
-                      : outcome.passed    ? "passed"
-                                          : "violated";
+    outcome.verdict = report.verdict_name();
     outcome.signature_digest = support::fnv1a_fingerprint(report.verdict_signature());
     outcome.slice_fp = report.slice_fp;
     if (const obs::ContractCapture* capture = ledger.find(report.contract_id)) {

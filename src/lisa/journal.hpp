@@ -8,17 +8,18 @@
 // its own budget, a CI timeout, or a crash. `--journal <file>` makes the
 // work durable at contract granularity: the run writes its provenance
 // ledger (obs/provenance.hpp) to the file as it goes, one capture line per
-// finished contract, and each capture embeds the contract's report. A
-// resumed run (`lisa check --resume`, `lisa gate --resume`) loads the
-// previous run's file and replays a contract instead of re-checking it when
-// its capture and embedded report are conclusive, name the contract, and
-// carry the slice fingerprint (staticcheck/slice.hpp) the contract has on
-// the current program — a one-function edit then re-checks only the
-// contracts whose verdict cone contains it. The replayed capture goes into
-// this run's ledger unchanged. Inconclusive entries (budget-refused paths,
-// degraded replays) are deliberately *not* reused — resuming is the second
-// chance to settle them. A torn final line (crash mid-append) is dropped;
-// everything before it survives. A file of another kind is ignored with a
+// finished contract, each holding the contract's report and the digest of
+// its line. A resumed run (`lisa check --resume`, `lisa gate --resume`)
+// loads the previous run's file and replays a contract instead of
+// re-checking it when its capture is intact (the digest still matches)
+// and its report is conclusive, names the contract, and carries the slice
+// fingerprint (staticcheck/slice.hpp) the contract has on the current
+// program — a one-function edit then re-checks only the contracts whose
+// verdict cone contains it. The replayed capture goes into this run's
+// ledger unchanged. Inconclusive entries (budget-refused paths, degraded
+// replays) are deliberately *not* reused — resuming is the second chance to
+// settle them. A torn final line (crash mid-append) is dropped; everything
+// before it survives. A file of another kind or version is ignored with a
 // warning, and every contract is checked.
 #pragma once
 
@@ -31,8 +32,8 @@
 namespace lisa::core {
 
 /// Per-run options `lisa check` and `lisa gate` share. The defaults cost
-/// nothing: no inputs string, no slice fingerprint, no embedded report, and
-/// output byte-identical to a run without them.
+/// nothing: no inputs string, no slice fingerprint, no capture, and output
+/// byte-identical to a run without them.
 struct RunOptions {
   /// Ledger file the run writes as it goes and a resumed run reads (the
   /// JSONL form of obs/provenance.hpp). Empty = none.
@@ -70,9 +71,9 @@ struct CheckedContracts {
 };
 
 /// Checks `contracts` in order against the program `analysis` was built
-/// for. With a ledger, binds it to `inputs`, stamps each report and capture
-/// with the contract's slice fingerprint, embeds the report in the capture,
-/// writes the ledger to the journal as it goes, and on resume replays each
+/// for. With a ledger, binds it to `inputs`, stamps each report (and the
+/// copy its capture holds) with the contract's slice fingerprint, writes
+/// the ledger to the journal as it goes, and on resume replays each
 /// contract the previous journal settled (see the file comment). Without
 /// one, `inputs` is not read and no fingerprint is computed.
 [[nodiscard]] CheckedContracts check_contracts(

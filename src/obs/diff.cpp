@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 
+#include "support/strings.hpp"
+
 namespace lisa::obs {
 
 using support::Json;
@@ -17,37 +19,41 @@ std::string or_absent(const std::string& verdict) {
   return verdict.empty() ? "(absent)" : verdict;
 }
 
-/// Stable identity of one static path inside a capture: call chain plus
+/// Stable identity of one static path inside a report: call chain plus
 /// target statement. Two runs explored "the same path" iff the keys match.
-std::string path_key(const PathEvidence& path) {
-  return path.chain + " #" + std::to_string(path.target_stmt_id);
+std::string path_key(const PathReport& path) {
+  return support::join(path.call_chain, " -> ") + " #" + std::to_string(path.target_stmt_id);
 }
 
 /// Evidence-chain delta notes between two captures of the same contract,
 /// in fixed rule order so the report is byte-stable.
 std::vector<std::string> capture_notes(const ContractCapture& a, const ContractCapture& b) {
   std::vector<std::string> notes;
+  const ContractCheckReport& ra = a.report;
+  const ContractCheckReport& rb = b.report;
 
-  if (a.screen_verdict != b.screen_verdict || a.screen_reason != b.screen_reason)
-    notes.push_back("screen: " + or_absent(a.screen_verdict) +
-                    (a.screen_reason.empty() ? "" : " (" + a.screen_reason + ")") + " -> " +
-                    or_absent(b.screen_verdict) +
-                    (b.screen_reason.empty() ? "" : " (" + b.screen_reason + ")"));
-  if (a.slice_fp != b.slice_fp)
-    notes.push_back("slice fingerprint: " + or_absent(a.slice_fp) + " -> " +
-                    or_absent(b.slice_fp));
+  if (ra.screen_verdict != rb.screen_verdict || ra.screen_reason != rb.screen_reason)
+    notes.push_back("screen: " + or_absent(ra.screen_verdict) +
+                    (ra.screen_reason.empty() ? "" : " (" + ra.screen_reason + ")") + " -> " +
+                    or_absent(rb.screen_verdict) +
+                    (rb.screen_reason.empty() ? "" : " (" + rb.screen_reason + ")"));
+  if (ra.slice_fp != rb.slice_fp)
+    notes.push_back("slice fingerprint: " + or_absent(ra.slice_fp) + " -> " +
+                    or_absent(rb.slice_fp));
 
   // Paths: keyed by chain + target; verdict changes, appearances, vanishings.
-  std::map<std::string, const PathEvidence*> paths_a;
-  std::map<std::string, const PathEvidence*> paths_b;
-  for (const PathEvidence& path : a.paths) paths_a[path_key(path)] = &path;
-  for (const PathEvidence& path : b.paths) paths_b[path_key(path)] = &path;
+  std::map<std::string, const PathReport*> paths_a;
+  std::map<std::string, const PathReport*> paths_b;
+  for (const PathReport& path : ra.paths) paths_a[path_key(path)] = &path;
+  for (const PathReport& path : rb.paths) paths_b[path_key(path)] = &path;
   for (const auto& [key, path] : paths_a) {
+    const std::string verdict = path_verdict_name(path->verdict);
     const auto it = paths_b.find(key);
     if (it == paths_b.end()) {
-      notes.push_back("path vanished: " + key + " [" + path->verdict + "]");
+      notes.push_back("path vanished: " + key + " [" + verdict + "]");
     } else if (path->verdict != it->second->verdict) {
-      std::string note = "path " + key + ": " + path->verdict + " -> " + it->second->verdict;
+      std::string note = "path " + key + ": " + verdict + " -> " +
+                         path_verdict_name(it->second->verdict);
       if (!it->second->counterexample.empty())
         note += " (counterexample " + it->second->counterexample + ")";
       notes.push_back(std::move(note));
@@ -55,7 +61,7 @@ std::vector<std::string> capture_notes(const ContractCapture& a, const ContractC
   }
   for (const auto& [key, path] : paths_b)
     if (paths_a.find(key) == paths_a.end())
-      notes.push_back("path appeared: " + key + " [" + path->verdict + "]");
+      notes.push_back("path appeared: " + key + " [" + path_verdict_name(path->verdict) + "]");
 
   // SMT queries: keyed by content digest. A digest present on both sides
   // with a different status is a changed solver outcome — the strongest
@@ -177,10 +183,10 @@ DiffReport diff_ledgers(const ProvenanceLedger& a, const ProvenanceLedger& b) {
     const ContractCapture* after = b.find(id);
     ContractDelta delta;
     delta.contract_id = id;
-    delta.before = before != nullptr ? before->verdict : "";
-    delta.after = after != nullptr ? after->verdict : "";
+    delta.before = before != nullptr ? before->report.verdict_name() : "";
+    delta.after = after != nullptr ? after->report.verdict_name() : "";
     if (before != nullptr && after != nullptr) {
-      delta.flipped = before->verdict != after->verdict;
+      delta.flipped = delta.before != delta.after;
       delta.notes = capture_notes(*before, *after);
       if (!delta.flipped && delta.notes.empty()) {
         ++report.contracts_unchanged;
@@ -289,47 +295,45 @@ std::string html_escape(const std::string& text) {
   return out;
 }
 
-namespace {
-
 const char* verdict_class(const std::string& verdict) {
   if (verdict == "violated") return "bad";
   if (verdict == "passed") return "good";
   return "warn";
 }
 
-}  // namespace
+std::string html_page(const std::string& title, const std::string& extra_css,
+                      const std::string& body) {
+  return "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n<title>" +
+         html_escape(title) +
+         "</title>\n<style>\n"
+         "body{font-family:system-ui,sans-serif;margin:2rem auto;max-width:64rem;"
+         "color:#1a1a2e;line-height:1.45}\n"
+         "code{background:#f2f2f7;padding:0 .2em;border-radius:3px;"
+         "font-size:.92em;word-break:break-all}\n"
+         "table{border-collapse:collapse;margin:.5rem 0;width:100%}\n"
+         "th,td{border:1px solid #d8d8e0;padding:.25rem .5rem;text-align:left;"
+         "vertical-align:top;font-size:.9rem}\n"
+         "th{background:#f7f7fb}\n"
+         ".badge{padding:.1em .5em;border-radius:1em;font-size:.85em;color:#fff}\n"
+         ".badge.bad,td.bad{background:#c0392b;color:#fff}\n"
+         ".badge.good,td.good{background:#1e8449;color:#fff}\n"
+         ".badge.warn{background:#b9770e}\n"
+         ".meta{color:#555;font-size:.9rem;margin:.2rem 0}\n" +
+         extra_css + "</style></head><body>\n<h1>" + html_escape(title) + "</h1>\n" + body +
+         "</body></html>\n";
+}
 
 std::string render_diff_html(const DiffReport& report) {
-  // Same inline-CSS conventions as render_ledger_html: self-contained, no
-  // external assets, suitable for CI artifact upload.
   std::string out;
-  out +=
-      "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n"
-      "<title>LISA gate diff</title>\n<style>\n"
-      "body{font-family:system-ui,sans-serif;margin:2rem auto;max-width:64rem;"
-      "color:#1a1a2e;line-height:1.45}\n"
-      "code{background:#f2f2f7;padding:0 .2em;border-radius:3px;"
-      "font-size:.92em;word-break:break-all}\n"
-      "table{border-collapse:collapse;margin:.5rem 0;width:100%}\n"
-      "th,td{border:1px solid #d8d8e0;padding:.25rem .5rem;text-align:left;"
-      "vertical-align:top;font-size:.9rem}\n"
-      "th{background:#f7f7fb}\n"
-      ".badge{padding:.1em .5em;border-radius:1em;font-size:.85em;color:#fff}\n"
-      ".badge.bad,td.bad{background:#c0392b;color:#fff}\n"
-      ".badge.good,td.good{background:#1e8449;color:#fff}\n"
-      ".badge.warn{background:#b9770e}\n"
-      ".meta{color:#555;font-size:.9rem;margin:.2rem 0}\n"
-      "ul.notes{margin:.2rem 0 .6rem 1.2rem;font-size:.9rem}\n"
-      "</style></head><body>\n";
-  out += "<h1>LISA gate diff</h1>\n";
   out += "<p class=\"meta\"><code>" + html_escape(report.label_a) + "</code> &rarr; <code>" +
          html_escape(report.label_b) + "</code> · fingerprints <code>" +
          html_escape(or_absent(report.fingerprint_a)) + "</code> &rarr; <code>" +
          html_escape(or_absent(report.fingerprint_b)) + "</code></p>\n";
+  const char* const notes_css = "ul.notes{margin:.2rem 0 .6rem 1.2rem;font-size:.9rem}\n";
   if (report.identical()) {
     out += "<p>No differences: " + std::to_string(report.contracts_unchanged) +
-           " contract(s) decided identically.</p>\n</body></html>\n";
-    return out;
+           " contract(s) decided identically.</p>\n";
+    return html_page("LISA gate diff", notes_css, out);
   }
   out += "<p><strong>" + std::to_string(report.verdict_flips()) +
          " verdict flip(s)</strong>, " + std::to_string(report.contracts.size()) +
@@ -337,9 +341,9 @@ std::string render_diff_html(const DiffReport& report) {
          " unchanged.</p>\n";
   for (const ContractDelta& contract : report.contracts) {
     out += "<h3><code>" + html_escape(contract.contract_id) + "</code> <span class=\"badge " +
-           verdict_class(contract.before.empty() ? "warn" : contract.before) + "\">" +
+           verdict_class(contract.before) + "\">" +
            html_escape(or_absent(contract.before)) + "</span> &rarr; <span class=\"badge " +
-           verdict_class(contract.after.empty() ? "warn" : contract.after) + "\">" +
+           verdict_class(contract.after) + "\">" +
            html_escape(or_absent(contract.after)) + "</span>" +
            (contract.flipped ? " — verdict flip" : "") + "</h3>\n";
     if (!contract.notes.empty()) {
@@ -358,8 +362,7 @@ std::string render_diff_html(const DiffReport& report) {
              "</td><td>" + format_value(metric.delta()) + "</td></tr>\n";
     out += "</table>\n";
   }
-  out += "</body></html>\n";
-  return out;
+  return html_page("LISA gate diff", notes_css, out);
 }
 
 }  // namespace lisa::obs

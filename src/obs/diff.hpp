@@ -78,12 +78,21 @@ struct DiffReport {
 /// Terminal rendering (byte-stable).
 [[nodiscard]] std::string render_diff_text(const DiffReport& report);
 
-/// Self-contained HTML rendering, same inline-CSS conventions as
-/// render_ledger_html (obs/explain.hpp) — works as an offline CI artifact.
+/// Self-contained HTML rendering (html_page below).
 [[nodiscard]] std::string render_diff_html(const DiffReport& report);
 
-/// Escapes `&`, `<`, `>` and `"` for HTML text and attribute values; the
-/// diff and ledger (obs/explain.hpp) reports share it.
+// HTML helpers the diff, ledger (obs/explain.hpp) and trends reports share.
+
+/// Escapes `&`, `<`, `>` and `"` for HTML text and attribute values.
 [[nodiscard]] std::string html_escape(const std::string& text);
+
+/// A self-contained page — inline CSS only, no external assets, so it works
+/// as an offline CI artifact: the reports' shared style plus `extra_css`,
+/// `title` as the page title and heading, then `body`.
+[[nodiscard]] std::string html_page(const std::string& title, const std::string& extra_css,
+                                    const std::string& body);
+
+/// Badge class of a verdict: "bad" violated, "good" passed, "warn" otherwise.
+[[nodiscard]] const char* verdict_class(const std::string& verdict);
 
 }  // namespace lisa::obs

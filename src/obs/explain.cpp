@@ -582,34 +582,41 @@ void append_line(std::string* out, const std::string& line) {
   *out += '\n';
 }
 
+/// Why the exploration ended as it did: the first violating schedule, or
+/// the typed inconclusive reason.
+const std::string& schedule_cause(const ContractCheckReport& report) {
+  return report.schedule_violation_details.empty() ? report.schedule_inconclusive_reason
+                                                   : report.schedule_violation_details.front();
+}
+
 }  // namespace
 
 std::string render_capture_text(const ContractCapture& capture) {
+  const ContractCheckReport& report = capture.report;
   std::string out;
   append_line(&out, "contract " + capture.contract_id +
                         (capture.system.empty() ? "" : " (" + capture.system + ")") + " — " +
-                        capture.verdict);
+                        report.verdict_name());
   if (!capture.description.empty()) append_line(&out, "  " + capture.description);
   append_line(&out, "  kind: " + capture.kind + "  target: \"" + capture.target_fragment +
                         "\"  fingerprint: " + capture.fingerprint);
   if (!capture.condition_text.empty())
     append_line(&out, "  condition: " + capture.condition_text);
 
-  if (!capture.screen_verdict.empty()) {
-    append_line(&out, "  screen: " + capture.screen_verdict +
-                          (capture.screen_reason.empty() ? "" : " — " + capture.screen_reason));
-    if (!capture.screen_witness.empty())
-      append_line(&out, "    witness: " + capture.screen_witness);
+  if (!report.screen_verdict.empty()) {
+    append_line(&out, "  screen: " + report.screen_verdict +
+                          (report.screen_reason.empty() ? "" : " — " + report.screen_reason));
+    if (!report.screen_witness.empty())
+      append_line(&out, "    witness: " + report.screen_witness);
   }
 
-  if (capture.schedules_explored > 0 || !capture.schedule_conclusive) {
-    append_line(&out, "  schedules: " + std::to_string(capture.schedules_explored) +
+  if (report.explored_schedules()) {
+    append_line(&out, "  schedules: " + std::to_string(report.schedules_explored) +
                           " explored — " +
-                          (capture.schedule_conclusive ? "conclusive" : "INCONCLUSIVE"));
-    if (!capture.schedule_reason.empty())
-      append_line(&out, "    " + capture.schedule_reason);
-    if (!capture.schedule_witness.empty())
-      append_line(&out, "    witness: " + capture.schedule_witness);
+                          (report.schedule_conclusive ? "conclusive" : "INCONCLUSIVE"));
+    if (!schedule_cause(report).empty()) append_line(&out, "    " + schedule_cause(report));
+    if (!report.schedule_witness.empty())
+      append_line(&out, "    witness: " + report.schedule_witness);
   }
 
   if (!capture.facts.empty()) {
@@ -619,10 +626,11 @@ std::string render_capture_text(const ContractCapture& capture) {
                             std::to_string(fact.line) + ": " + fact.fact);
   }
 
-  if (!capture.paths.empty()) {
-    append_line(&out, "  paths (" + std::to_string(capture.paths.size()) + "):");
-    for (const PathEvidence& path : capture.paths) {
-      append_line(&out, "    " + path.chain + " — " + path.verdict);
+  if (!report.paths.empty()) {
+    append_line(&out, "  paths (" + std::to_string(report.paths.size()) + "):");
+    for (const PathReport& path : report.paths) {
+      append_line(&out, "    " + support::join(path.call_chain, " -> ") + " — " +
+                            path_verdict_name(path.verdict));
       if (!path.path_condition.empty())
         append_line(&out, "      pi: " + truncate(path.path_condition, 160));
       if (!path.counterexample.empty())
@@ -693,17 +701,13 @@ std::string render_capture_text(const ContractCapture& capture) {
 
 namespace {
 
-const char* verdict_class(const std::string& verdict) {
-  if (verdict == "violated") return "bad";
-  if (verdict == "passed") return "good";
-  return "warn";
-}
-
 void render_contract_html(const ContractCapture& capture, std::string* out) {
-  *out += "<details class=\"contract\" " +
-          std::string(capture.verdict == "violated" ? "open" : "") + ">\n";
-  *out += "<summary><span class=\"badge " + std::string(verdict_class(capture.verdict)) +
-          "\">" + html_escape(capture.verdict) + "</span> <code>" +
+  const ContractCheckReport& report = capture.report;
+  const std::string verdict = report.verdict_name();
+  *out += "<details class=\"contract\" " + std::string(verdict == "violated" ? "open" : "") +
+          ">\n";
+  *out += "<summary><span class=\"badge " + std::string(verdict_class(verdict)) + "\">" +
+          html_escape(verdict) + "</span> <code>" +
           html_escape(capture.contract_id) + "</code> " + html_escape(capture.description) +
           "</summary>\n";
   *out += "<p class=\"meta\">kind " + html_escape(capture.kind) + " · target <code>" +
@@ -713,23 +717,22 @@ void render_contract_html(const ContractCapture& capture, std::string* out) {
     *out += "<p class=\"meta\">condition <code>" + html_escape(capture.condition_text) +
             "</code></p>\n";
 
-  if (!capture.screen_verdict.empty()) {
-    *out += "<h4>Static screen</h4><p>" + html_escape(capture.screen_verdict) + " — " +
-            html_escape(capture.screen_reason) + "</p>\n";
-    if (!capture.screen_witness.empty())
-      *out += "<p class=\"meta\">witness <code>" + html_escape(capture.screen_witness) +
+  if (!report.screen_verdict.empty()) {
+    *out += "<h4>Static screen</h4><p>" + html_escape(report.screen_verdict) + " — " +
+            html_escape(report.screen_reason) + "</p>\n";
+    if (!report.screen_witness.empty())
+      *out += "<p class=\"meta\">witness <code>" + html_escape(report.screen_witness) +
               "</code></p>\n";
   }
 
-  if (capture.schedules_explored > 0 || !capture.schedule_conclusive) {
-    *out += "<h4>Schedule exploration</h4><p>" +
-            std::to_string(capture.schedules_explored) + " interleaving(s) explored — " +
-            std::string(capture.schedule_conclusive ? "conclusive" : "<strong>inconclusive</strong>");
-    if (!capture.schedule_reason.empty())
-      *out += " · " + html_escape(capture.schedule_reason);
+  if (report.explored_schedules()) {
+    *out += "<h4>Schedule exploration</h4><p>" + std::to_string(report.schedules_explored) +
+            " interleaving(s) explored — " +
+            std::string(report.schedule_conclusive ? "conclusive" : "<strong>inconclusive</strong>");
+    if (!schedule_cause(report).empty()) *out += " · " + html_escape(schedule_cause(report));
     *out += "</p>\n";
-    if (!capture.schedule_witness.empty())
-      *out += "<p class=\"meta\">witness <code>" + html_escape(capture.schedule_witness) +
+    if (!report.schedule_witness.empty())
+      *out += "<p class=\"meta\">witness <code>" + html_escape(report.schedule_witness) +
               "</code></p>\n";
   }
 
@@ -743,18 +746,19 @@ void render_contract_html(const ContractCapture& capture, std::string* out) {
     *out += "</table>\n";
   }
 
-  if (!capture.paths.empty()) {
+  if (!report.paths.empty()) {
     *out += "<h4>Execution paths</h4><table><tr><th>chain</th><th>verdict</th>"
             "<th>evidence</th></tr>\n";
-    for (const PathEvidence& path : capture.paths) {
+    for (const PathReport& path : report.paths) {
       std::string evidence;
       if (!path.path_condition.empty())
         evidence += "&pi;: <code>" + html_escape(path.path_condition) + "</code><br>";
       if (!path.counterexample.empty())
         evidence += "counterexample: <code>" + html_escape(path.counterexample) + "</code><br>";
       if (!path.detail.empty()) evidence += html_escape(path.detail);
-      *out += "<tr><td><code>" + html_escape(path.chain) + "</code></td><td>" +
-              html_escape(path.verdict) + "</td><td>" + evidence + "</td></tr>\n";
+      *out += "<tr><td><code>" + html_escape(support::join(path.call_chain, " -> ")) +
+              "</code></td><td>" + html_escape(path_verdict_name(path.verdict)) + "</td><td>" +
+              evidence + "</td></tr>\n";
     }
     *out += "</table>\n";
   }
@@ -830,28 +834,6 @@ void render_contract_html(const ContractCapture& capture, std::string* out) {
 
 std::string render_ledger_html(const ProvenanceLedger& ledger) {
   std::string out;
-  out +=
-      "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n"
-      "<title>LISA gate failure report</title>\n<style>\n"
-      "body{font-family:system-ui,sans-serif;margin:2rem auto;max-width:64rem;"
-      "color:#1a1a2e;line-height:1.45}\n"
-      "code{background:#f2f2f7;padding:0 .2em;border-radius:3px;"
-      "font-size:.92em;word-break:break-all}\n"
-      "table{border-collapse:collapse;margin:.5rem 0;width:100%}\n"
-      "th,td{border:1px solid #d8d8e0;padding:.25rem .5rem;text-align:left;"
-      "vertical-align:top;font-size:.9rem}\n"
-      "th{background:#f7f7fb}\n"
-      ".badge{padding:.1em .5em;border-radius:1em;font-size:.85em;color:#fff}\n"
-      ".badge.bad,td.bad{background:#c0392b;color:#fff}\n"
-      ".badge.good,td.good{background:#1e8449;color:#fff}\n"
-      ".badge.warn{background:#b9770e}\n"
-      ".meta{color:#555;font-size:.9rem;margin:.2rem 0}\n"
-      "details.contract{border:1px solid #d8d8e0;border-radius:6px;"
-      "padding:.5rem 1rem;margin:.75rem 0}\n"
-      "summary{cursor:pointer;font-weight:600}\n"
-      "h4{margin:.8rem 0 .2rem}\n"
-      "</style></head><body>\n";
-  out += "<h1>LISA gate failure report</h1>\n";
   out += "<p class=\"meta\">run fingerprint <code>" + html_escape(ledger.run_fingerprint()) +
          "</code> · " + std::to_string(ledger.size()) + " contract(s)</p>\n";
 
@@ -872,8 +854,12 @@ std::string render_ledger_html(const ProvenanceLedger& ledger) {
     const ContractCapture* capture = ledger.find(id);
     if (capture != nullptr) render_contract_html(*capture, &out);
   }
-  out += "</body></html>\n";
-  return out;
+  return html_page("LISA gate failure report",
+                   "details.contract{border:1px solid #d8d8e0;border-radius:6px;"
+                   "padding:.5rem 1rem;margin:.75rem 0}\n"
+                   "summary{cursor:pointer;font-weight:600}\n"
+                   "h4{margin:.8rem 0 .2rem}\n",
+                   out);
 }
 
 }  // namespace lisa::obs

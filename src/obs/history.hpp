@@ -48,7 +48,7 @@ namespace lisa::obs {
 /// One contract's longitudinal identity inside a run record: enough to
 /// detect a verdict flip (and attribute it) without replaying the ledger.
 struct ContractOutcome {
-  std::string verdict;           // "passed" | "violated" | "inconclusive"
+  std::string verdict;           // ContractCheckReport::verdict_name()
   bool passed = true;
   bool conclusive = true;
   /// fnv1a over ContractCheckReport::verdict_signature() — two runs decided

@@ -1,10 +1,14 @@
 #include "obs/provenance.hpp"
 
+#include <algorithm>
 #include <fstream>
-#include <optional>
+#include <limits>
 
+#include "obs/metrics.hpp"
+#include "support/faultpoint.hpp"
 #include "support/jsonl.hpp"
 #include "support/log.hpp"
+#include "support/strings.hpp"
 
 namespace lisa::obs {
 
@@ -14,6 +18,294 @@ using support::JsonObject;
 
 std::string evidence_digest(const std::string& text) {
   return support::fnv1a_fingerprint(text);
+}
+
+namespace {
+
+/// The int field `key` of `json`, saturated to int's range as get_int
+/// saturates to int64's: a count that reads 1e300 loads as INT_MAX, not as
+/// a truncated -1.
+int int_field(const Json& json, const std::string& key, int fallback = 0) {
+  return static_cast<int>(std::clamp<std::int64_t>(json.get_int(key, fallback),
+                                                   std::numeric_limits<int>::min(),
+                                                   std::numeric_limits<int>::max()));
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Contract check report
+// ---------------------------------------------------------------------------
+
+const char* path_verdict_name(PathVerdict verdict) {
+  switch (verdict) {
+    case PathVerdict::kVerified: return "verified";
+    case PathVerdict::kViolated: return "violated";
+    case PathVerdict::kUnmappable: return "unmappable";
+    case PathVerdict::kInconclusive: return "inconclusive";
+  }
+  return "?";
+}
+
+std::optional<PathVerdict> path_verdict_from_name(const std::string& name) {
+  if (name == "verified") return PathVerdict::kVerified;
+  if (name == "violated") return PathVerdict::kViolated;
+  if (name == "unmappable") return PathVerdict::kUnmappable;
+  if (name == "inconclusive") return PathVerdict::kInconclusive;
+  return std::nullopt;
+}
+
+Json ContractCheckReport::to_json() const {
+  // Degradation hook for the robustness harness: a faulted serialization
+  // yields a minimal-but-valid record instead of a torn artifact. Consumers
+  // see `serialization_degraded` and keep the verdict counts.
+  if (support::faultpoint("report.serialize") != support::FaultAction::kNone) {
+    metrics().counter("fault.report.serialize").add();
+    JsonObject stub;
+    stub["contract_id"] = contract_id;
+    stub["target_fragment"] = target_fragment;
+    stub["verified"] = verified;
+    stub["violated"] = violated;
+    stub["unmappable"] = unmappable;
+    stub["inconclusive"] = inconclusive;
+    stub["passed"] = passed();
+    stub["conclusive"] = conclusive();
+    stub["serialization_degraded"] = true;
+    return Json(std::move(stub));
+  }
+  JsonObject root;
+  root["contract_id"] = contract_id;
+  root["target_fragment"] = target_fragment;
+  root["target_statements"] = target_statements;
+  root["verified"] = verified;
+  root["violated"] = violated;
+  root["unmappable"] = unmappable;
+  if (inconclusive > 0) root["inconclusive"] = inconclusive;
+  root["uncovered"] = uncovered;
+  root["raw_paths"] = raw_paths;
+  root["truncated"] = truncated;
+  root["sanity_ok"] = sanity_ok;
+  root["passed"] = passed();
+  if (!conclusive()) root["conclusive"] = false;
+  if (budget_exhausted) {
+    root["budget_exhausted"] = true;
+    root["budget_reason"] = budget_reason;
+    if (!budget_resource.empty()) root["budget_resource"] = budget_resource;
+  }
+  JsonArray path_entries;
+  for (const PathReport& path : paths) {
+    JsonObject entry;
+    entry["chain"] = support::join(path.call_chain, " -> ");
+    entry["target_stmt"] = path.target_text;
+    entry["target_stmt_id"] = path.target_stmt_id;
+    entry["path_condition"] = path.path_condition;
+    entry["contract_condition"] = path.contract_condition;
+    entry["verdict"] = path_verdict_name(path.verdict);
+    if (!path.counterexample.empty()) entry["counterexample"] = path.counterexample;
+    if (!path.detail.empty()) entry["detail"] = path.detail;
+    entry["covered_by_test"] = path.covered_by_test;
+    if (!path.covering_tests.empty()) {
+      JsonArray covering;
+      for (const std::string& test : path.covering_tests) covering.push_back(Json(test));
+      entry["covering_tests"] = Json(std::move(covering));
+    }
+    path_entries.emplace_back(std::move(entry));
+  }
+  root["paths"] = Json(std::move(path_entries));
+  JsonObject dyn;
+  JsonArray selected;
+  for (const std::string& test : dynamic.selected_tests) selected.push_back(Json(test));
+  dyn["selected_tests"] = Json(std::move(selected));
+  dyn["tests_run"] = dynamic.tests_run;
+  dyn["tests_passed"] = dynamic.tests_passed;
+  dyn["target_hits"] = dynamic.target_hits;
+  dyn["symbolic_violations"] = dynamic.symbolic_violations;
+  dyn["concrete_violations"] = dynamic.concrete_violations;
+  if (dynamic.inconclusive_hits > 0) dyn["inconclusive_hits"] = dynamic.inconclusive_hits;
+  if (dynamic.degraded_runs > 0) dyn["degraded_runs"] = dynamic.degraded_runs;
+  if (!dynamic.violation_details.empty()) {
+    JsonArray details;
+    for (const std::string& detail : dynamic.violation_details)
+      details.push_back(Json(detail));
+    dyn["violation_details"] = Json(std::move(details));
+  }
+  root["dynamic"] = Json(std::move(dyn));
+  JsonArray structural;
+  for (const std::string& violation : structural_violations)
+    structural.push_back(Json(violation));
+  root["structural_violations"] = Json(std::move(structural));
+  if (!screen_verdict.empty()) {
+    JsonObject screen;
+    screen["verdict"] = screen_verdict;
+    if (!screen_witness.empty()) screen["witness"] = screen_witness;
+    screen["reason"] = screen_reason;
+    screen["elapsed_ms"] = screen_ms;
+    screen["skipped_concolic"] = screen_skipped_concolic;
+    root["screen"] = Json(std::move(screen));
+  }
+  // Emitted only when exploration actually ran (or degraded), so reports for
+  // thread-free programs stay byte-identical to the pre-scheduler checker.
+  if (explored_schedules()) {
+    JsonObject schedule;
+    schedule["explored"] = schedules_explored;
+    schedule["conclusive"] = schedule_conclusive;
+    schedule["violations"] = schedule_violations;
+    if (!schedule_witness.empty()) schedule["witness"] = schedule_witness;
+    if (!schedule_inconclusive_reason.empty())
+      schedule["reason"] = schedule_inconclusive_reason;
+    if (!schedule_violation_details.empty()) {
+      JsonArray details;
+      for (const std::string& detail : schedule_violation_details)
+        details.push_back(Json(detail));
+      schedule["violation_details"] = Json(std::move(details));
+    }
+    root["schedule"] = Json(std::move(schedule));
+  }
+  if (!slice_fp.empty()) root["slice_fp"] = slice_fp;
+  return Json(std::move(root));
+}
+
+ContractCheckReport ContractCheckReport::from_json(const Json& json) {
+  ContractCheckReport report;
+  if (!json.is_object()) return report;
+  report.contract_id = json.get_string("contract_id");
+  report.target_fragment = json.get_string("target_fragment");
+  report.target_statements = static_cast<std::size_t>(json.get_int("target_statements"));
+  report.verified = int_field(json, "verified");
+  report.violated = int_field(json, "violated");
+  report.unmappable = int_field(json, "unmappable");
+  report.inconclusive = int_field(json, "inconclusive");
+  report.uncovered = int_field(json, "uncovered");
+  report.raw_paths = static_cast<std::size_t>(json.get_int("raw_paths"));
+  report.truncated = json.has("truncated") && json.at("truncated").is_bool() &&
+                     json.at("truncated").as_bool();
+  report.sanity_ok = json.has("sanity_ok") && json.at("sanity_ok").is_bool() &&
+                     json.at("sanity_ok").as_bool();
+  report.budget_exhausted = json.has("budget_exhausted") &&
+                            json.at("budget_exhausted").is_bool() &&
+                            json.at("budget_exhausted").as_bool();
+  report.budget_reason = json.get_string("budget_reason");
+  report.budget_resource = json.get_string("budget_resource");
+  if (json.has("paths") && json.at("paths").is_array()) {
+    for (const Json& entry : json.at("paths").as_array()) {
+      if (!entry.is_object()) continue;
+      PathReport path;
+      const std::string chain = entry.get_string("chain");
+      for (std::size_t pos = 0; pos <= chain.size();) {
+        const std::size_t arrow = chain.find(" -> ", pos);
+        const std::size_t end = arrow == std::string::npos ? chain.size() : arrow;
+        if (end > pos) path.call_chain.push_back(chain.substr(pos, end - pos));
+        if (arrow == std::string::npos) break;
+        pos = arrow + 4;
+      }
+      path.target_text = entry.get_string("target_stmt");
+      path.target_stmt_id = int_field(entry, "target_stmt_id", -1);
+      path.path_condition = entry.get_string("path_condition");
+      path.contract_condition = entry.get_string("contract_condition");
+      path.verdict = path_verdict_from_name(entry.get_string("verdict"))
+                         .value_or(PathVerdict::kInconclusive);
+      path.counterexample = entry.get_string("counterexample");
+      path.detail = entry.get_string("detail");
+      path.covered_by_test = entry.has("covered_by_test") &&
+                             entry.at("covered_by_test").is_bool() &&
+                             entry.at("covered_by_test").as_bool();
+      if (entry.has("covering_tests") && entry.at("covering_tests").is_array())
+        for (const Json& test : entry.at("covering_tests").as_array())
+          if (test.is_string()) path.covering_tests.push_back(test.as_string());
+      report.paths.push_back(std::move(path));
+    }
+  }
+  if (json.has("dynamic") && json.at("dynamic").is_object()) {
+    const Json& dyn = json.at("dynamic");
+    if (dyn.has("selected_tests") && dyn.at("selected_tests").is_array())
+      for (const Json& test : dyn.at("selected_tests").as_array())
+        if (test.is_string()) report.dynamic.selected_tests.push_back(test.as_string());
+    report.dynamic.tests_run = int_field(dyn, "tests_run");
+    report.dynamic.tests_passed = int_field(dyn, "tests_passed");
+    report.dynamic.target_hits = int_field(dyn, "target_hits");
+    report.dynamic.symbolic_violations = int_field(dyn, "symbolic_violations");
+    report.dynamic.concrete_violations = int_field(dyn, "concrete_violations");
+    report.dynamic.inconclusive_hits = int_field(dyn, "inconclusive_hits");
+    report.dynamic.degraded_runs = int_field(dyn, "degraded_runs");
+    if (dyn.has("violation_details") && dyn.at("violation_details").is_array())
+      for (const Json& detail : dyn.at("violation_details").as_array())
+        if (detail.is_string())
+          report.dynamic.violation_details.push_back(detail.as_string());
+  }
+  if (json.has("structural_violations") && json.at("structural_violations").is_array())
+    for (const Json& violation : json.at("structural_violations").as_array())
+      if (violation.is_string())
+        report.structural_violations.push_back(violation.as_string());
+  if (json.has("screen") && json.at("screen").is_object()) {
+    const Json& screen = json.at("screen");
+    report.screen_verdict = screen.get_string("verdict");
+    report.screen_witness = screen.get_string("witness");
+    report.screen_reason = screen.get_string("reason");
+    if (screen.has("elapsed_ms") && screen.at("elapsed_ms").is_number())
+      report.screen_ms = screen.at("elapsed_ms").as_double();
+    report.screen_skipped_concolic = screen.has("skipped_concolic") &&
+                                     screen.at("skipped_concolic").is_bool() &&
+                                     screen.at("skipped_concolic").as_bool();
+  }
+  if (json.has("schedule") && json.at("schedule").is_object()) {
+    const Json& schedule = json.at("schedule");
+    report.schedules_explored = int_field(schedule, "explored");
+    report.schedule_conclusive = !schedule.has("conclusive") ||
+                                 !schedule.at("conclusive").is_bool() ||
+                                 schedule.at("conclusive").as_bool();
+    report.schedule_violations = int_field(schedule, "violations");
+    report.schedule_witness = schedule.get_string("witness");
+    report.schedule_inconclusive_reason = schedule.get_string("reason");
+    if (schedule.has("violation_details") && schedule.at("violation_details").is_array())
+      for (const Json& detail : schedule.at("violation_details").as_array())
+        if (detail.is_string())
+          report.schedule_violation_details.push_back(detail.as_string());
+  }
+  report.slice_fp = json.get_string("slice_fp");
+  return report;
+}
+
+const char* ContractCheckReport::verdict_name() const {
+  if (!passed()) return "violated";
+  return conclusive() ? "passed" : "inconclusive";
+}
+
+std::string ContractCheckReport::verdict_signature() const {
+  std::string sig = contract_id + "|" + target_fragment;
+  sig += "|verified=" + std::to_string(verified);
+  sig += "|violated=" + std::to_string(violated);
+  sig += "|unmappable=" + std::to_string(unmappable);
+  sig += "|inconclusive=" + std::to_string(inconclusive);
+  sig += "|uncovered=" + std::to_string(uncovered);
+  if (truncated) sig += "|truncated";
+  sig += sanity_ok ? "|sane" : "|unsane";
+  sig += passed() ? "|passed" : "|failed";
+  for (const PathReport& path : paths) {
+    sig += "\npath ";
+    for (const std::string& fn : path.call_chain) sig += fn + ">";
+    // The target is named by its text, not its statement id: ids are
+    // positional and shift when an edit inserts statements elsewhere, and a
+    // pure shift is not a verdict change.
+    sig += "[" + path.target_text + "]";
+    sig += " " + std::string(path_verdict_name(path.verdict));
+    if (!path.counterexample.empty()) sig += " " + path.counterexample;
+  }
+  for (const std::string& violation : structural_violations)
+    sig += "\nstructural " + violation;
+  sig += "\ndynamic tests=" + std::to_string(dynamic.tests_run);
+  sig += " passed=" + std::to_string(dynamic.tests_passed);
+  sig += " hits=" + std::to_string(dynamic.target_hits);
+  sig += " symbolic=" + std::to_string(dynamic.symbolic_violations);
+  sig += " concrete=" + std::to_string(dynamic.concrete_violations);
+  for (const std::string& detail : dynamic.violation_details) sig += "\nviolation " + detail;
+  if (!screen_verdict.empty()) sig += "\nscreen " + screen_verdict;
+  if (explored_schedules()) {
+    sig += "\nschedule explored=" + std::to_string(schedules_explored);
+    sig += " violations=" + std::to_string(schedule_violations);
+    sig += schedule_conclusive ? " conclusive" : " inconclusive";
+    if (!schedule_witness.empty()) sig += " " + schedule_witness;
+  }
+  return sig;
 }
 
 // ---------------------------------------------------------------------------
@@ -37,52 +329,10 @@ FactEvidence fact_from_json(const Json& json) {
   FactEvidence fact;
   fact.analysis = json.get_string("analysis");
   fact.function = json.get_string("function");
-  fact.line = static_cast<int>(json.get_int("line"));
-  fact.column = static_cast<int>(json.get_int("column"));
+  fact.line = int_field(json, "line");
+  fact.column = int_field(json, "column");
   fact.fact = json.get_string("fact");
   return fact;
-}
-
-Json path_to_json(const PathEvidence& path) {
-  JsonObject entry;
-  entry["chain"] = path.chain;
-  entry["target_stmt_id"] = path.target_stmt_id;
-  entry["target_stmt"] = path.target_text;
-  entry["path_condition"] = path.path_condition;
-  entry["contract_condition"] = path.contract_condition;
-  entry["verdict"] = path.verdict;
-  if (!path.counterexample.empty()) entry["counterexample"] = path.counterexample;
-  if (!path.detail.empty()) entry["detail"] = path.detail;
-  if (!path.model_bools.empty()) {
-    JsonObject bools;
-    for (const auto& [name, value] : path.model_bools) bools[name] = value;
-    entry["model_bools"] = Json(std::move(bools));
-  }
-  if (!path.model_ints.empty()) {
-    JsonObject ints;
-    for (const auto& [name, value] : path.model_ints) ints[name] = value;
-    entry["model_ints"] = Json(std::move(ints));
-  }
-  return Json(std::move(entry));
-}
-
-PathEvidence path_from_json(const Json& json) {
-  PathEvidence path;
-  path.chain = json.get_string("chain");
-  path.target_stmt_id = static_cast<int>(json.get_int("target_stmt_id", -1));
-  path.target_text = json.get_string("target_stmt");
-  path.path_condition = json.get_string("path_condition");
-  path.contract_condition = json.get_string("contract_condition");
-  path.verdict = json.get_string("verdict");
-  path.counterexample = json.get_string("counterexample");
-  path.detail = json.get_string("detail");
-  if (json.has("model_bools") && json.at("model_bools").is_object())
-    for (const auto& [name, value] : json.at("model_bools").as_object())
-      if (value.is_bool()) path.model_bools[name] = value.as_bool();
-  if (json.has("model_ints") && json.at("model_ints").is_object())
-    for (const auto& [name, value] : json.at("model_ints").as_object())
-      if (value.is_number()) path.model_ints[name] = value.as_int();
-  return path;
 }
 
 Json query_to_json(const SmtQueryEvidence& query) {
@@ -123,7 +373,7 @@ HitEvidence hit_from_json(const Json& json) {
   HitEvidence hit;
   hit.test = json.get_string("test");
   hit.function = json.get_string("function");
-  hit.stmt_id = static_cast<int>(json.get_int("stmt_id", -1));
+  hit.stmt_id = int_field(json, "stmt_id", -1);
   hit.trace_condition = json.get_string("trace_condition");
   hit.instantiated_contract = json.get_string("instantiated_contract");
   hit.outcome = json.get_string("outcome");
@@ -171,10 +421,10 @@ Narration narration_from_json(const Json& json) {
     for (const Json& item : json.at("steps").as_array()) {
       NarrationStep step;
       step.function = item.get_string("function");
-      step.line = static_cast<int>(item.get_int("line"));
+      step.line = int_field(item, "line");
       step.stmt = item.get_string("stmt");
-      step.sync_depth = static_cast<int>(item.get_int("sync_depth"));
-      step.thread = static_cast<int>(item.get_int("thread"));
+      step.sync_depth = int_field(item, "sync_depth");
+      step.thread = int_field(item, "thread");
       step.note = item.get_string("note");
       narration.steps.push_back(std::move(step));
     }
@@ -217,58 +467,38 @@ ProposalEvidence proposal_from_json(const Json& json) {
       if (item.is_string()) proposal.low_level.push_back(item.as_string());
   proposal.succeeded = !json.has("succeeded") || !json.at("succeeded").is_bool() ||
                        json.at("succeeded").as_bool();
-  proposal.attempts = static_cast<int>(json.get_int("attempts"));
-  proposal.transient_errors = static_cast<int>(json.get_int("transient_errors"));
-  proposal.validation_failures = static_cast<int>(json.get_int("validation_failures"));
+  proposal.attempts = int_field(json, "attempts");
+  proposal.transient_errors = int_field(json, "transient_errors");
+  proposal.validation_failures = int_field(json, "validation_failures");
   proposal.error = json.get_string("error");
   return proposal;
 }
 
 }  // namespace
 
-Json ContractCapture::to_json() const {
+namespace {
+
+/// The capture's line without its digest.
+Json capture_content(const ContractCapture& capture) {
   JsonObject root;
-  root["contract_id"] = contract_id;
-  root["system"] = system;
-  root["kind"] = kind;
-  root["target_fragment"] = target_fragment;
-  root["condition_text"] = condition_text;
-  root["description"] = description;
-  root["fingerprint"] = fingerprint;
-  if (!slice_fp.empty()) root["slice_fp"] = slice_fp;
-  root["verdict"] = verdict;
-  root["passed"] = passed;
-  root["conclusive"] = conclusive;
-  if (!screen_verdict.empty()) {
-    JsonObject screen;
-    screen["verdict"] = screen_verdict;
-    screen["reason"] = screen_reason;
-    if (!screen_witness.empty()) screen["witness"] = screen_witness;
-    root["screen"] = Json(std::move(screen));
-  }
-  // Emitted only when exploration ran (or degraded): captures for contracts
-  // the explorer never touched stay byte-identical to the pre-scheduler form.
-  if (schedules_explored > 0 || !schedule_conclusive) {
-    JsonObject schedule;
-    schedule["explored"] = schedules_explored;
-    schedule["conclusive"] = schedule_conclusive;
-    if (!schedule_witness.empty()) schedule["witness"] = schedule_witness;
-    if (!schedule_reason.empty()) schedule["reason"] = schedule_reason;
-    root["schedule"] = Json(std::move(schedule));
-  }
+  root["contract_id"] = capture.contract_id;
+  root["system"] = capture.system;
+  root["kind"] = capture.kind;
+  root["target_fragment"] = capture.target_fragment;
+  root["condition_text"] = capture.condition_text;
+  root["description"] = capture.description;
+  root["fingerprint"] = capture.fingerprint;
   JsonArray fact_entries;
-  for (const FactEvidence& fact : facts) fact_entries.push_back(fact_to_json(fact));
+  for (const FactEvidence& fact : capture.facts) fact_entries.push_back(fact_to_json(fact));
   root["facts"] = Json(std::move(fact_entries));
-  JsonArray path_entries;
-  for (const PathEvidence& path : paths) path_entries.push_back(path_to_json(path));
-  root["paths"] = Json(std::move(path_entries));
   JsonArray query_entries;
-  for (const SmtQueryEvidence& query : smt_queries)
+  for (const SmtQueryEvidence& query : capture.smt_queries)
     query_entries.push_back(query_to_json(query));
   root["smt_queries"] = Json(std::move(query_entries));
   JsonArray hit_entries;
-  for (const HitEvidence& hit : hits) hit_entries.push_back(hit_to_json(hit));
+  for (const HitEvidence& hit : capture.hits) hit_entries.push_back(hit_to_json(hit));
   root["hits"] = Json(std::move(hit_entries));
+  const BudgetEvidence& budget = capture.budget;
   if (budget.attached) {
     JsonObject entry;
     entry["attached"] = true;
@@ -282,9 +512,23 @@ Json ContractCapture::to_json() const {
     entry["charges"] = Json(std::move(charges));
     root["budget"] = Json(std::move(entry));
   }
-  if (!narration.kind.empty()) root["narration"] = narration_to_json(narration);
-  if (!report.is_null()) root["report"] = report;
+  if (!capture.narration.kind.empty()) root["narration"] = narration_to_json(capture.narration);
+  Json report = capture.report.to_json();
+  if (report.has("screen")) report.as_object().at("screen").as_object().erase("elapsed_ms");
+  root["report"] = std::move(report);
   return Json(std::move(root));
+}
+
+}  // namespace
+
+Json ContractCapture::to_json() const {
+  Json json = capture_content(*this);
+  json.as_object()["digest"] = support::fnv1a_fingerprint(json.dump());
+  return json;
+}
+
+bool ContractCapture::intact() const {
+  return !digest.empty() && digest == support::fnv1a_fingerprint(capture_content(*this).dump());
 }
 
 ContractCapture ContractCapture::from_json(const Json& json) {
@@ -297,33 +541,9 @@ ContractCapture ContractCapture::from_json(const Json& json) {
   capture.condition_text = json.get_string("condition_text");
   capture.description = json.get_string("description");
   capture.fingerprint = json.get_string("fingerprint");
-  capture.slice_fp = json.get_string("slice_fp");
-  capture.verdict = json.get_string("verdict");
-  capture.passed = json.has("passed") && json.at("passed").is_bool() &&
-                   json.at("passed").as_bool();
-  capture.conclusive = json.has("conclusive") && json.at("conclusive").is_bool() &&
-                       json.at("conclusive").as_bool();
-  if (json.has("screen") && json.at("screen").is_object()) {
-    const Json& screen = json.at("screen");
-    capture.screen_verdict = screen.get_string("verdict");
-    capture.screen_reason = screen.get_string("reason");
-    capture.screen_witness = screen.get_string("witness");
-  }
-  if (json.has("schedule") && json.at("schedule").is_object()) {
-    const Json& schedule = json.at("schedule");
-    capture.schedules_explored = static_cast<int>(schedule.get_int("explored"));
-    capture.schedule_conclusive = !schedule.has("conclusive") ||
-                                  !schedule.at("conclusive").is_bool() ||
-                                  schedule.at("conclusive").as_bool();
-    capture.schedule_witness = schedule.get_string("witness");
-    capture.schedule_reason = schedule.get_string("reason");
-  }
   if (json.has("facts") && json.at("facts").is_array())
     for (const Json& entry : json.at("facts").as_array())
       capture.facts.push_back(fact_from_json(entry));
-  if (json.has("paths") && json.at("paths").is_array())
-    for (const Json& entry : json.at("paths").as_array())
-      capture.paths.push_back(path_from_json(entry));
   if (json.has("smt_queries") && json.at("smt_queries").is_array())
     for (const Json& entry : json.at("smt_queries").as_array())
       capture.smt_queries.push_back(query_from_json(entry));
@@ -343,7 +563,8 @@ ContractCapture ContractCapture::from_json(const Json& json) {
   }
   if (json.has("narration") && json.at("narration").is_object())
     capture.narration = narration_from_json(json.at("narration"));
-  if (json.has("report") && json.at("report").is_object()) capture.report = json.at("report");
+  if (json.has("report")) capture.report = ContractCheckReport::from_json(json.at("report"));
+  capture.digest = json.get_string("digest");
   return capture;
 }
 
@@ -400,12 +621,6 @@ void ProvenanceLedger::record_fact(ContractCapture* capture, FactEvidence eviden
   if (capture == nullptr) return;
   const std::lock_guard<std::mutex> lock(mutex_);
   capture->facts.push_back(std::move(evidence));
-}
-
-void ProvenanceLedger::record_path(ContractCapture* capture, PathEvidence evidence) {
-  if (capture == nullptr) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  capture->paths.push_back(std::move(evidence));
 }
 
 void ProvenanceLedger::record_hit(ContractCapture* capture, HitEvidence evidence) {

@@ -21,15 +21,19 @@
 // The JSONL form (support/jsonl.hpp) is a fingerprinted header line, the
 // proposal line, then one JSON document per contract:
 //
-//   {"journal":"lisa-ledger","version":1,"fingerprint":"<hex>"}
+//   {"journal":"lisa-ledger","version":2,"fingerprint":"<hex>"}
 //   {"proposal":{<ProposalEvidence>}}
 //   {<ContractCapture::to_json()>}
 //   ...
 //
 // It is the only per-contract record: `--journal` names a ledger file that
 // a run appends one capture at a time (start_jsonl, append_jsonl), and
-// `--resume` replays the reports embedded in the captures of the previous
-// run's file (lisa/journal.hpp).
+// `--resume` replays the reports of the previous run's intact captures
+// (lisa/journal.hpp). A capture holds its contract's report, the only
+// verdict record: the renderings (`lisa explain`, `lisa diff`), the history
+// record and resume all read the verdict there. Each capture line carries
+// `digest`, the FNV-1a digest of the line without it, so a torn or flipped
+// byte shows on load.
 //
 // Everything in this header is plain strings/ints/maps — no smt/minilang
 // types — so lisa_obs keeps its support-only link set and every layer of
@@ -37,10 +41,12 @@
 // a dependency cycle.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,22 +78,6 @@ struct FactEvidence {
   int line = 0;
   int column = 0;
   std::string fact;      // canonical text, e.g. "s#null = non-null"
-};
-
-/// One static execution path and its assertion outcome. The model maps keep
-/// the satisfying assignment structured (not just rendered) so the
-/// counterexample narrator can replay it without string parsing.
-struct PathEvidence {
-  std::string chain;     // "entry -> ... -> target"
-  int target_stmt_id = -1;
-  std::string target_text;
-  std::string path_condition;
-  std::string contract_condition;
-  std::string verdict;   // "verified" | "violated" | "unmappable" | "inconclusive"
-  std::string counterexample;
-  std::string detail;
-  std::map<std::string, bool> model_bools;
-  std::map<std::string, std::int64_t> model_ints;
 };
 
 /// One concolic arrival at a target statement during a replayed test.
@@ -168,12 +158,155 @@ struct ProposalEvidence {
 };
 
 // ---------------------------------------------------------------------------
+// Contract check report (lisa/checker.hpp re-exports these as lisa::core)
+// ---------------------------------------------------------------------------
+
+enum class PathVerdict { kVerified, kViolated, kUnmappable, kInconclusive };
+
+[[nodiscard]] const char* path_verdict_name(PathVerdict verdict);
+
+/// Inverse of path_verdict_name; nullopt on an unrecognized name (ledger
+/// reports written by a different build).
+[[nodiscard]] std::optional<PathVerdict> path_verdict_from_name(const std::string& name);
+
+struct PathReport {
+  std::vector<std::string> call_chain;
+  int target_stmt_id = -1;
+  std::string target_text;
+  std::string path_condition;
+  std::string contract_condition;  // renamed to canonical names
+  PathVerdict verdict = PathVerdict::kVerified;
+  std::string counterexample;  // model of π ∧ ¬P for violated paths
+  std::string detail;          // kInconclusive: why the verdict was refused
+  bool covered_by_test = false;
+  std::vector<std::string> covering_tests;
+};
+
+struct DynamicReport {
+  std::vector<std::string> selected_tests;
+  int tests_run = 0;
+  int tests_passed = 0;
+  int target_hits = 0;
+  int symbolic_violations = 0;
+  int concrete_violations = 0;
+  /// Target hits whose π ∧ ¬P query came back unknown (budget or fault):
+  /// neither a violation nor a confirmation.
+  int inconclusive_hits = 0;
+  /// Runs cut short by the step limit or an exhausted budget.
+  int degraded_runs = 0;
+  std::vector<std::string> violation_details;
+};
+
+struct ContractCheckReport {
+  std::string contract_id;
+  std::string target_fragment;
+  std::size_t target_statements = 0;
+  std::vector<PathReport> paths;
+  int verified = 0;
+  int violated = 0;
+  int unmappable = 0;
+  int inconclusive = 0;     // paths refused by budget / fault / solver unknown
+  int uncovered = 0;        // static paths no selected test exercised
+  std::size_t raw_paths = 0;  // before pruning/dedup (ablation metric)
+  bool truncated = false;
+  /// ≥1 statically verified path (the fixed path) — the paper's sanity
+  /// check; also the cross-validation signal that grounds LLM output
+  /// against actual system behaviour (§5).
+  bool sanity_ok = false;
+  DynamicReport dynamic;
+  std::vector<std::string> structural_violations;  // structural contracts
+
+  // Static screening (src/staticcheck): three-valued verdict computed before
+  // the expensive phases. Empty string when screening was disabled.
+  std::string screen_verdict;   // "proved-safe" | "proved-violated" | "unknown"
+  std::string screen_witness;   // entry->target chain + model for refutations
+  std::string screen_reason;
+  double screen_ms = 0.0;
+  /// True when the screener verdict made the concolic replay unnecessary.
+  bool screen_skipped_concolic = false;
+
+  /// Resource governance (support/budget.hpp): set when the attached budget
+  /// latched exhausted at any point during this contract's check. The
+  /// skipped work is accounted under `inconclusive` / dynamic degradation —
+  /// never silently dropped.
+  bool budget_exhausted = false;
+  std::string budget_reason;
+  /// Typed exhaustion cause ("deadline" | "smt-queries" | "paths" |
+  /// "fork-points" | "steps"); empty unless budget_exhausted.
+  std::string budget_resource;
+
+  /// Schedule exploration (concolic/schedule.hpp): interleaving contracts
+  /// with `atomic` / `eventually` patterns are decided by re-running every
+  /// spawning @test under the cooperative scheduler, one interleaving per
+  /// run. Serial replay sees exactly one schedule and is provably blind to
+  /// these bugs, so the explorer's verdict is the contract's verdict.
+  int schedules_explored = 0;
+  /// False when the DFS could not drain the reduced schedule space within
+  /// the bound (or the budget): "no violation found so far", never a pass.
+  bool schedule_conclusive = true;
+  int schedule_violations = 0;
+  /// Compact replayable witness of the first violating interleaving
+  /// (ScheduleWitness::to_compact): seed + decision list re-derive the
+  /// identical trace on any later run.
+  std::string schedule_witness;
+  std::string schedule_inconclusive_reason;
+  std::vector<std::string> schedule_violation_details;
+  /// True when the contract went to the schedule explorer: it ran a
+  /// schedule, or it was cut before its first one.
+  [[nodiscard]] bool explored_schedules() const {
+    return schedules_explored > 0 || !schedule_conclusive;
+  }
+
+  /// Slice fingerprint of this contract's verdict cone
+  /// (staticcheck/slice.hpp): the canonical identity of everything the
+  /// verdict can depend on. Resume replays a report from the previous
+  /// run's ledger iff its slice_fp still matches the current program.
+  /// check_contracts stamps it when the run has a ledger; empty otherwise.
+  std::string slice_fp;
+
+  /// True when the checked program satisfies the contract everywhere.
+  [[nodiscard]] bool passed() const {
+    return violated == 0 && structural_violations.empty() &&
+           dynamic.symbolic_violations == 0 && dynamic.concrete_violations == 0 &&
+           schedule_violations == 0;
+  }
+
+  /// True when every phase ran to completion: no path refused, no run
+  /// degraded, no budget exhaustion. `passed() && !conclusive()` means
+  /// "no violation found so far" — needs attention, not a green light.
+  [[nodiscard]] bool conclusive() const {
+    return !budget_exhausted && inconclusive == 0 &&
+           dynamic.inconclusive_hits == 0 && dynamic.degraded_runs == 0 &&
+           schedule_conclusive;
+  }
+
+  /// The contract's verdict as the ledger, the history record and the
+  /// renderings name it: "violated" when a violation was found (conclusive
+  /// or not), else "passed" when conclusive, else "inconclusive".
+  [[nodiscard]] const char* verdict_name() const;
+
+  /// Canonical rendering of everything verdict-relevant — counts, per-path
+  /// verdicts and counterexamples, dynamic violations, structural findings,
+  /// screen verdict — excluding timings and the screen reason/witness
+  /// phrasing. Two runs decided a contract identically iff their signatures
+  /// are byte-identical: the equivalence oracle for incremental re-checking
+  /// (bench_incremental) and resume tests.
+  [[nodiscard]] std::string verdict_signature() const;
+
+  [[nodiscard]] support::Json to_json() const;
+  /// Rebuilds a report from its to_json form (resume from a ledger).
+  /// Best-effort: unknown verdict names degrade to kInconclusive.
+  [[nodiscard]] static ContractCheckReport from_json(const support::Json& json);
+};
+
+// ---------------------------------------------------------------------------
 // Per-contract capture
 // ---------------------------------------------------------------------------
 
 /// Evidence accumulated while one contract was checked. Producers append
 /// through the record_* methods (each takes the owning ledger's mutex); the
-/// checker fills the summary fields when the verdict is final.
+/// checker stores the report and the budget accounting when the verdict is
+/// final.
 struct ContractCapture {
   // Identity.
   std::string contract_id;
@@ -183,42 +316,34 @@ struct ContractCapture {
   std::string condition_text;
   std::string description;
   std::string fingerprint;       // fnv1a over id + target + condition
-  /// Slice fingerprint of the contract's verdict cone (staticcheck/slice.hpp);
-  /// empty when the checker did not compute one.
-  std::string slice_fp;
-
-  // Outcome.
-  std::string verdict;           // "passed" | "violated" | "inconclusive"
-  bool passed = true;
-  bool conclusive = true;
 
   // Evidence chain.
-  std::string screen_verdict;
-  std::string screen_reason;
-  std::string screen_witness;
-  /// Schedule exploration evidence (interleaving contracts decided by the
-  /// ScheduleExplorer): interleavings run, whether the DFS drained the
-  /// reduced space, the compact replayable witness on violation, and the
-  /// narrated cause (first violation detail, or the typed inconclusive
-  /// reason). All zero/empty for contracts the explorer never touched.
-  int schedules_explored = 0;
-  bool schedule_conclusive = true;
-  std::string schedule_witness;
-  std::string schedule_reason;
   std::vector<FactEvidence> facts;
-  std::vector<PathEvidence> paths;
   std::vector<SmtQueryEvidence> smt_queries;
   std::vector<HitEvidence> hits;
+  /// What the budget the run shares had charged, and whether it had
+  /// latched exhausted, when this contract's check ended. Not the report's
+  /// budget_exhausted, which only the steps that charge the budget set.
   BudgetEvidence budget;
   Narration narration;
-  /// The contract's report as lisa::core::ContractCheckReport::to_json()
-  /// renders it, minus the screen's elapsed time: the record `--resume`
-  /// replays. Opaque here, so obs need not know the checker's types; null
-  /// when no report was embedded.
-  support::Json report;
+  /// The contract's report: its verdict, screen, schedule and per-path
+  /// evidence. Serialized as to_json() renders it, minus the screen's
+  /// elapsed time (ledger lines carry no timings).
+  ContractCheckReport report;
 
+  /// The `digest` of the line this capture was loaded from; empty for a
+  /// capture this run recorded. to_json() always writes a fresh one.
+  std::string digest;
+
+  /// The capture as one ledger line, with `digest`: the FNV-1a digest of
+  /// the line's dump without that field.
   [[nodiscard]] support::Json to_json() const;
   [[nodiscard]] static ContractCapture from_json(const support::Json& json);
+  /// True when `digest` is the digest of this typed capture, so the line it
+  /// was loaded from is byte for byte what to_json() writes: no byte of it
+  /// was torn or flipped, and no field lost precision in the parse. It
+  /// guards against corruption, not against a forged line.
+  [[nodiscard]] bool intact() const;
 };
 
 /// Solver-side capture hook: the smt::Solver calls this for every decided
@@ -262,7 +387,6 @@ class ProvenanceLedger {
   /// Thread-safe append helpers for producers holding a capture pointer.
   void record_smt(ContractCapture* capture, SmtQueryEvidence evidence);
   void record_fact(ContractCapture* capture, FactEvidence evidence);
-  void record_path(ContractCapture* capture, PathEvidence evidence);
   void record_hit(ContractCapture* capture, HitEvidence evidence);
 
   /// Whole-ledger JSON (run header + captures in sorted id order).
@@ -287,7 +411,9 @@ class ProvenanceLedger {
   [[nodiscard]] bool load_jsonl(const std::string& path);
 
   static constexpr const char* kLedgerKind = "lisa-ledger";
-  static constexpr std::int64_t kLedgerVersion = 1;
+  /// 2: a capture line holds its verdict only in `report` and carries
+  /// `digest`. A version-1 line restated the verdict beside its report.
+  static constexpr std::int64_t kLedgerVersion = 2;
 
  private:
   /// The header and proposal lines of the JSONL form; the caller holds
@@ -330,9 +456,6 @@ struct CaptureHandle {
   [[nodiscard]] bool active() const { return ledger != nullptr && capture != nullptr; }
   void fact(FactEvidence evidence) const {
     if (active()) ledger->record_fact(capture, std::move(evidence));
-  }
-  void path(PathEvidence evidence) const {
-    if (active()) ledger->record_path(capture, std::move(evidence));
   }
   void hit(HitEvidence evidence) const {
     if (active()) ledger->record_hit(capture, std::move(evidence));

@@ -32,9 +32,9 @@ namespace lisa::support {
                                        const std::string& fingerprint);
 
 /// Longest line read_jsonl buffers. Far above anything LISA writes: the
-/// longest corpus line is a 12.0 KB ledger capture, and a capture at the
-/// 4,096-path cap, which lists each path twice (as evidence and in its
-/// embedded report), would be about 5 MB.
+/// longest corpus line is a 10.6 KB ledger capture, and a capture at the
+/// 4,096-path cap, which lists each path once (in its report, at up to
+/// about 620 bytes a path on the corpus), would be about 2.5 MB.
 inline constexpr std::size_t kMaxJsonlLineBytes = std::size_t{64} << 20;
 
 /// What read_jsonl found besides the records it handed over.

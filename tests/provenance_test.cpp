@@ -14,11 +14,13 @@
 #include "lisa/ci_gate.hpp"
 #include "lisa/pipeline.hpp"
 #include "minilang/sema.hpp"
+#include "obs/diff.hpp"
 #include "obs/explain.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "support/budget.hpp"
 #include "support/jsonl.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -52,12 +54,12 @@ TEST(ProvenanceLedger, CapturesFullEvidenceChain) {
   ASSERT_NE(capture, nullptr);
   EXPECT_EQ(capture->system, "zookeeper");
   EXPECT_EQ(capture->kind, "state-predicate");
-  EXPECT_EQ(capture->verdict, "violated");
+  EXPECT_STREQ(capture->report.verdict_name(), "violated");
   EXPECT_FALSE(capture->fingerprint.empty());
   // Every layer contributed evidence: screen facts, static paths, per-phase
   // SMT queries, and concolic hits.
   EXPECT_FALSE(capture->facts.empty());
-  EXPECT_FALSE(capture->paths.empty());
+  EXPECT_FALSE(capture->report.paths.empty());
   EXPECT_FALSE(capture->hits.empty());
   bool screen = false, static_path = false, concolic = false;
   for (const obs::SmtQueryEvidence& query : capture->smt_queries) {
@@ -70,12 +72,14 @@ TEST(ProvenanceLedger, CapturesFullEvidenceChain) {
   EXPECT_TRUE(screen);
   EXPECT_TRUE(static_path);
   EXPECT_TRUE(concolic);
-  // A violated static path keeps its model structured for the narrator.
-  bool structured_model = false;
-  for (const obs::PathEvidence& path : capture->paths)
-    if (path.verdict == "violated" && !(path.model_bools.empty() && path.model_ints.empty()))
-      structured_model = true;
-  EXPECT_TRUE(structured_model);
+  // Every violated static path carries its counterexample.
+  int violated = 0;
+  for (const core::PathReport& path : capture->report.paths) {
+    if (path.verdict != core::PathVerdict::kViolated) continue;
+    ++violated;
+    EXPECT_FALSE(path.counterexample.empty()) << support::join(path.call_chain, " -> ");
+  }
+  EXPECT_GT(violated, 0);
   // The proposal provenance reflects the (fault-free) inference run.
   EXPECT_EQ(ledger.proposal().case_id, ticket.case_id);
   EXPECT_TRUE(ledger.proposal().succeeded);
@@ -138,7 +142,8 @@ TEST(ProvenanceLedger, OverLongLinesAreSkippedNotBuffered) {
   const std::string path = ::testing::TempDir() + "provenance_long.jsonl";
   {
     std::ofstream out(path);
-    write_over_long_line(out, "\"fingerprint\":\"\",\"journal\":\"lisa-ledger\",\"version\":1");
+    write_over_long_line(out, "\"fingerprint\":\"\",\"journal\":\"lisa-ledger\",\"version\":" +
+                                  std::to_string(obs::ProvenanceLedger::kLedgerVersion));
   }
   obs::ProvenanceLedger foreign;
   EXPECT_FALSE(foreign.load_jsonl(path));
@@ -161,23 +166,31 @@ TEST(ProvenanceLedger, OverLongLinesAreSkippedNotBuffered) {
 }
 
 TEST(ProvenanceLedger, OutOfRangeNumbersLoadSaturated) {
-  // A number where an integer belongs may be any double; one outside
-  // int64's range saturates instead of overflowing the cast.
+  // A number where an integer belongs may be any double; one outside the
+  // field's range saturates instead of overflowing the cast, and the
+  // capture no longer matches its digest.
   const std::string path = ::testing::TempDir() + "provenance_huge_numbers.jsonl";
   std::ofstream(path) << support::jsonl_header(obs::ProvenanceLedger::kLedgerKind,
                                                obs::ProvenanceLedger::kLedgerVersion, "f")
                       << "\n"
                       << R"({"contract_id":"c#0","budget":{"charges":{"steps":1e300}},)"
-                      << R"("paths":[{"target_stmt_id":-1e300,"model_ints":{"x":-1e300}}],)"
-                      << R"("schedule":{"explored":1e300}})"
+                      << R"("report":{"contract_id":"c#0","violated":1e300,"verified":-1e300,)"
+                      << R"("paths":[{"target_stmt_id":-1e300}],)"
+                      << R"("dynamic":{"tests_run":1e300},"schedule":{"explored":1e300}}})"
                       << "\n";
   obs::ProvenanceLedger loaded;
   ASSERT_TRUE(loaded.load_jsonl(path));
   const obs::ContractCapture* capture = loaded.find("c#0");
   ASSERT_NE(capture, nullptr);
   EXPECT_EQ(capture->budget.charges.at("steps"), std::numeric_limits<std::int64_t>::max());
-  ASSERT_EQ(capture->paths.size(), 1u);
-  EXPECT_EQ(capture->paths[0].model_ints.at("x"), std::numeric_limits<std::int64_t>::min());
+  const core::ContractCheckReport& report = capture->report;
+  EXPECT_EQ(report.violated, std::numeric_limits<int>::max());
+  EXPECT_EQ(report.verified, std::numeric_limits<int>::min());
+  ASSERT_EQ(report.paths.size(), 1u);
+  EXPECT_EQ(report.paths[0].target_stmt_id, std::numeric_limits<int>::min());
+  EXPECT_EQ(report.dynamic.tests_run, std::numeric_limits<int>::max());
+  EXPECT_EQ(report.schedules_explored, std::numeric_limits<int>::max());
+  EXPECT_FALSE(capture->intact());
   std::remove(path.c_str());
 }
 
@@ -252,20 +265,80 @@ TEST(Explain, NarrationReproducesEveryViolatedCorpusContract) {
   }
 }
 
+/// The first report in `result` that `lisa explain` renders as violated.
+const core::ContractCheckReport& first_violated(const core::PipelineResult& result) {
+  for (const core::ContractCheckReport& report : result.reports)
+    if (!report.passed()) return report;
+  ADD_FAILURE() << "no violated contract";
+  return result.reports.front();
+}
+
 TEST(Explain, RenderingsCoverTheEvidenceChain) {
+  // A state-predicate contract: the screen line, and each violated path
+  // with its counterexample, as the checker reported them.
   const corpus::FailureTicket& ticket = ticket_or_die("zk-1208-ephemeral-create");
   obs::ProvenanceLedger ledger;
-  (void)run_with_ledger(ticket, ticket.buggy_source, &ledger);
-  const obs::ContractCapture* capture = ledger.find("zk-1208-ephemeral-create#0");
+  const core::PipelineResult result = run_with_ledger(ticket, ticket.buggy_source, &ledger);
+  const core::ContractCheckReport& report = first_violated(result);
+  const obs::ContractCapture* capture = ledger.find(report.contract_id);
   ASSERT_NE(capture, nullptr);
   const std::string text = obs::render_capture_text(*capture);
-  EXPECT_NE(text.find("violated"), std::string::npos);
+  EXPECT_EQ(text.rfind("contract " + report.contract_id + " (zookeeper) — violated\n", 0), 0u)
+      << text;
+  ASSERT_FALSE(report.screen_verdict.empty());
+  EXPECT_NE(text.find("\n  screen: " + report.screen_verdict + " — " + report.screen_reason +
+                      "\n"),
+            std::string::npos)
+      << text;
+  int violated = 0;
+  for (const core::PathReport& path : report.paths) {
+    if (path.verdict != core::PathVerdict::kViolated) continue;
+    ++violated;
+    EXPECT_NE(text.find("\n    " + support::join(path.call_chain, " -> ") + " — violated\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\n      counterexample: " + path.counterexample + "\n"),
+              std::string::npos)
+        << text;
+  }
+  EXPECT_GT(violated, 0);
   EXPECT_NE(text.find("smt queries"), std::string::npos);
   EXPECT_NE(text.find("narration"), std::string::npos);
   const std::string html = obs::render_ledger_html(ledger);
-  EXPECT_NE(html.find("<!doctype html>"), std::string::npos);
+  EXPECT_EQ(html.rfind("<!doctype html>", 0), 0u);
   EXPECT_NE(html.find(capture->fingerprint), std::string::npos);
+  EXPECT_NE(html.find("<h4>Static screen</h4><p>" + obs::html_escape(report.screen_verdict)),
+            std::string::npos);
+  EXPECT_NE(html.find("counterexample: <code>"), std::string::npos);
   EXPECT_NE(html.find("predicate term"), std::string::npos);
+
+  // A contract decided by the schedule explorer: the explored count, the
+  // violating schedule and its replayable witness.
+  const corpus::FailureTicket& race = ticket_or_die("hbase-counter-race");
+  obs::ProvenanceLedger race_ledger;
+  const core::PipelineResult race_result =
+      run_with_ledger(race, race.buggy_source, &race_ledger);
+  const core::ContractCheckReport& explored = first_violated(race_result);
+  ASSERT_GT(explored.schedules_explored, 0);
+  ASSERT_FALSE(explored.schedule_witness.empty());
+  ASSERT_FALSE(explored.schedule_violation_details.empty());
+  const obs::ContractCapture* race_capture = race_ledger.find(explored.contract_id);
+  ASSERT_NE(race_capture, nullptr);
+  const std::string race_text = obs::render_capture_text(*race_capture);
+  EXPECT_NE(race_text.find("\n  schedules: " + std::to_string(explored.schedules_explored) +
+                           " explored — conclusive\n    " +
+                           explored.schedule_violation_details.front() + "\n    witness: " +
+                           explored.schedule_witness + "\n"),
+            std::string::npos)
+      << race_text;
+  const std::string race_html = obs::render_ledger_html(race_ledger);
+  EXPECT_NE(race_html.find("<h4>Schedule exploration</h4><p>" +
+                           std::to_string(explored.schedules_explored) +
+                           " interleaving(s) explored — conclusive"),
+            std::string::npos);
+  EXPECT_NE(race_html.find("witness <code>" + obs::html_escape(explored.schedule_witness) +
+                           "</code>"),
+            std::string::npos);
 }
 
 TEST(BudgetProvenance, ExhaustionReasonIsTypedAndCounted) {
@@ -311,7 +384,7 @@ TEST(GateProvenance, LedgerBindsToGateInputs) {
   for (const core::ContractCheckReport& report : decision.reports) {
     const obs::ContractCapture* capture = ledger.find(report.contract_id);
     ASSERT_NE(capture, nullptr);
-    EXPECT_EQ(capture->passed, report.passed());
+    EXPECT_EQ(capture->report.verdict_signature(), report.verdict_signature());
   }
 }
 

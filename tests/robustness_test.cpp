@@ -33,6 +33,7 @@
 #include "support/faultpoint.hpp"
 #include "support/jsonl.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace lisa {
 namespace {
@@ -589,7 +590,9 @@ TEST_F(Robustness, JournalSkipsOverLongLines) {
                                              write_over_long_line(
                                                  out,
                                                  "\"fingerprint\":\"\",\"journal\":\"lisa-ledger\","
-                                                 "\"version\":1");
+                                                 "\"version\":" +
+                                                     std::to_string(
+                                                         obs::ProvenanceLedger::kLedgerVersion));
                                            }),
             0);
   EXPECT_EQ(resumed_from_corrupted_journal(
@@ -631,43 +634,63 @@ int resumed_after_editing_journal(const std::string& name,
 }
 
 TEST_F(Robustness, ResumeReChecksCapturesWithoutReport) {
+  // An empty report (what a line without one loads as) names no contract.
   const std::string name = "no_report.jsonl";
   EXPECT_EQ(resumed_after_editing_journal(name, [](obs::ContractCapture&) {}), 2);
-  EXPECT_EQ(resumed_after_editing_journal(
-                name, [](obs::ContractCapture& capture) { capture.report = support::Json(); }),
-            0);
-}
-
-TEST_F(Robustness, ResumeReChecksReportsNamingAnotherContract) {
-  // Only the embedded report's contract id is wrong: the capture and the
-  // report still carry the matching slice fingerprint.
-  EXPECT_EQ(resumed_after_editing_journal("other_contract.jsonl",
+  EXPECT_EQ(resumed_after_editing_journal(name,
                                           [](obs::ContractCapture& capture) {
-                                            capture.report.as_object()["contract_id"] =
-                                                "another-case#0";
+                                            capture.report = ContractCheckReport{};
                                           }),
             0);
 }
 
-TEST_F(Robustness, ResumeReChecksReportsThatContradictTheirCapture) {
-  // A failing contract's report edited to pass (a corrupted count, say)
-  // while its capture still records the failure is checked again, never
-  // replayed as a pass.
-  int failing = 0;
-  const int resumed =
-      resumed_after_editing_journal("contradicted.jsonl", [&](obs::ContractCapture& capture) {
-        if (capture.passed) return;
-        ++failing;
-        capture.report.as_object()["violated"] = 0;
-        capture.report.as_object()["structural_violations"] = support::Json(support::JsonArray{});
-      });
-  EXPECT_GT(failing, 0);
-  EXPECT_EQ(resumed, 2 - failing);
+TEST_F(Robustness, ResumeReChecksReportsNamingAnotherContract) {
+  // Only the report's contract id is wrong, and the line is re-digested: it
+  // is intact and still carries the matching slice fingerprint.
+  EXPECT_EQ(resumed_after_editing_journal("other_contract.jsonl",
+                                          [](obs::ContractCapture& capture) {
+                                            capture.report.contract_id = "another-case#0";
+                                          }),
+            0);
+}
+
+TEST_F(Robustness, ResumeReChecksCorruptedCounts) {
+  // A failing contract's violation count edited in the journal's bytes, out
+  // of every integer type's range or to 0, no longer matches its line's
+  // digest (1e300 parses, saturated, to a count that writes back
+  // differently): the contract is checked again, never replayed with a
+  // garbled or passing verdict.
+  const std::string path = temp_path("corrupted_count.jsonl");
+  for (const std::string replacement : {"1e300", "0"}) {
+    SCOPED_TRACE(replacement);
+    int edited = 0;
+    EXPECT_EQ(resumed_from_corrupted_journal(
+                  path,
+                  [&](std::ostream& out, const std::string& journal) {
+                    std::string text = journal;
+                    const std::string key = "\"violated\":";
+                    for (std::size_t at = text.find(key); at != std::string::npos;
+                         at = text.find(key, at + 1)) {
+                      const std::size_t begin = at + key.size();
+                      std::size_t end = begin;
+                      while (end < text.size() &&
+                             std::isdigit(static_cast<unsigned char>(text[end])) != 0)
+                        ++end;
+                      if (end == begin || text.compare(begin, end - begin, "0") == 0) continue;
+                      text.replace(begin, end - begin, replacement);
+                      ++edited;
+                    }
+                    out << text;
+                  }),
+              1);
+    EXPECT_EQ(edited, 1);
+  }
 }
 
 TEST_F(Robustness, ResumeReChecksDegradedReportStubs) {
-  // A faulted serialization embeds a stub that keeps the counts but has no
-  // slice fingerprint, so it never replays.
+  // A faulted serialization writes a stub report that keeps the counts but
+  // has no slice fingerprint; it loads as a report that writes back
+  // differently, so the line is not intact and never replays.
   ASSERT_TRUE(FaultRegistry::instance().configure("report.serialize=fail"));
   const core::ContractStore store = two_contract_store();
   const std::string path = temp_path("degraded_journal.jsonl");
@@ -676,14 +699,19 @@ TEST_F(Robustness, ResumeReChecksDegradedReportStubs) {
   journaling.journal_path = path;
   const core::GateDecision cold = gate.evaluate(two_contract_source(), store, journaling);
   FaultRegistry::instance().clear();
+  const std::vector<std::string> lines = support::split(read_file(path), '\n');
+  ASSERT_EQ(lines.size(), 5u);  // header, proposal, two captures, final newline
+  for (std::size_t i = 2; i < 4; ++i) {
+    const support::Json report = support::Json::parse(lines[i]).at("report");
+    EXPECT_TRUE(report.has("serialization_degraded")) << lines[i];
+    EXPECT_FALSE(report.has("slice_fp")) << lines[i];
+  }
   obs::ProvenanceLedger journal;
   ASSERT_TRUE(journal.load_jsonl(path));
   ASSERT_EQ(journal.size(), 2u);
   for (const std::string& id : journal.contract_ids()) {
-    const obs::ContractCapture& capture = *journal.find(id);
-    EXPECT_TRUE(capture.report.has("serialization_degraded")) << id;
-    EXPECT_FALSE(capture.report.has("slice_fp")) << id;
-    EXPECT_FALSE(capture.slice_fp.empty()) << id;
+    EXPECT_FALSE(journal.find(id)->intact()) << id;
+    EXPECT_TRUE(journal.find(id)->report.slice_fp.empty()) << id;
   }
   core::GateRunOptions resuming = journaling;
   resuming.resume = true;
@@ -877,9 +905,11 @@ std::string mutate(const std::string& text, support::Rng& rng) {
 TEST_F(Robustness, MutatedJournalsResumeSafely) {
   // Seeded mutants of a journal written by `lisa gate zk-1208-ephemeral-create`
   // on its patched source, each resumed through the gate: no exception
-  // escapes, the sanitizer build finds nothing, every report carries its
-  // contract's slice fingerprint on this program, the commit stays blocked,
-  // and one seed gives one set of outcomes.
+  // escapes, the sanitizer build finds nothing, the commit stays blocked,
+  // every report carries its contract's slice fingerprint on this program
+  // and has the cold run's verdict signature (so whatever a mutant replays
+  // is what the cold run decided), the resumed run rewrites the cold run's
+  // journal byte for byte, and one seed gives one set of outcomes.
   constexpr int kMutants = 300;
   const corpus::FailureTicket* zk = corpus::Corpus::find("zk-1208-ephemeral-create");
   const core::ContractStore store = store_of({"zk-1208-ephemeral-create"});
@@ -887,7 +917,8 @@ TEST_F(Robustness, MutatedJournalsResumeSafely) {
   const std::string path = temp_path("mutant.jsonl");
   core::GateRunOptions journaling;
   journaling.journal_path = path;
-  (void)gate.evaluate(zk->patched_source, store, journaling);
+  const std::vector<std::string> cold =
+      signatures(gate.evaluate(zk->patched_source, store, journaling));
   const std::string journal = read_file(path);
   ASSERT_FALSE(journal.empty());
   const minilang::Program program = minilang::parse_checked(zk->patched_source);
@@ -900,30 +931,28 @@ TEST_F(Robustness, MutatedJournalsResumeSafely) {
   resuming.resume = true;
   const auto campaign = [&](std::uint64_t seed) {
     support::Rng rng(seed);
-    std::vector<std::string> outcomes;
+    std::vector<int> replayed;
     for (int i = 0; i < kMutants; ++i) {
       write_file(path, mutate(journal, rng));
       core::GateDecision decision;
       EXPECT_NO_THROW(decision = gate.evaluate(zk->patched_source, store, resuming))
           << "mutant " << i;
       EXPECT_FALSE(decision.allowed) << "mutant " << i;
-      std::string outcome = std::to_string(decision.resumed_contracts) +
-                            (decision.allowed ? " allowed" : " blocked");
-      for (const ContractCheckReport& report : decision.reports) {
+      for (const ContractCheckReport& report : decision.reports)
         EXPECT_EQ(report.slice_fp, slice_fps[report.contract_id]) << "mutant " << i;
-        outcome += "\n" + report.verdict_signature();
-      }
-      outcomes.push_back(std::move(outcome));
+      EXPECT_EQ(signatures(decision), cold) << "mutant " << i;
+      EXPECT_EQ(read_file(path), journal) << "mutant " << i;
+      replayed.push_back(decision.resumed_contracts);
     }
-    return outcomes;
+    return replayed;
   };
-  const std::vector<std::string> outcomes = campaign(23);
-  EXPECT_EQ(campaign(23), outcomes);
+  const std::vector<int> replayed = campaign(23);
+  EXPECT_EQ(campaign(23), replayed);
   // The campaign reaches both paths: some mutants replay, others re-check.
-  const auto replayed = std::count_if(outcomes.begin(), outcomes.end(),
-                                      [](const std::string& o) { return o[0] != '0'; });
-  EXPECT_GT(replayed, 0);
-  EXPECT_LT(replayed, kMutants);
+  const auto replaying = std::count_if(replayed.begin(), replayed.end(),
+                                       [](int resumed) { return resumed > 0; });
+  EXPECT_GT(replaying, 0);
+  EXPECT_LT(replaying, kMutants);
   std::remove(path.c_str());
 }
 

@@ -896,7 +896,7 @@ TEST(GateSchedule, ViolatingInterleavingBlocksWithLedgerRecordedWitness) {
   EXPECT_FALSE(witness.decisions.empty());
   const obs::ContractCapture* capture = ledger.find(report.contract_id);
   ASSERT_NE(capture, nullptr);
-  EXPECT_EQ(capture->schedule_witness, report.schedule_witness);
+  EXPECT_EQ(capture->report.schedule_witness, report.schedule_witness);
   EXPECT_EQ(capture->narration.kind, "schedule-replay");
   EXPECT_TRUE(capture->narration.reproduced);
 }

@@ -310,7 +310,8 @@ TEST(IncrementalResume, EditRechecksOnlyContractsWhoseConeContainsIt) {
 
 TEST(IncrementalResume, SliceFpRecordedOnlyWhenRequested) {
   // check_contracts records a contract's slice fingerprint, on its report
-  // and its capture, exactly when the run has a ledger.
+  // and on the report its capture holds and writes, exactly when the run
+  // has a ledger.
   const corpus::FailureTicket* zk = corpus::Corpus::find("zk-1208-ephemeral-create");
   ASSERT_NE(zk, nullptr);
   const inference::SemanticsProposal proposal = inference::MockLlm().infer(*zk);
@@ -343,8 +344,8 @@ TEST(IncrementalResume, SliceFpRecordedOnlyWhenRequested) {
                                                          options.run_concolic));
     const obs::ContractCapture* capture = ledger.find(contract.id);
     ASSERT_NE(capture, nullptr);
-    EXPECT_EQ(capture->slice_fp, slice_fp);
-    EXPECT_EQ(capture->report.get_string("slice_fp"), slice_fp);
+    EXPECT_EQ(capture->report.slice_fp, slice_fp);
+    EXPECT_EQ(capture->to_json().at("report").get_string("slice_fp"), slice_fp);
   }
 }
 

@@ -855,14 +855,10 @@ int cmd_trends(int argc, char** argv) {
     std::printf("%s", text.c_str());
   }
   if (!html_path.empty()) {
-    std::string html =
-        "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n"
-        "<title>LISA gate trends</title>\n<style>\n"
-        "body{font-family:system-ui,sans-serif;margin:2rem auto;max-width:64rem;"
-        "color:#1a1a2e;line-height:1.45}\n"
-        "pre{background:#f2f2f7;padding:1rem;border-radius:6px;overflow-x:auto}\n"
-        "</style></head><body>\n<h1>LISA gate trends</h1>\n<pre>\n" +
-        text + "</pre>\n</body></html>\n";
+    const std::string html = obs::html_page(
+        "LISA gate trends",
+        "pre{background:#f2f2f7;padding:1rem;border-radius:6px;overflow-x:auto}\n",
+        "<pre>\n" + obs::html_escape(text) + "</pre>\n");
     if (!write_text_file(html_path, html)) return 2;
   }
   return 0;
