@@ -265,12 +265,12 @@ TEST(Explain, NarrationReproducesEveryViolatedCorpusContract) {
   }
 }
 
-/// The first report in `result` that `lisa explain` renders as violated.
-const core::ContractCheckReport& first_violated(const core::PipelineResult& result) {
+/// The first report in `result` that `lisa explain` renders as violated;
+/// nullptr when every contract passed.
+const core::ContractCheckReport* first_violated(const core::PipelineResult& result) {
   for (const core::ContractCheckReport& report : result.reports)
-    if (!report.passed()) return report;
-  ADD_FAILURE() << "no violated contract";
-  return result.reports.front();
+    if (!report.passed()) return &report;
+  return nullptr;
 }
 
 TEST(Explain, RenderingsCoverTheEvidenceChain) {
@@ -279,7 +279,8 @@ TEST(Explain, RenderingsCoverTheEvidenceChain) {
   const corpus::FailureTicket& ticket = ticket_or_die("zk-1208-ephemeral-create");
   obs::ProvenanceLedger ledger;
   const core::PipelineResult result = run_with_ledger(ticket, ticket.buggy_source, &ledger);
-  const core::ContractCheckReport& report = first_violated(result);
+  ASSERT_NE(first_violated(result), nullptr);
+  const core::ContractCheckReport& report = *first_violated(result);
   const obs::ContractCapture* capture = ledger.find(report.contract_id);
   ASSERT_NE(capture, nullptr);
   const std::string text = obs::render_capture_text(*capture);
@@ -318,7 +319,8 @@ TEST(Explain, RenderingsCoverTheEvidenceChain) {
   obs::ProvenanceLedger race_ledger;
   const core::PipelineResult race_result =
       run_with_ledger(race, race.buggy_source, &race_ledger);
-  const core::ContractCheckReport& explored = first_violated(race_result);
+  ASSERT_NE(first_violated(race_result), nullptr);
+  const core::ContractCheckReport& explored = *first_violated(race_result);
   ASSERT_GT(explored.schedules_explored, 0);
   ASSERT_FALSE(explored.schedule_witness.empty());
   ASSERT_FALSE(explored.schedule_violation_details.empty());
