@@ -2,7 +2,8 @@
 # Compares the renderings of two lisa builds over the whole corpus: for every
 # case and version (patched, buggy, and latest where the case has one),
 # `lisa explain` stdout and its --html page must be byte-identical, and so
-# must the text of `lisa diff` between each case's buggy and patched ledgers.
+# must the text and the --html page of `lisa diff` between each case's buggy
+# and patched ledgers.
 # Each build diffs ledgers that it wrote itself, so a change to the ledger
 # format alone moves nothing here. Prints one line per difference and a
 # summary; exits 1 when anything differs.
@@ -57,13 +58,15 @@ for case_id in $cases; do
     lisa=$before
     [[ "$side" == after ]] && lisa=$after
     "$lisa" diff "$work/$side/$case_id.buggy.jsonl" "$work/$side/$case_id.patched.jsonl" \
-      > "$work/$side/$case_id.diff.txt" 2> /dev/null || true
+      --html "$work/$side/$case_id.diff.html" > "$work/$side/$case_id.diff.txt" 2> /dev/null || true
   done
-  if [[ ! -s "$work/after/$case_id.diff.txt" ]] || \
-     ! cmp -s "$work/before/$case_id.diff.txt" "$work/after/$case_id.diff.txt"; then
-    echo "diff $case_id: text differs"
-    differed=$((differed + 1))
-  fi
+  for kind in txt html; do
+    if [[ ! -s "$work/after/$case_id.diff.$kind" ]] || \
+       ! cmp -s "$work/before/$case_id.diff.$kind" "$work/after/$case_id.diff.$kind"; then
+      echo "diff $case_id: $kind differs"
+      differed=$((differed + 1))
+    fi
+  done
 done
 echo "compared $compared explain runs and $(wc -w <<< "$cases") ledger diffs: $differed difference(s)"
 [[ "$differed" -eq 0 ]]
