@@ -14,6 +14,7 @@
 
 #include "corpus/ticket.hpp"
 #include "lisa/ci_gate.hpp"
+#include "lisa/journal.hpp"
 #include "lisa/pipeline.hpp"
 #include "obs/diff.hpp"
 #include "obs/history.hpp"
@@ -469,6 +470,32 @@ core::ContractStore store_for(const corpus::FailureTicket& ticket) {
   core::ContractStore store;
   store.add_all(std::move(translation.contracts));
   return store;
+}
+
+TEST(RunRecordVerdicts, NameEachReportAsTheLedgerDoes) {
+  // One name per report state, in the history record and in the ledger
+  // capture alike. A violation found before the budget ran out is
+  // "violated", not "inconclusive".
+  core::ContractCheckReport passed;
+  passed.contract_id = "a#0";
+  core::ContractCheckReport cut = passed;
+  cut.contract_id = "b#0";
+  cut.budget_exhausted = true;
+  core::ContractCheckReport failed = cut;
+  failed.contract_id = "c#0";
+  failed.violated = 1;
+  const std::vector<core::ContractCheckReport> reports = {passed, cut, failed};
+  obs::ProvenanceLedger ledger;
+  for (const core::ContractCheckReport& report : reports)
+    ledger.capture_for(report.contract_id)->report = report;
+  const obs::RunRecord record =
+      core::history_record("gate", "label", reports, core::tally(reports), 0.0, ledger);
+  const std::map<std::string, std::string> want = {
+      {"a#0", "passed"}, {"b#0", "inconclusive"}, {"c#0", "violated"}};
+  for (const auto& [id, verdict] : want) {
+    EXPECT_EQ(record.contracts.at(id).verdict, verdict) << id;
+    EXPECT_EQ(ledger.find(id)->report.verdict_name(), verdict) << id;
+  }
 }
 
 TEST(GateHistory, AppendsOneFingerprintedRecordPerRun) {
