@@ -197,8 +197,23 @@ python3 -m json.tool "$diff_dir/a.json" > /dev/null || {
   echo "check.sh: lisa diff --json is not valid JSON" >&2
   exit 1
 }
+# A capture edited after it was written (its report's verified count set to
+# 1) no longer matches its line's digest: lisa diff names the damaged side
+# and exits 1, although no verdict flipped.
+sed 's/"verified":0/"verified":1/' "$diff_dir/buggy.jsonl" > "$diff_dir/edited.jsonl"
+diff_status=0
+"$BUILD_DIR"/tools/lisa diff "$diff_dir/buggy.jsonl" "$diff_dir/edited.jsonl" \
+  > "$diff_dir/c.txt" || diff_status=$?
+if [[ "$diff_status" -ne 1 ]] || \
+   ! grep -q "\[edit\] hdfs-pending-race#0: violated -> violated" "$diff_dir/c.txt" || \
+   ! grep -q "damaged capture (after): its line does not match its digest" "$diff_dir/c.txt"; then
+  echo "check.sh: lisa diff of an edited ledger exited $diff_status without naming" \
+       "the damaged capture:" >&2
+  cat "$diff_dir/c.txt" >&2
+  exit 1
+fi
 rm -rf "$diff_dir"
-echo "diff smoke: OK (one flip, byte-stable, JSON valid)"
+echo "diff smoke: OK (one flip, damaged capture named, byte-stable, JSON valid)"
 
 # Resume smoke: `--journal` names a provenance ledger. A resumed gate run
 # replays the journaled contract and carries its capture into the run's

@@ -9,53 +9,43 @@
 namespace lisa::inference {
 
 using support::Json;
-using support::JsonArray;
-using support::JsonObject;
 
-Json SemanticsProposal::to_json() const {
-  JsonObject root;
-  root["case_id"] = case_id;
-  root["high_level_semantics"] = high_level_semantics;
-  JsonArray lows;
-  for (const LowLevelSemantics& low : low_level) {
-    JsonObject entry;
-    entry["description"] = low.description;
-    entry["target_statement"] = low.target_statement;
-    entry["condition_statement"] = low.condition_statement;
-    lows.push_back(Json(std::move(entry)));
-  }
-  root["low_level_semantics"] = Json(std::move(lows));
-  root["reasoning"] = reasoning;
-  root["kind"] = kind == corpus::SemanticsKind::kStatePredicate ? "state_predicate"
-                 : kind == corpus::SemanticsKind::kStructuralPattern
-                     ? "structural_pattern"
-                     : "interleaving_sensitive";
-  if (!pattern.empty()) root["pattern"] = pattern;
-  return Json(std::move(root));
+const support::JsonCodec<corpus::SemanticsKind, std::string> kSemanticsKindCodec{
+    [](const corpus::SemanticsKind& kind) -> std::string {
+      switch (kind) {
+        case corpus::SemanticsKind::kStatePredicate: return "state_predicate";
+        case corpus::SemanticsKind::kStructuralPattern: return "structural_pattern";
+        case corpus::SemanticsKind::kInterleavingSensitive: return "interleaving_sensitive";
+      }
+      return "state_predicate";
+    },
+    [](const std::string& name) {
+      if (name == "structural_pattern") return corpus::SemanticsKind::kStructuralPattern;
+      if (name == "interleaving_sensitive") return corpus::SemanticsKind::kInterleavingSensitive;
+      return corpus::SemanticsKind::kStatePredicate;
+    }};
+
+template <class Io>
+void json_fields(Io& io, LowLevelSemantics& low) {
+  io("description", low.description);
+  io("target_statement", low.target_statement);
+  io("condition_statement", low.condition_statement);
 }
 
+template <class Io>
+void json_fields(Io& io, SemanticsProposal& proposal) {
+  io("case_id", proposal.case_id);
+  io("high_level_semantics", proposal.high_level_semantics);
+  io("low_level_semantics", proposal.low_level);
+  io("reasoning", proposal.reasoning);
+  io("kind", proposal.kind, kSemanticsKindCodec);
+  io("pattern", proposal.pattern, support::kOmitEmpty);
+}
+
+Json SemanticsProposal::to_json() const { return support::write_record(*this); }
+
 SemanticsProposal SemanticsProposal::from_json(const Json& json) {
-  SemanticsProposal proposal;
-  proposal.case_id = json.get_string("case_id");
-  proposal.high_level_semantics = json.get_string("high_level_semantics");
-  proposal.reasoning = json.get_string("reasoning");
-  const std::string kind_text = json.get_string("kind");
-  proposal.kind = kind_text == "structural_pattern"
-                      ? corpus::SemanticsKind::kStructuralPattern
-                  : kind_text == "interleaving_sensitive"
-                      ? corpus::SemanticsKind::kInterleavingSensitive
-                      : corpus::SemanticsKind::kStatePredicate;
-  proposal.pattern = json.get_string("pattern");
-  if (json.has("low_level_semantics")) {
-    for (const Json& entry : json.at("low_level_semantics").as_array()) {
-      LowLevelSemantics low;
-      low.description = entry.get_string("description");
-      low.target_statement = entry.get_string("target_statement");
-      low.condition_statement = entry.get_string("condition_statement");
-      proposal.low_level.push_back(std::move(low));
-    }
-  }
-  return proposal;
+  return support::read_record<SemanticsProposal>(json);
 }
 
 std::string validate_proposal(const SemanticsProposal& proposal,

@@ -18,8 +18,14 @@
 
 #include "corpus/ticket.hpp"
 #include "support/json.hpp"
+#include "support/json_fields.hpp"
 
 namespace lisa::inference {
+
+/// How a proposal, and a stored contract (lisa/contract.hpp), name their
+/// kind: "state_predicate", "structural_pattern" or "interleaving_sensitive".
+/// Any other name reads as a state predicate.
+extern const support::JsonCodec<corpus::SemanticsKind, std::string> kSemanticsKindCodec;
 
 struct LowLevelSemantics {
   std::string description;          // concise natural-language statement

@@ -19,6 +19,10 @@ namespace lisa::core {
 
 namespace {
 
+/// Lowest embedding similarity at which a ranked test is selected for
+/// concolic replay.
+constexpr double kMinTestScore = 0.01;
+
 /// True if `hit_chain` (test frame first) ends with `path_chain`.
 bool chain_suffix_matches(const std::vector<std::string>& hit_chain,
                           const std::vector<std::string>& path_chain) {
@@ -374,7 +378,7 @@ void check_paths(const staticcheck::Screener& analysis, const SemanticContract& 
         bool any = false;
         for (const std::vector<inference::TestRanking>& ranking : rankings) {
           if (round >= ranking.size()) continue;
-          if (ranking[round].score < options.min_test_score) continue;
+          if (ranking[round].score < kMinTestScore) continue;
           any = true;
           if (seen.insert(ranking[round].test_name).second) {
             tests.push_back(ranking[round].test_name);

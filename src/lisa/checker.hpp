@@ -48,7 +48,6 @@ struct CheckOptions {
   bool prune_irrelevant = true;   // §3.2 relevant-variable branch pruning
   std::size_t max_paths = 4096;
   std::size_t max_tests_per_contract = 8;
-  double min_test_score = 0.01;
   /// Override test selection: run exactly these tests (empty = use RAG
   /// selection). Used by the test-selection ablation.
   std::vector<std::string> forced_tests;

@@ -81,18 +81,6 @@ std::string Type::to_string() const {
   return out;
 }
 
-bool Type::same_base(const Type& other) const {
-  if (kind != other.kind) return false;
-  switch (kind) {
-    case Kind::kStruct: return struct_name == other.struct_name;
-    case Kind::kList: return elem && other.elem && elem->same_base(*other.elem);
-    case Kind::kMap:
-      return key && other.key && key->same_base(*other.key) && elem && other.elem &&
-             elem->same_base(*other.elem);
-    default: return true;
-  }
-}
-
 const char* bin_op_text(BinOp op) {
   switch (op) {
     case BinOp::kAdd: return "+";

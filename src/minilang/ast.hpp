@@ -47,9 +47,6 @@ struct Type {
 
   /// Canonical source rendering, e.g. "Session?", "list<int>".
   [[nodiscard]] std::string to_string() const;
-
-  /// Structural equality ignoring nullability.
-  [[nodiscard]] bool same_base(const Type& other) const;
 };
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "support/strings.hpp"
 
@@ -142,6 +143,7 @@ Json DiffReport::to_json() const {
   root["identical"] = identical();
   root["verdict_flips"] = verdict_flips();
   root["contracts_unchanged"] = contracts_unchanged;
+  if (damaged_captures > 0) root["damaged_captures"] = damaged_captures;
   JsonArray contract_entries;
   for (const ContractDelta& contract : contracts) {
     JsonObject entry;
@@ -185,9 +187,24 @@ DiffReport diff_ledgers(const ProvenanceLedger& a, const ProvenanceLedger& b) {
     delta.contract_id = id;
     delta.before = before != nullptr ? before->report.verdict_name() : "";
     delta.after = after != nullptr ? after->report.verdict_name() : "";
+    // A loaded capture whose line does not match its digest was torn or
+    // edited: its verdict cannot be compared, so the diff names it.
+    for (const auto& [ledger, capture, side] :
+         {std::tuple{&a, before, "before"}, std::tuple{&b, after, "after"}}) {
+      if (capture == nullptr || !ledger->loaded() || capture->intact()) continue;
+      ++report.damaged_captures;
+      delta.notes.push_back(std::string("damaged capture (") + side +
+                            "): its line does not match its digest");
+    }
     if (before != nullptr && after != nullptr) {
       delta.flipped = delta.before != delta.after;
-      delta.notes = capture_notes(*before, *after);
+      for (std::string& note : capture_notes(*before, *after))
+        delta.notes.push_back(std::move(note));
+      const std::string signature_before = evidence_digest(before->report.verdict_signature());
+      const std::string signature_after = evidence_digest(after->report.verdict_signature());
+      if (!delta.flipped && delta.notes.empty() && signature_before != signature_after)
+        delta.notes.push_back("verdict signature changed: " + signature_before + " -> " +
+                              signature_after);
       if (!delta.flipped && delta.notes.empty()) {
         ++report.contracts_unchanged;
         continue;
@@ -261,6 +278,8 @@ std::string render_diff_text(const DiffReport& report) {
     return out;
   }
   out += "verdict flips: " + std::to_string(report.verdict_flips()) + "\n";
+  if (report.damaged_captures > 0)
+    out += "damaged captures: " + std::to_string(report.damaged_captures) + "\n";
   out += "contracts changed: " + std::to_string(report.contracts.size()) + " (unchanged " +
          std::to_string(report.contracts_unchanged) + ")\n\n";
   for (const ContractDelta& contract : report.contracts) {
@@ -336,9 +355,13 @@ std::string render_diff_html(const DiffReport& report) {
     return html_page("LISA gate diff", notes_css, out);
   }
   out += "<p><strong>" + std::to_string(report.verdict_flips()) +
-         " verdict flip(s)</strong>, " + std::to_string(report.contracts.size()) +
-         " contract(s) changed, " + std::to_string(report.contracts_unchanged) +
-         " unchanged.</p>\n";
+         " verdict flip(s)</strong>, " +
+         (report.damaged_captures > 0
+              ? "<strong>" + std::to_string(report.damaged_captures) +
+                    " damaged capture(s)</strong>, "
+              : std::string()) +
+         std::to_string(report.contracts.size()) + " contract(s) changed, " +
+         std::to_string(report.contracts_unchanged) + " unchanged.</p>\n";
   for (const ContractDelta& contract : report.contracts) {
     out += "<h3><code>" + html_escape(contract.contract_id) + "</code> <span class=\"badge " +
            verdict_class(contract.before) + "\">" +

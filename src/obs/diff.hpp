@@ -43,8 +43,9 @@ struct ContractDelta {
   std::string after;
   /// Present on both sides with different verdicts — the headline signal.
   bool flipped = false;
-  /// Evidence-chain deltas in fixed rule order (screen, slice, paths, SMT,
-  /// hits, budget, narration); human-readable, one change per entry.
+  /// Deltas in fixed rule order (damaged captures, screen, slice, paths,
+  /// SMT, hits, budget, narration, else the verdict signature);
+  /// human-readable, one change per entry.
   std::vector<std::string> notes;
 };
 
@@ -58,6 +59,9 @@ struct DiffReport {
   /// not listed — the report is about what moved.
   std::vector<ContractDelta> contracts;
   int contracts_unchanged = 0;
+  /// Ledger captures, on either side, whose line does not match its digest
+  /// (ContractCapture::intact): each is noted on its contract.
+  int damaged_captures = 0;
   /// Metric movements (run diffs only), sorted by name.
   std::vector<MetricDelta> metrics;
 
@@ -69,7 +73,10 @@ struct DiffReport {
   [[nodiscard]] support::Json to_json() const;
 };
 
-/// Rich diff of two provenance ledgers (A = before, B = after).
+/// Rich diff of two provenance ledgers (A = before, B = after). A contract
+/// is listed when its verdict flipped, when its evidence chain moved, when
+/// either capture is damaged, or, failing all of those, when its verdict
+/// signature changed.
 [[nodiscard]] DiffReport diff_ledgers(const ProvenanceLedger& a, const ProvenanceLedger& b);
 
 /// Longitudinal diff of two history records.

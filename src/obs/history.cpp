@@ -5,77 +5,42 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/json_fields.hpp"
 #include "support/jsonl.hpp"
 
 namespace lisa::obs {
 
 using support::Json;
-using support::JsonArray;
 using support::JsonObject;
 
 // ---------------------------------------------------------------------------
-// Serialization
+// Serialization: one field list per record (support/json_fields.hpp)
 // ---------------------------------------------------------------------------
 
-Json RunRecord::to_json() const {
-  JsonObject root;
-  root["kind"] = kind;
-  root["label"] = label;
-  root["input_fingerprint"] = input_fingerprint;
-  if (!smt_digest.empty()) root["smt_digest"] = smt_digest;
-  JsonObject contract_entries;
-  for (const auto& [id, outcome] : contracts) {
-    JsonObject entry;
-    entry["verdict"] = outcome.verdict;
-    entry["passed"] = outcome.passed;
-    entry["conclusive"] = outcome.conclusive;
-    entry["signature_digest"] = outcome.signature_digest;
-    if (!outcome.slice_fp.empty()) entry["slice_fp"] = outcome.slice_fp;
-    if (outcome.smt_queries > 0) entry["smt_queries"] = outcome.smt_queries;
-    contract_entries[id] = Json(std::move(entry));
-  }
-  root["contracts"] = Json(std::move(contract_entries));
-  JsonObject metric_entries;
-  for (const auto& [name, value] : metrics) metric_entries[name] = value;
-  root["metrics"] = Json(std::move(metric_entries));
-  if (!meta.empty()) {
-    JsonObject meta_entries;
-    for (const auto& [name, value] : meta) meta_entries[name] = value;
-    root["meta"] = Json(std::move(meta_entries));
-  }
-  return Json(std::move(root));
+template <class Io>
+void json_fields(Io& io, ContractOutcome& outcome) {
+  io("verdict", outcome.verdict);
+  io("passed", outcome.passed);
+  io("conclusive", outcome.conclusive);
+  io("signature_digest", outcome.signature_digest);
+  io("slice_fp", outcome.slice_fp, support::kOmitEmpty);
+  io("smt_queries", outcome.smt_queries, support::kOmitEmpty);
 }
 
-RunRecord RunRecord::from_json(const Json& json) {
-  RunRecord record;
-  if (!json.is_object()) return record;
-  record.kind = json.get_string("kind");
-  record.label = json.get_string("label");
-  record.input_fingerprint = json.get_string("input_fingerprint");
-  record.smt_digest = json.get_string("smt_digest");
-  if (json.has("contracts") && json.at("contracts").is_object()) {
-    for (const auto& [id, entry] : json.at("contracts").as_object()) {
-      if (!entry.is_object()) continue;
-      ContractOutcome outcome;
-      outcome.verdict = entry.get_string("verdict");
-      outcome.passed = entry.has("passed") && entry.at("passed").is_bool() &&
-                       entry.at("passed").as_bool();
-      outcome.conclusive = entry.has("conclusive") && entry.at("conclusive").is_bool() &&
-                           entry.at("conclusive").as_bool();
-      outcome.signature_digest = entry.get_string("signature_digest");
-      outcome.slice_fp = entry.get_string("slice_fp");
-      outcome.smt_queries = entry.get_int("smt_queries");
-      record.contracts[id] = std::move(outcome);
-    }
-  }
-  if (json.has("metrics") && json.at("metrics").is_object())
-    for (const auto& [name, value] : json.at("metrics").as_object())
-      if (value.is_number()) record.metrics[name] = value.as_double();
-  if (json.has("meta") && json.at("meta").is_object())
-    for (const auto& [name, value] : json.at("meta").as_object())
-      if (value.is_string()) record.meta[name] = value.as_string();
-  return record;
+template <class Io>
+void json_fields(Io& io, RunRecord& record) {
+  io("kind", record.kind);
+  io("label", record.label);
+  io("input_fingerprint", record.input_fingerprint);
+  io("smt_digest", record.smt_digest, support::kOmitEmpty);
+  io("contracts", record.contracts);
+  io("metrics", record.metrics);
+  io("meta", record.meta, support::kOmitEmpty);
 }
+
+Json RunRecord::to_json() const { return support::write_record(*this); }
+
+RunRecord RunRecord::from_json(const Json& json) { return support::read_record<RunRecord>(json); }
 
 // ---------------------------------------------------------------------------
 // Store
@@ -157,6 +122,13 @@ std::string format_value(double value) {
 
 namespace {
 
+// Drift thresholds (detect_drift in history.hpp states each rule).
+constexpr double kLatencyFactor = 3.0;
+constexpr double kSmtFactor = 2.0;
+constexpr double kMinSmtQueries = 16.0;
+constexpr double kSettledDrop = 0.05;
+constexpr double kConclusiveDrop = 0.05;
+
 /// Baseline values of one metric over the window, oldest first.
 std::vector<double> metric_series(const std::vector<const RunRecord*>& window,
                                   const std::string& name) {
@@ -219,7 +191,7 @@ std::vector<DriftFinding> detect_drift(const std::vector<const RunRecord*>& base
     const auto it = current.metrics.find("settled_fraction");
     if (!series.empty() && it != current.metrics.end()) {
       const double median = drift_median(series);
-      if (it->second < median - options.settled_drop) {
+      if (it->second < median - kSettledDrop) {
         DriftFinding finding;
         finding.kind = "settled-drop";
         finding.subject = "settled_fraction";
@@ -247,7 +219,7 @@ std::vector<DriftFinding> detect_drift(const std::vector<const RunRecord*>& base
     const auto it = current.metrics.find("interleaving_conclusive_fraction");
     if (!series.empty() && it != current.metrics.end()) {
       const double median = drift_median(series);
-      if (it->second < median - options.conclusive_drop) {
+      if (it->second < median - kConclusiveDrop) {
         DriftFinding finding;
         finding.kind = "interleaving-conclusive-drop";
         finding.subject = "interleaving_conclusive_fraction";
@@ -274,8 +246,7 @@ std::vector<DriftFinding> detect_drift(const std::vector<const RunRecord*>& base
     const std::vector<double> series = metric_series(window, name);
     if (series.empty()) continue;
     const double median = drift_median(series);
-    if (observed > median * options.latency_factor &&
-        observed - median > options.min_latency_ms) {
+    if (observed > median * kLatencyFactor && observed - median > options.min_latency_ms) {
       DriftFinding finding;
       finding.kind = "latency-regression";
       finding.subject = name;
@@ -284,7 +255,7 @@ std::vector<DriftFinding> detect_drift(const std::vector<const RunRecord*>& base
       finding.cause = name + " regressed to " + format_value(observed) +
                       " ms from a baseline median of " + format_value(median) +
                       " ms (last " + std::to_string(window_size) + " run(s), threshold " +
-                      format_value(options.latency_factor) +
+                      format_value(kLatencyFactor) +
                       "x): the gate got slower — find the new cost before it "
                       "normalizes";
       finding.fails_gate = options.fail_gate;
@@ -299,8 +270,7 @@ std::vector<DriftFinding> detect_drift(const std::vector<const RunRecord*>& base
     const auto it = current.metrics.find("smt_queries");
     if (!series.empty() && it != current.metrics.end()) {
       const double median = drift_median(series);
-      if (it->second > median * options.smt_factor &&
-          it->second - median >= options.min_smt_queries) {
+      if (it->second > median * kSmtFactor && it->second - median >= kMinSmtQueries) {
         DriftFinding finding;
         finding.kind = "smt-regression";
         finding.subject = "smt_queries";

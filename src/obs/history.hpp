@@ -22,6 +22,12 @@
 // changed" (verdict flips expected) from "nothing changed yet the verdict
 // flipped" (a flake).
 //
+// A RunRecord and its ContractOutcomes state their JSON shape once, in a
+// field list in history.cpp (support/json_fields.hpp), and are read by the
+// provenance ledger's rule: an absent or mistyped value leaves the member's
+// default (an outcome's `passed` and `conclusive` default to true), an
+// integer saturates, and a map entry of the wrong type is skipped.
+//
 // Discipline (mirrors obs/provenance.hpp):
 //   * an empty history path is the zero-cost null path — producers that
 //     pass no path emit byte-identical pre-PR output;
@@ -131,29 +137,15 @@ class RunHistory {
 // Drift detection
 // ---------------------------------------------------------------------------
 
-/// Baseline-window thresholds. The defaults are deliberately loose — a CI
-/// box is noisy, and a drift rule that cries wolf gets disabled — but every
-/// rule can be tightened per gate.
+/// Baseline-window settings. The rule thresholds are fixed and deliberately
+/// loose (detect_drift lists them) — a CI box is noisy, and a drift rule
+/// that cries wolf gets disabled.
 struct DriftOptions {
   /// Median-of-last-N baseline window.
   int window = 5;
-  /// A watched latency metric regresses when it exceeds `latency_factor` ×
-  /// the baseline median AND the absolute increase exceeds
-  /// `min_latency_ms` (absolute floor so micro-runs don't false-positive).
-  double latency_factor = 3.0;
+  /// Absolute floor of a latency regression, so micro-runs don't
+  /// false-positive.
   double min_latency_ms = 25.0;
-  /// SMT query count regresses beyond `smt_factor` × median and at least
-  /// `min_smt_queries` extra queries.
-  double smt_factor = 2.0;
-  double min_smt_queries = 16.0;
-  /// Settled fraction (screener effectiveness) may drop at most this much
-  /// below the baseline median before the gate complains.
-  double settled_drop = 0.05;
-  /// Interleaving-conclusive fraction (schedule-explored contracts the
-  /// explorer drained within its bound) may drop at most this much below
-  /// the baseline median — a drop means the schedule workload outgrew
-  /// --max-schedules and inconclusives are creeping in.
-  double conclusive_drop = 0.05;
   /// When false, findings are reported but `fails_gate` is never set —
   /// observe-only mode for seeding a fresh baseline.
   bool fail_gate = true;
@@ -189,12 +181,16 @@ struct DriftFinding {
 ///     recent baseline record with the SAME input fingerprint, yet whose
 ///     verdict signature digest differs — the gate changed its mind about
 ///     unchanged code: a flake, the worst kind of gate rot;
-///   * settled-drop: current settled_fraction fell more than
-///     `settled_drop` below the baseline median;
+///   * settled-drop: current settled_fraction fell more than 0.05 below the
+///     baseline median;
 ///   * interleaving-conclusive-drop: current interleaving_conclusive_fraction
-///     fell more than `conclusive_drop` below the baseline median;
-///   * latency-regression: a `*_ms` metric exceeded the factor and floor;
-///   * smt-regression: smt_queries exceeded the factor and floor.
+///     (schedule-explored contracts drained within the bound) fell more than
+///     0.05 below the baseline median — the schedule workload outgrew
+///     --max-schedules and inconclusives are creeping in;
+///   * latency-regression: a `*_ms` metric exceeded 3x the baseline median
+///     by more than `options.min_latency_ms`;
+///   * smt-regression: smt_queries exceeded 2x the baseline median by at
+///     least 16 queries.
 /// Findings are sorted (kind, then subject) so the report is deterministic.
 /// An empty baseline yields no findings — the first run IS the baseline.
 [[nodiscard]] std::vector<DriftFinding> detect_drift(

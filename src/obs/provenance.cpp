@@ -1,11 +1,10 @@
 #include "obs/provenance.hpp"
 
-#include <algorithm>
 #include <fstream>
-#include <limits>
 
 #include "obs/metrics.hpp"
 #include "support/faultpoint.hpp"
+#include "support/json_fields.hpp"
 #include "support/jsonl.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
@@ -19,19 +18,6 @@ using support::JsonObject;
 std::string evidence_digest(const std::string& text) {
   return support::fnv1a_fingerprint(text);
 }
-
-namespace {
-
-/// The int field `key` of `json`, saturated to int's range as get_int
-/// saturates to int64's: a count that reads 1e300 loads as INT_MAX, not as
-/// a truncated -1.
-int int_field(const Json& json, const std::string& key, int fallback = 0) {
-  return static_cast<int>(std::clamp<std::int64_t>(json.get_int(key, fallback),
-                                                   std::numeric_limits<int>::min(),
-                                                   std::numeric_limits<int>::max()));
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Contract check report
@@ -55,6 +41,207 @@ std::optional<PathVerdict> path_verdict_from_name(const std::string& name) {
   return std::nullopt;
 }
 
+// ---------------------------------------------------------------------------
+// Field lists (support/json_fields.hpp): each record's JSON shape, from which
+// both to_json and from_json follow. Optional keys are written only when
+// set, so empty evidence never bloats the ledger.
+// ---------------------------------------------------------------------------
+
+template <class Io>
+void json_fields(Io& io, PathReport& path) {
+  constexpr support::JsonCodec<std::vector<std::string>, std::string> kChain{
+      [](const std::vector<std::string>& chain) { return support::join(chain, " -> "); },
+      [](const std::string& text) {
+        std::vector<std::string> chain;
+        for (std::size_t pos = 0; pos <= text.size();) {
+          const std::size_t arrow = text.find(" -> ", pos);
+          const std::size_t end = arrow == std::string::npos ? text.size() : arrow;
+          if (end > pos) chain.push_back(text.substr(pos, end - pos));
+          if (arrow == std::string::npos) break;
+          pos = arrow + 4;
+        }
+        return chain;
+      }};
+  constexpr support::JsonCodec<PathVerdict, std::string> kVerdict{
+      [](const PathVerdict& verdict) { return std::string(path_verdict_name(verdict)); },
+      [](const std::string& name) {
+        return path_verdict_from_name(name).value_or(PathVerdict::kInconclusive);
+      }};
+  io("chain", path.call_chain, kChain);
+  io("target_stmt", path.target_text);
+  io("target_stmt_id", path.target_stmt_id);
+  io("path_condition", path.path_condition);
+  io("contract_condition", path.contract_condition);
+  io("verdict", path.verdict, kVerdict);
+  io("counterexample", path.counterexample, support::kOmitEmpty);
+  io("detail", path.detail, support::kOmitEmpty);
+  io("covered_by_test", path.covered_by_test);
+  io("covering_tests", path.covering_tests, support::kOmitEmpty);
+}
+
+template <class Io>
+void json_fields(Io& io, DynamicReport& dynamic) {
+  io("selected_tests", dynamic.selected_tests);
+  io("tests_run", dynamic.tests_run);
+  io("tests_passed", dynamic.tests_passed);
+  io("target_hits", dynamic.target_hits);
+  io("symbolic_violations", dynamic.symbolic_violations);
+  io("concrete_violations", dynamic.concrete_violations);
+  io("inconclusive_hits", dynamic.inconclusive_hits, support::kOmitEmpty);
+  io("degraded_runs", dynamic.degraded_runs, support::kOmitEmpty);
+  io("violation_details", dynamic.violation_details, support::kOmitEmpty);
+}
+
+template <class Io>
+void json_fields(Io& io, ContractCheckReport& report) {
+  io("contract_id", report.contract_id);
+  io("target_fragment", report.target_fragment);
+  io("target_statements", report.target_statements);
+  io("verified", report.verified);
+  io("violated", report.violated);
+  io("unmappable", report.unmappable);
+  io("inconclusive", report.inconclusive, support::kOmitEmpty);
+  io("uncovered", report.uncovered);
+  io("raw_paths", report.raw_paths);
+  io("truncated", report.truncated);
+  io("sanity_ok", report.sanity_ok);
+  io.derived("passed", report.passed());
+  io.when(!report.conclusive(), [&] { io.derived("conclusive", false); });
+  io.when(report.budget_exhausted, [&] {
+    io("budget_exhausted", report.budget_exhausted);
+    io("budget_reason", report.budget_reason);
+    io("budget_resource", report.budget_resource, support::kOmitEmpty);
+  });
+  io("paths", report.paths);
+  io("dynamic", report.dynamic);
+  io("structural_violations", report.structural_violations);
+  io.group("screen", !report.screen_verdict.empty(), [&](auto& screen) {
+    screen("verdict", report.screen_verdict);
+    screen("witness", report.screen_witness, support::kOmitEmpty);
+    screen("reason", report.screen_reason);
+    screen("elapsed_ms", report.screen_ms);
+    screen("skipped_concolic", report.screen_skipped_concolic);
+  });
+  // Written only when exploration ran (or degraded), so reports for
+  // thread-free programs stay byte-identical to the pre-scheduler checker.
+  io.group("schedule", report.explored_schedules(), [&](auto& schedule) {
+    schedule("explored", report.schedules_explored);
+    schedule("conclusive", report.schedule_conclusive);
+    schedule("violations", report.schedule_violations);
+    schedule("witness", report.schedule_witness, support::kOmitEmpty);
+    schedule("reason", report.schedule_inconclusive_reason, support::kOmitEmpty);
+    schedule("violation_details", report.schedule_violation_details, support::kOmitEmpty);
+  });
+  io("slice_fp", report.slice_fp, support::kOmitEmpty);
+}
+
+template <class Io>
+void json_fields(Io& io, FactEvidence& fact) {
+  io("analysis", fact.analysis);
+  io("function", fact.function);
+  io("line", fact.line);
+  io("column", fact.column);
+  io("fact", fact.fact);
+}
+
+template <class Io>
+void json_fields(Io& io, SmtQueryEvidence& query) {
+  io("phase", query.phase);
+  io("query", query.query);
+  io("digest", query.digest);
+  io("status", query.status);
+  io("model", query.model, support::kOmitEmpty);
+  io("reason", query.reason, support::kOmitEmpty);
+}
+
+template <class Io>
+void json_fields(Io& io, HitEvidence& hit) {
+  io("test", hit.test);
+  io("function", hit.function);
+  io("stmt_id", hit.stmt_id);
+  io("trace_condition", hit.trace_condition);
+  io("instantiated_contract", hit.instantiated_contract);
+  io("outcome", hit.outcome);
+  io("witness", hit.witness, support::kOmitEmpty);
+}
+
+template <class Io>
+void json_fields(Io& io, BudgetEvidence& budget) {
+  io.presence("attached", budget.attached);
+  io("exhausted", budget.exhausted);
+  io.when(budget.exhausted, [&] {
+    io("resource", budget.resource);
+    io("reason", budget.reason);
+  });
+  io("charges", budget.charges);
+}
+
+template <class Io>
+void json_fields(Io& io, NarrationStep& step) {
+  io("function", step.function);
+  io("line", step.line);
+  io("stmt", step.stmt);
+  io("sync_depth", step.sync_depth);
+  io("thread", step.thread, support::kOmitEmpty);
+  io("note", step.note, support::kOmitEmpty);
+}
+
+template <class Io>
+void json_fields(Io& io, PredicateTerm& term) {
+  io("text", term.text);
+  io("value", term.value);
+  io("holds", term.holds);
+}
+
+template <class Io>
+void json_fields(Io& io, Narration& narration) {
+  io("kind", narration.kind);
+  io("test", narration.test, support::kOmitEmpty);
+  io("reproduced", narration.reproduced);
+  io("steps", narration.steps);
+  io("predicate", narration.predicate);
+  io("detail", narration.detail, support::kOmitEmpty);
+}
+
+template <class Io>
+void json_fields(Io& io, ProposalEvidence& proposal) {
+  io("case_id", proposal.case_id);
+  io("high_level", proposal.high_level);
+  io("low_level", proposal.low_level);
+  io("succeeded", proposal.succeeded);
+  io("attempts", proposal.attempts);
+  io("transient_errors", proposal.transient_errors, support::kOmitEmpty);
+  io("validation_failures", proposal.validation_failures, support::kOmitEmpty);
+  io("error", proposal.error, support::kOmitEmpty);
+}
+
+template <class Io>
+void json_fields(Io& io, ContractCapture& capture) {
+  // A ledger line carries no timings: the report is written without the
+  // screen's elapsed time.
+  constexpr support::JsonCodec<ContractCheckReport, Json> kLedgerReport{
+      [](const ContractCheckReport& report) {
+        Json json = report.to_json();
+        if (json.has("screen")) json.as_object().at("screen").as_object().erase("elapsed_ms");
+        return json;
+      },
+      [](const Json& json) { return ContractCheckReport::from_json(json); }};
+  io("contract_id", capture.contract_id);
+  io("system", capture.system);
+  io("kind", capture.kind);
+  io("target_fragment", capture.target_fragment);
+  io("condition_text", capture.condition_text);
+  io("description", capture.description);
+  io("fingerprint", capture.fingerprint);
+  io("facts", capture.facts);
+  io("smt_queries", capture.smt_queries);
+  io("hits", capture.hits);
+  io.when(capture.budget.attached, [&] { io("budget", capture.budget); });
+  io.when(!capture.narration.kind.empty(), [&] { io("narration", capture.narration); });
+  io("report", capture.report, kLedgerReport);
+  io.digest("digest", capture.digest);
+}
+
 Json ContractCheckReport::to_json() const {
   // Degradation hook for the robustness harness: a faulted serialization
   // yields a minimal-but-valid record instead of a torn artifact. Consumers
@@ -73,196 +260,11 @@ Json ContractCheckReport::to_json() const {
     stub["serialization_degraded"] = true;
     return Json(std::move(stub));
   }
-  JsonObject root;
-  root["contract_id"] = contract_id;
-  root["target_fragment"] = target_fragment;
-  root["target_statements"] = target_statements;
-  root["verified"] = verified;
-  root["violated"] = violated;
-  root["unmappable"] = unmappable;
-  if (inconclusive > 0) root["inconclusive"] = inconclusive;
-  root["uncovered"] = uncovered;
-  root["raw_paths"] = raw_paths;
-  root["truncated"] = truncated;
-  root["sanity_ok"] = sanity_ok;
-  root["passed"] = passed();
-  if (!conclusive()) root["conclusive"] = false;
-  if (budget_exhausted) {
-    root["budget_exhausted"] = true;
-    root["budget_reason"] = budget_reason;
-    if (!budget_resource.empty()) root["budget_resource"] = budget_resource;
-  }
-  JsonArray path_entries;
-  for (const PathReport& path : paths) {
-    JsonObject entry;
-    entry["chain"] = support::join(path.call_chain, " -> ");
-    entry["target_stmt"] = path.target_text;
-    entry["target_stmt_id"] = path.target_stmt_id;
-    entry["path_condition"] = path.path_condition;
-    entry["contract_condition"] = path.contract_condition;
-    entry["verdict"] = path_verdict_name(path.verdict);
-    if (!path.counterexample.empty()) entry["counterexample"] = path.counterexample;
-    if (!path.detail.empty()) entry["detail"] = path.detail;
-    entry["covered_by_test"] = path.covered_by_test;
-    if (!path.covering_tests.empty()) {
-      JsonArray covering;
-      for (const std::string& test : path.covering_tests) covering.push_back(Json(test));
-      entry["covering_tests"] = Json(std::move(covering));
-    }
-    path_entries.emplace_back(std::move(entry));
-  }
-  root["paths"] = Json(std::move(path_entries));
-  JsonObject dyn;
-  JsonArray selected;
-  for (const std::string& test : dynamic.selected_tests) selected.push_back(Json(test));
-  dyn["selected_tests"] = Json(std::move(selected));
-  dyn["tests_run"] = dynamic.tests_run;
-  dyn["tests_passed"] = dynamic.tests_passed;
-  dyn["target_hits"] = dynamic.target_hits;
-  dyn["symbolic_violations"] = dynamic.symbolic_violations;
-  dyn["concrete_violations"] = dynamic.concrete_violations;
-  if (dynamic.inconclusive_hits > 0) dyn["inconclusive_hits"] = dynamic.inconclusive_hits;
-  if (dynamic.degraded_runs > 0) dyn["degraded_runs"] = dynamic.degraded_runs;
-  if (!dynamic.violation_details.empty()) {
-    JsonArray details;
-    for (const std::string& detail : dynamic.violation_details)
-      details.push_back(Json(detail));
-    dyn["violation_details"] = Json(std::move(details));
-  }
-  root["dynamic"] = Json(std::move(dyn));
-  JsonArray structural;
-  for (const std::string& violation : structural_violations)
-    structural.push_back(Json(violation));
-  root["structural_violations"] = Json(std::move(structural));
-  if (!screen_verdict.empty()) {
-    JsonObject screen;
-    screen["verdict"] = screen_verdict;
-    if (!screen_witness.empty()) screen["witness"] = screen_witness;
-    screen["reason"] = screen_reason;
-    screen["elapsed_ms"] = screen_ms;
-    screen["skipped_concolic"] = screen_skipped_concolic;
-    root["screen"] = Json(std::move(screen));
-  }
-  // Emitted only when exploration actually ran (or degraded), so reports for
-  // thread-free programs stay byte-identical to the pre-scheduler checker.
-  if (explored_schedules()) {
-    JsonObject schedule;
-    schedule["explored"] = schedules_explored;
-    schedule["conclusive"] = schedule_conclusive;
-    schedule["violations"] = schedule_violations;
-    if (!schedule_witness.empty()) schedule["witness"] = schedule_witness;
-    if (!schedule_inconclusive_reason.empty())
-      schedule["reason"] = schedule_inconclusive_reason;
-    if (!schedule_violation_details.empty()) {
-      JsonArray details;
-      for (const std::string& detail : schedule_violation_details)
-        details.push_back(Json(detail));
-      schedule["violation_details"] = Json(std::move(details));
-    }
-    root["schedule"] = Json(std::move(schedule));
-  }
-  if (!slice_fp.empty()) root["slice_fp"] = slice_fp;
-  return Json(std::move(root));
+  return support::write_record(*this);
 }
 
 ContractCheckReport ContractCheckReport::from_json(const Json& json) {
-  ContractCheckReport report;
-  if (!json.is_object()) return report;
-  report.contract_id = json.get_string("contract_id");
-  report.target_fragment = json.get_string("target_fragment");
-  report.target_statements = static_cast<std::size_t>(json.get_int("target_statements"));
-  report.verified = int_field(json, "verified");
-  report.violated = int_field(json, "violated");
-  report.unmappable = int_field(json, "unmappable");
-  report.inconclusive = int_field(json, "inconclusive");
-  report.uncovered = int_field(json, "uncovered");
-  report.raw_paths = static_cast<std::size_t>(json.get_int("raw_paths"));
-  report.truncated = json.has("truncated") && json.at("truncated").is_bool() &&
-                     json.at("truncated").as_bool();
-  report.sanity_ok = json.has("sanity_ok") && json.at("sanity_ok").is_bool() &&
-                     json.at("sanity_ok").as_bool();
-  report.budget_exhausted = json.has("budget_exhausted") &&
-                            json.at("budget_exhausted").is_bool() &&
-                            json.at("budget_exhausted").as_bool();
-  report.budget_reason = json.get_string("budget_reason");
-  report.budget_resource = json.get_string("budget_resource");
-  if (json.has("paths") && json.at("paths").is_array()) {
-    for (const Json& entry : json.at("paths").as_array()) {
-      if (!entry.is_object()) continue;
-      PathReport path;
-      const std::string chain = entry.get_string("chain");
-      for (std::size_t pos = 0; pos <= chain.size();) {
-        const std::size_t arrow = chain.find(" -> ", pos);
-        const std::size_t end = arrow == std::string::npos ? chain.size() : arrow;
-        if (end > pos) path.call_chain.push_back(chain.substr(pos, end - pos));
-        if (arrow == std::string::npos) break;
-        pos = arrow + 4;
-      }
-      path.target_text = entry.get_string("target_stmt");
-      path.target_stmt_id = int_field(entry, "target_stmt_id", -1);
-      path.path_condition = entry.get_string("path_condition");
-      path.contract_condition = entry.get_string("contract_condition");
-      path.verdict = path_verdict_from_name(entry.get_string("verdict"))
-                         .value_or(PathVerdict::kInconclusive);
-      path.counterexample = entry.get_string("counterexample");
-      path.detail = entry.get_string("detail");
-      path.covered_by_test = entry.has("covered_by_test") &&
-                             entry.at("covered_by_test").is_bool() &&
-                             entry.at("covered_by_test").as_bool();
-      if (entry.has("covering_tests") && entry.at("covering_tests").is_array())
-        for (const Json& test : entry.at("covering_tests").as_array())
-          if (test.is_string()) path.covering_tests.push_back(test.as_string());
-      report.paths.push_back(std::move(path));
-    }
-  }
-  if (json.has("dynamic") && json.at("dynamic").is_object()) {
-    const Json& dyn = json.at("dynamic");
-    if (dyn.has("selected_tests") && dyn.at("selected_tests").is_array())
-      for (const Json& test : dyn.at("selected_tests").as_array())
-        if (test.is_string()) report.dynamic.selected_tests.push_back(test.as_string());
-    report.dynamic.tests_run = int_field(dyn, "tests_run");
-    report.dynamic.tests_passed = int_field(dyn, "tests_passed");
-    report.dynamic.target_hits = int_field(dyn, "target_hits");
-    report.dynamic.symbolic_violations = int_field(dyn, "symbolic_violations");
-    report.dynamic.concrete_violations = int_field(dyn, "concrete_violations");
-    report.dynamic.inconclusive_hits = int_field(dyn, "inconclusive_hits");
-    report.dynamic.degraded_runs = int_field(dyn, "degraded_runs");
-    if (dyn.has("violation_details") && dyn.at("violation_details").is_array())
-      for (const Json& detail : dyn.at("violation_details").as_array())
-        if (detail.is_string())
-          report.dynamic.violation_details.push_back(detail.as_string());
-  }
-  if (json.has("structural_violations") && json.at("structural_violations").is_array())
-    for (const Json& violation : json.at("structural_violations").as_array())
-      if (violation.is_string())
-        report.structural_violations.push_back(violation.as_string());
-  if (json.has("screen") && json.at("screen").is_object()) {
-    const Json& screen = json.at("screen");
-    report.screen_verdict = screen.get_string("verdict");
-    report.screen_witness = screen.get_string("witness");
-    report.screen_reason = screen.get_string("reason");
-    if (screen.has("elapsed_ms") && screen.at("elapsed_ms").is_number())
-      report.screen_ms = screen.at("elapsed_ms").as_double();
-    report.screen_skipped_concolic = screen.has("skipped_concolic") &&
-                                     screen.at("skipped_concolic").is_bool() &&
-                                     screen.at("skipped_concolic").as_bool();
-  }
-  if (json.has("schedule") && json.at("schedule").is_object()) {
-    const Json& schedule = json.at("schedule");
-    report.schedules_explored = int_field(schedule, "explored");
-    report.schedule_conclusive = !schedule.has("conclusive") ||
-                                 !schedule.at("conclusive").is_bool() ||
-                                 schedule.at("conclusive").as_bool();
-    report.schedule_violations = int_field(schedule, "violations");
-    report.schedule_witness = schedule.get_string("witness");
-    report.schedule_inconclusive_reason = schedule.get_string("reason");
-    if (schedule.has("violation_details") && schedule.at("violation_details").is_array())
-      for (const Json& detail : schedule.at("violation_details").as_array())
-        if (detail.is_string())
-          report.schedule_violation_details.push_back(detail.as_string());
-  }
-  report.slice_fp = json.get_string("slice_fp");
-  return report;
+  return support::read_record<ContractCheckReport>(json);
 }
 
 const char* ContractCheckReport::verdict_name() const {
@@ -309,263 +311,19 @@ std::string ContractCheckReport::verdict_signature() const {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization. Optional fields are emitted only when set, so empty
-// evidence never bloats the ledger; every emitted field round-trips.
+// Per-contract capture
 // ---------------------------------------------------------------------------
 
-namespace {
-
-Json fact_to_json(const FactEvidence& fact) {
-  JsonObject entry;
-  entry["analysis"] = fact.analysis;
-  entry["function"] = fact.function;
-  entry["line"] = fact.line;
-  entry["column"] = fact.column;
-  entry["fact"] = fact.fact;
-  return Json(std::move(entry));
-}
-
-FactEvidence fact_from_json(const Json& json) {
-  FactEvidence fact;
-  fact.analysis = json.get_string("analysis");
-  fact.function = json.get_string("function");
-  fact.line = int_field(json, "line");
-  fact.column = int_field(json, "column");
-  fact.fact = json.get_string("fact");
-  return fact;
-}
-
-Json query_to_json(const SmtQueryEvidence& query) {
-  JsonObject entry;
-  entry["phase"] = query.phase;
-  entry["query"] = query.query;
-  entry["digest"] = query.digest;
-  entry["status"] = query.status;
-  if (!query.model.empty()) entry["model"] = query.model;
-  if (!query.reason.empty()) entry["reason"] = query.reason;
-  return Json(std::move(entry));
-}
-
-SmtQueryEvidence query_from_json(const Json& json) {
-  SmtQueryEvidence query;
-  query.phase = json.get_string("phase");
-  query.query = json.get_string("query");
-  query.digest = json.get_string("digest");
-  query.status = json.get_string("status");
-  query.model = json.get_string("model");
-  query.reason = json.get_string("reason");
-  return query;
-}
-
-Json hit_to_json(const HitEvidence& hit) {
-  JsonObject entry;
-  entry["test"] = hit.test;
-  entry["function"] = hit.function;
-  entry["stmt_id"] = hit.stmt_id;
-  entry["trace_condition"] = hit.trace_condition;
-  entry["instantiated_contract"] = hit.instantiated_contract;
-  entry["outcome"] = hit.outcome;
-  if (!hit.witness.empty()) entry["witness"] = hit.witness;
-  return Json(std::move(entry));
-}
-
-HitEvidence hit_from_json(const Json& json) {
-  HitEvidence hit;
-  hit.test = json.get_string("test");
-  hit.function = json.get_string("function");
-  hit.stmt_id = int_field(json, "stmt_id", -1);
-  hit.trace_condition = json.get_string("trace_condition");
-  hit.instantiated_contract = json.get_string("instantiated_contract");
-  hit.outcome = json.get_string("outcome");
-  hit.witness = json.get_string("witness");
-  return hit;
-}
-
-Json narration_to_json(const Narration& narration) {
-  JsonObject entry;
-  entry["kind"] = narration.kind;
-  if (!narration.test.empty()) entry["test"] = narration.test;
-  entry["reproduced"] = narration.reproduced;
-  JsonArray steps;
-  for (const NarrationStep& step : narration.steps) {
-    JsonObject item;
-    item["function"] = step.function;
-    item["line"] = step.line;
-    item["stmt"] = step.stmt;
-    item["sync_depth"] = step.sync_depth;
-    if (step.thread != 0) item["thread"] = step.thread;
-    if (!step.note.empty()) item["note"] = step.note;
-    steps.push_back(Json(std::move(item)));
-  }
-  entry["steps"] = Json(std::move(steps));
-  JsonArray predicate;
-  for (const PredicateTerm& term : narration.predicate) {
-    JsonObject item;
-    item["text"] = term.text;
-    item["value"] = term.value;
-    item["holds"] = term.holds;
-    predicate.push_back(Json(std::move(item)));
-  }
-  entry["predicate"] = Json(std::move(predicate));
-  if (!narration.detail.empty()) entry["detail"] = narration.detail;
-  return Json(std::move(entry));
-}
-
-Narration narration_from_json(const Json& json) {
-  Narration narration;
-  narration.kind = json.get_string("kind");
-  narration.test = json.get_string("test");
-  narration.reproduced = json.has("reproduced") && json.at("reproduced").is_bool() &&
-                         json.at("reproduced").as_bool();
-  if (json.has("steps") && json.at("steps").is_array()) {
-    for (const Json& item : json.at("steps").as_array()) {
-      NarrationStep step;
-      step.function = item.get_string("function");
-      step.line = int_field(item, "line");
-      step.stmt = item.get_string("stmt");
-      step.sync_depth = int_field(item, "sync_depth");
-      step.thread = int_field(item, "thread");
-      step.note = item.get_string("note");
-      narration.steps.push_back(std::move(step));
-    }
-  }
-  if (json.has("predicate") && json.at("predicate").is_array()) {
-    for (const Json& item : json.at("predicate").as_array()) {
-      PredicateTerm term;
-      term.text = item.get_string("text");
-      term.value = item.get_string("value");
-      term.holds = item.has("holds") && item.at("holds").is_bool() && item.at("holds").as_bool();
-      narration.predicate.push_back(std::move(term));
-    }
-  }
-  narration.detail = json.get_string("detail");
-  return narration;
-}
-
-Json proposal_to_json(const ProposalEvidence& proposal) {
-  JsonObject entry;
-  entry["case_id"] = proposal.case_id;
-  entry["high_level"] = proposal.high_level;
-  JsonArray low_level;
-  for (const std::string& item : proposal.low_level) low_level.push_back(Json(item));
-  entry["low_level"] = Json(std::move(low_level));
-  entry["succeeded"] = proposal.succeeded;
-  entry["attempts"] = proposal.attempts;
-  if (proposal.transient_errors > 0) entry["transient_errors"] = proposal.transient_errors;
-  if (proposal.validation_failures > 0)
-    entry["validation_failures"] = proposal.validation_failures;
-  if (!proposal.error.empty()) entry["error"] = proposal.error;
-  return Json(std::move(entry));
-}
-
-ProposalEvidence proposal_from_json(const Json& json) {
-  ProposalEvidence proposal;
-  proposal.case_id = json.get_string("case_id");
-  proposal.high_level = json.get_string("high_level");
-  if (json.has("low_level") && json.at("low_level").is_array())
-    for (const Json& item : json.at("low_level").as_array())
-      if (item.is_string()) proposal.low_level.push_back(item.as_string());
-  proposal.succeeded = !json.has("succeeded") || !json.at("succeeded").is_bool() ||
-                       json.at("succeeded").as_bool();
-  proposal.attempts = int_field(json, "attempts");
-  proposal.transient_errors = int_field(json, "transient_errors");
-  proposal.validation_failures = int_field(json, "validation_failures");
-  proposal.error = json.get_string("error");
-  return proposal;
-}
-
-}  // namespace
-
-namespace {
-
-/// The capture's line without its digest.
-Json capture_content(const ContractCapture& capture) {
-  JsonObject root;
-  root["contract_id"] = capture.contract_id;
-  root["system"] = capture.system;
-  root["kind"] = capture.kind;
-  root["target_fragment"] = capture.target_fragment;
-  root["condition_text"] = capture.condition_text;
-  root["description"] = capture.description;
-  root["fingerprint"] = capture.fingerprint;
-  JsonArray fact_entries;
-  for (const FactEvidence& fact : capture.facts) fact_entries.push_back(fact_to_json(fact));
-  root["facts"] = Json(std::move(fact_entries));
-  JsonArray query_entries;
-  for (const SmtQueryEvidence& query : capture.smt_queries)
-    query_entries.push_back(query_to_json(query));
-  root["smt_queries"] = Json(std::move(query_entries));
-  JsonArray hit_entries;
-  for (const HitEvidence& hit : capture.hits) hit_entries.push_back(hit_to_json(hit));
-  root["hits"] = Json(std::move(hit_entries));
-  const BudgetEvidence& budget = capture.budget;
-  if (budget.attached) {
-    JsonObject entry;
-    entry["attached"] = true;
-    entry["exhausted"] = budget.exhausted;
-    if (budget.exhausted) {
-      entry["resource"] = budget.resource;
-      entry["reason"] = budget.reason;
-    }
-    JsonObject charges;
-    for (const auto& [name, value] : budget.charges) charges[name] = value;
-    entry["charges"] = Json(std::move(charges));
-    root["budget"] = Json(std::move(entry));
-  }
-  if (!capture.narration.kind.empty()) root["narration"] = narration_to_json(capture.narration);
-  Json report = capture.report.to_json();
-  if (report.has("screen")) report.as_object().at("screen").as_object().erase("elapsed_ms");
-  root["report"] = std::move(report);
-  return Json(std::move(root));
-}
-
-}  // namespace
-
-Json ContractCapture::to_json() const {
-  Json json = capture_content(*this);
-  json.as_object()["digest"] = support::fnv1a_fingerprint(json.dump());
-  return json;
-}
+Json ContractCapture::to_json() const { return support::write_record(*this); }
 
 bool ContractCapture::intact() const {
-  return !digest.empty() && digest == support::fnv1a_fingerprint(capture_content(*this).dump());
+  // to_json writes a fresh digest of the typed capture; reading it back
+  // gives that digest.
+  return !digest.empty() && digest == from_json(to_json()).digest;
 }
 
 ContractCapture ContractCapture::from_json(const Json& json) {
-  ContractCapture capture;
-  if (!json.is_object()) return capture;
-  capture.contract_id = json.get_string("contract_id");
-  capture.system = json.get_string("system");
-  capture.kind = json.get_string("kind");
-  capture.target_fragment = json.get_string("target_fragment");
-  capture.condition_text = json.get_string("condition_text");
-  capture.description = json.get_string("description");
-  capture.fingerprint = json.get_string("fingerprint");
-  if (json.has("facts") && json.at("facts").is_array())
-    for (const Json& entry : json.at("facts").as_array())
-      capture.facts.push_back(fact_from_json(entry));
-  if (json.has("smt_queries") && json.at("smt_queries").is_array())
-    for (const Json& entry : json.at("smt_queries").as_array())
-      capture.smt_queries.push_back(query_from_json(entry));
-  if (json.has("hits") && json.at("hits").is_array())
-    for (const Json& entry : json.at("hits").as_array())
-      capture.hits.push_back(hit_from_json(entry));
-  if (json.has("budget") && json.at("budget").is_object()) {
-    const Json& entry = json.at("budget");
-    capture.budget.attached = true;
-    capture.budget.exhausted = entry.has("exhausted") && entry.at("exhausted").is_bool() &&
-                               entry.at("exhausted").as_bool();
-    capture.budget.resource = entry.get_string("resource");
-    capture.budget.reason = entry.get_string("reason");
-    if (entry.has("charges") && entry.at("charges").is_object())
-      for (const auto& [name, value] : entry.at("charges").as_object())
-        if (value.is_number()) capture.budget.charges[name] = value.as_int();
-  }
-  if (json.has("narration") && json.at("narration").is_object())
-    capture.narration = narration_from_json(json.at("narration"));
-  if (json.has("report")) capture.report = ContractCheckReport::from_json(json.at("report"));
-  capture.digest = json.get_string("digest");
-  return capture;
+  return support::read_record<ContractCapture>(json);
 }
 
 // ---------------------------------------------------------------------------
@@ -635,7 +393,7 @@ Json ProvenanceLedger::to_json() const {
   root["journal"] = std::string(kLedgerKind);
   root["version"] = kLedgerVersion;
   root["fingerprint"] = fingerprint_;
-  root["proposal"] = proposal_to_json(proposal_);
+  root["proposal"] = support::write_record(proposal_);
   JsonArray contracts;
   for (const auto& [id, capture] : captures_)  // std::map: sorted id order
     contracts.push_back(capture->to_json());
@@ -645,7 +403,7 @@ Json ProvenanceLedger::to_json() const {
 
 std::string ProvenanceLedger::jsonl_preamble() const {
   JsonObject entry;
-  entry["proposal"] = proposal_to_json(proposal_);
+  entry["proposal"] = support::write_record(proposal_);
   return support::jsonl_header(kLedgerKind, kLedgerVersion, fingerprint_) + "\n" +
          Json(std::move(entry)).dump() + "\n";
 }
@@ -688,7 +446,7 @@ bool ProvenanceLedger::load_jsonl(const std::string& path) {
   const support::JsonlRead read =
       support::read_jsonl(path, kLedgerKind, kLedgerVersion, [&](const Json& entry) {
         if (entry.has("proposal")) {
-          proposal = proposal_from_json(entry.at("proposal"));
+          proposal = support::read_record<ProposalEvidence>(entry.at("proposal"));
           return true;
         }
         ContractCapture capture = ContractCapture::from_json(entry);
@@ -708,7 +466,13 @@ bool ProvenanceLedger::load_jsonl(const std::string& path) {
   fingerprint_ = read.fingerprint;
   captures_ = std::move(captures);
   if (proposal) proposal_ = std::move(*proposal);
+  loaded_ = true;
   return true;
+}
+
+bool ProvenanceLedger::loaded() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return loaded_;
 }
 
 void PhasedSmtCapture::on_smt_query(const std::string& query, const std::string& status,

@@ -35,6 +35,12 @@
 // `digest`, the FNV-1a digest of the line without it, so a torn or flipped
 // byte shows on load.
 //
+// Each record here states its JSON shape once, in a field list in
+// provenance.cpp (support/json_fields.hpp) from which both to_json and
+// from_json follow. The reader leaves a member's default for an absent or
+// mistyped value, saturates an integer into its member's type, and skips a
+// list element of the wrong type; it never throws.
+//
 // Everything in this header is plain strings/ints/maps — no smt/minilang
 // types — so lisa_obs keeps its support-only link set and every layer of
 // the stack (solver, screener, engine, checker) can write evidence without
@@ -175,7 +181,8 @@ struct PathReport {
   std::string target_text;
   std::string path_condition;
   std::string contract_condition;  // renamed to canonical names
-  PathVerdict verdict = PathVerdict::kVerified;
+  /// A path entry whose verdict is absent or unknown reads as inconclusive.
+  PathVerdict verdict = PathVerdict::kInconclusive;
   std::string counterexample;  // model of π ∧ ¬P for violated paths
   std::string detail;          // kInconclusive: why the verdict was refused
   bool covered_by_test = false;
@@ -409,6 +416,9 @@ class ProvenanceLedger {
   /// line; false when the header is missing or names a different
   /// kind/version.
   [[nodiscard]] bool load_jsonl(const std::string& path);
+  /// True once load_jsonl filled this ledger: each capture then carries the
+  /// digest of the line it was read from (ContractCapture::intact).
+  [[nodiscard]] bool loaded() const;
 
   static constexpr const char* kLedgerKind = "lisa-ledger";
   /// 2: a capture line holds its verdict only in `report` and carries
@@ -424,6 +434,7 @@ class ProvenanceLedger {
   std::string fingerprint_;
   ProposalEvidence proposal_;
   std::map<std::string, std::unique_ptr<ContractCapture>> captures_;
+  bool loaded_ = false;
 };
 
 /// Adapter binding a solver capture sink to one capture cell and phase

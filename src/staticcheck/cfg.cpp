@@ -2,8 +2,6 @@
 
 #include <functional>
 
-#include "minilang/printer.hpp"
-
 namespace lisa::staticcheck {
 
 using minilang::Expr;
@@ -230,35 +228,6 @@ int Cfg::node_of(const minilang::Stmt* stmt) const {
          node.kind == CfgNode::Kind::kSyncEnter))
       return node.id;
   return -1;
-}
-
-std::string Cfg::to_string() const {
-  std::string out = "cfg " + fn_->name + " (entry " + std::to_string(entry_) + ", exit " +
-                    std::to_string(exit_) + ")\n";
-  for (const CfgNode& node : nodes_) {
-    out += "  n" + std::to_string(node.id) + " ";
-    switch (node.kind) {
-      case CfgNode::Kind::kEntry: out += "entry"; break;
-      case CfgNode::Kind::kExit: out += "exit"; break;
-      case CfgNode::Kind::kJoin: out += "join"; break;
-      case CfgNode::Kind::kSyncEnter: out += "sync-enter"; break;
-      case CfgNode::Kind::kSyncExit: out += "sync-exit"; break;
-      case CfgNode::Kind::kBranch:
-        out += node.loop_head ? "loop " : "branch ";
-        out += minilang::expr_text(*node.stmt->expr);
-        break;
-      case CfgNode::Kind::kStmt:
-        out += minilang::stmt_header_text(*node.stmt);
-        break;
-    }
-    out += " ->";
-    for (const CfgEdge& edge : node.succs) {
-      out += " n" + std::to_string(edge.to);
-      if (edge.guard != nullptr) out += (edge.taken ? "[T]" : "[F]");
-    }
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace lisa::staticcheck

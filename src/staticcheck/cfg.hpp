@@ -77,9 +77,6 @@ class Cfg {
   /// is the condition node.
   [[nodiscard]] int node_of(const minilang::Stmt* stmt) const;
 
-  /// Human-readable dump for tests and debugging.
-  [[nodiscard]] std::string to_string() const;
-
  private:
   const minilang::FuncDecl* fn_ = nullptr;
   std::vector<CfgNode> nodes_;

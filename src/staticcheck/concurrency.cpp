@@ -149,11 +149,10 @@ void LocksetAnalysis::transfer(const CfgNode& node, State& state) const {
 }
 
 void summarize_concurrency(const Program& program, const analysis::CallGraph& graph,
-                           const SummaryMap& map, const FuncDecl& fn, const Cfg& cfg,
-                           FunctionSummary* out) {
+                           const analysis::Condensation& condensation, const SummaryMap& map,
+                           const FuncDecl& fn, const Cfg& cfg, FunctionSummary* out) {
   LocksetAnalysis locksets(program, graph, &map);
   const DataflowResult<LocksetAnalysis> result = run_forward(cfg, locksets);
-  const analysis::Condensation condensation = graph.condensation();
   const int own_component = condensation.component_index(fn.name);
 
   const auto record_access = [&](const std::string& base, const std::string& field,

@@ -92,10 +92,11 @@ Interval widened(const Interval& previous, Interval next) {
   return next;
 }
 
-/// One bottom-up summarization pass over `fn`, reading callee summaries
-/// (and same-SCC iterates) from `map`.
+/// One bottom-up summarization pass over `fn`, whose CFG is `cfg`, reading
+/// callee summaries (and same-SCC iterates) from `map`.
 FunctionSummary summarize(const Program& program, const analysis::CallGraph& graph,
-                          const SummaryMap& map, const FuncDecl& fn) {
+                          const analysis::Condensation& condensation, const SummaryMap& map,
+                          const FuncDecl& fn, const Cfg& cfg) {
   FunctionSummary s;
   s.return_interval = bottom_interval();
 
@@ -220,8 +221,6 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
       };
   walk_effects(fn.body, 0);
 
-  const Cfg cfg = Cfg::build(fn);
-
   // --- may-block: a blocking call on some CFG-reachable node. More precise
   // than the syntactic reaches_blocking (dead code does not count). ---
   if (fn.has_annotation("blocking")) s.may_block = true;
@@ -274,7 +273,7 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
 
   // --- concurrency: must-held locksets per statement, acquisition
   // orderings, and shared-field access sites (concurrency.cpp). ---
-  summarize_concurrency(program, graph, map, fn, cfg, &s);
+  summarize_concurrency(program, graph, condensation, map, fn, cfg, &s);
 
   // --- nullness: return nullability plus param-rooted facts holding on
   // every normal return. ---
@@ -369,6 +368,14 @@ SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph
   SummaryMap map;
   const analysis::Condensation condensation = graph.condensation();
   map.stats_.components = static_cast<int>(condensation.size());
+  // One CFG per function, built on first use and shared by every phase A
+  // round and by phase B's caller states.
+  std::map<const FuncDecl*, Cfg> cfgs;
+  const auto cfg_of = [&](const FuncDecl& fn) -> const Cfg& {
+    auto it = cfgs.find(&fn);
+    if (it == cfgs.end()) it = cfgs.emplace(&fn, Cfg::build(fn)).first;
+    return it->second;
+  };
 
   // ----- Phase A: bottom-up effects and transfer facts, callees first. -----
   constexpr int kWidenRound = 3;  // start widening return intervals here
@@ -386,7 +393,7 @@ SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph
       for (const std::string& name : component.members) {
         const FuncDecl* fn = program.find_function(name);
         if (fn == nullptr) continue;
-        FunctionSummary next = summarize(program, graph, map, *fn);
+        FunctionSummary next = summarize(program, graph, condensation, map, *fn, cfg_of(*fn));
         FunctionSummary& current = map.summaries_[name];
         if (round >= kWidenRound)
           next.return_interval = widened(current.return_interval, next.return_interval);
@@ -431,7 +438,7 @@ SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph
   for (const FuncDecl* fn : graph.entry_functions()) entry_names.insert(fn->name);
 
   struct CallerStates {
-    Cfg cfg;
+    const Cfg* cfg;
     DataflowResult<NullnessAnalysis> nullness;
     DataflowResult<IntervalAnalysis> intervals;
   };
@@ -439,11 +446,11 @@ SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph
   const auto caller_states = [&](const FuncDecl& caller) -> const CallerStates& {
     const auto it = cache.find(caller.name);
     if (it != cache.end()) return it->second;
-    CallerStates states{Cfg::build(caller), {}, {}};
+    CallerStates states{&cfg_of(caller), {}, {}};
     NullnessAnalysis nullness(program, &map);
-    states.nullness = run_forward(states.cfg, nullness);
+    states.nullness = run_forward(*states.cfg, nullness);
     IntervalAnalysis intervals(program, &map);
-    states.intervals = run_forward(states.cfg, intervals);
+    states.intervals = run_forward(*states.cfg, intervals);
     return cache.emplace(caller.name, std::move(states)).first->second;
   };
 
@@ -474,7 +481,7 @@ SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph
           break;
         }
         const CallerStates& states = caller_states(*site->caller);
-        const int node = states.cfg.node_of(site->stmt);
+        const int node = states.cfg->node_of(site->stmt);
         // A statically unreachable call site contributes no executions.
         if (node < 0) {
           top_everything = true;

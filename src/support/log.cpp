@@ -25,8 +25,7 @@ const char* level_name(LogLevel level) {
   return "?";
 }
 
-/// Applies LISA_LOG_LEVEL once, before the first threshold read. An explicit
-/// set_log_level() afterwards still wins (it stores over this).
+/// Applies LISA_LOG_LEVEL once, before the first threshold read.
 void apply_env_level() {
   std::call_once(g_env_once, [] {
     const char* env = std::getenv("LISA_LOG_LEVEL");
@@ -45,11 +44,6 @@ void apply_env_level() {
 }
 
 }  // namespace
-
-void set_log_level(LogLevel level) {
-  apply_env_level();  // consume the env var so it cannot override this call later
-  g_level.store(level, std::memory_order_relaxed);
-}
 
 LogLevel log_level() {
   apply_env_level();

@@ -1,10 +1,9 @@
 // Minimal leveled logger.
 //
 // LISA is a library first; logging defaults to warnings-and-above on stderr
-// so that example binaries stay readable. The level is process-global and
-// intended to be set once at startup; the LISA_LOG_LEVEL environment
-// variable ("debug" | "info" | "warn" | "error" | "off"), read at first
-// use, overrides the default without a code change.
+// so that example binaries stay readable. The level is process-global; the
+// LISA_LOG_LEVEL environment variable ("debug" | "info" | "warn" | "error" |
+// "off"), read at first use, overrides the default without a code change.
 //
 // Each line carries a monotonic elapsed-ms prefix measured from the shared
 // process epoch (support/stopwatch.hpp) — the same clock trace spans use —
@@ -24,8 +23,7 @@ namespace lisa::support {
 
 enum class LogLevel { debug = 0, info = 1, warn = 2, error = 3, off = 4 };
 
-/// Sets the process-global minimum level that will be emitted.
-void set_log_level(LogLevel level);
+/// The process-global minimum level that will be emitted.
 [[nodiscard]] LogLevel log_level();
 
 /// Parses a LISA_LOG_LEVEL value ("warn", "ERROR", ...); nullopt on junk.

@@ -64,6 +64,19 @@ void write_over_long_line(std::ostream& out, const std::string& fields) {
 
 // --- record serialization ---------------------------------------------------
 
+// Written by the hand-written serializer that the field lists replaced.
+const std::string kFullRunRecord =
+    R"json({"contracts":{"case#0":{"conclusive":true,"passed":false,)json"
+    R"json("signature_digest":"sig-1","slice_fp":"slice-1","smt_queries":7,)json"
+    R"json("verdict":"violated"}},"input_fingerprint":"abc123","kind":"gate",)json"
+    R"json("label":"series-1","meta":{"git_dirty":"true","git_sha":"0123abcd"},)json"
+    R"json("metrics":{"evaluation_ms":12.5,"settled_fraction":0.75},)json"
+    R"json("smt_digest":"deadbeef"})json";
+const std::string kBareRunRecord =
+    R"json({"contracts":{"case#1":{"conclusive":true,"passed":true,)json"
+    R"json("signature_digest":"sig-2","verdict":"passed"}},"input_fingerprint":"def456",)json"
+    R"json("kind":"check","label":"series-2","metrics":{"evaluation_ms":3}})json";
+
 TEST(RunRecord, JsonRoundTripPreservesEveryField) {
   obs::RunRecord record;
   record.kind = "gate";
@@ -102,6 +115,24 @@ TEST(RunRecord, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(reloaded.meta.at("git_dirty"), "true");
   // Serialization is byte-stable: dumping twice gives identical bytes.
   EXPECT_EQ(record.to_json().dump(), reloaded.to_json().dump());
+
+  // The bytes of a record with every optional key and of one with none are
+  // pinned.
+  obs::RunRecord bare;
+  bare.kind = "check";
+  bare.label = "series-2";
+  bare.input_fingerprint = "def456";
+  obs::ContractOutcome plain;
+  plain.verdict = "passed";
+  plain.signature_digest = "sig-2";
+  bare.contracts["case#1"] = plain;
+  bare.metrics["evaluation_ms"] = 3.0;
+  const std::string full_line = record.to_json().dump();
+  const std::string bare_line = bare.to_json().dump();
+  EXPECT_EQ(full_line, kFullRunRecord);
+  EXPECT_EQ(bare_line, kBareRunRecord);
+  for (const std::string& line : {full_line, bare_line})
+    EXPECT_EQ(obs::RunRecord::from_json(support::Json::parse(line)).to_json().dump(), line);
 }
 
 // --- history store ----------------------------------------------------------
@@ -460,6 +491,51 @@ TEST(DiffLedgers, BuggyToPatchedShowsExactlyOneFlipWithEvidence) {
 
   // Self-diff is clean: no flips, no deltas.
   EXPECT_TRUE(obs::diff_ledgers(before, before).identical());
+}
+
+TEST(DiffLedgers, NamesDamagedCapturesAndSignatureOnlyChanges) {
+  // A ledger line edited after it was written no longer matches its digest:
+  // the diff names the damaged side even though no verdict flipped.
+  const corpus::FailureTicket& ticket = ticket_or_die("zk-1208-ephemeral-create");
+  obs::ProvenanceLedger written;
+  core::PipelineRunOptions run_options;
+  run_options.ledger = &written;
+  (void)core::Pipeline().run(ticket, ticket.buggy_source, run_options);
+  const std::string path_a = temp_path("diff_intact.jsonl");
+  const std::string path_b = temp_path("diff_damaged.jsonl");
+  ASSERT_TRUE(written.write_jsonl(path_a));
+  std::string jsonl = written.to_jsonl();
+  const std::string violated = "\"violated\":2";
+  const std::size_t count = jsonl.find(violated);
+  ASSERT_NE(count, std::string::npos);
+  jsonl.replace(count, violated.size(), "\"violated\":0");
+  std::ofstream(path_b) << jsonl;
+  obs::ProvenanceLedger a, b;
+  ASSERT_TRUE(a.load_jsonl(path_a));
+  ASSERT_TRUE(b.load_jsonl(path_b));
+  EXPECT_TRUE(obs::diff_ledgers(a, a).identical());
+  const obs::DiffReport damaged = obs::diff_ledgers(a, b);
+  EXPECT_EQ(damaged.verdict_flips(), 0);
+  ASSERT_EQ(damaged.contracts.size(), 1u);
+  EXPECT_EQ(damaged.contracts[0].notes, std::vector<std::string>{
+                                            "damaged capture (after): its line does not match "
+                                            "its digest"});
+  EXPECT_NE(obs::render_diff_text(damaged).find("damaged captures: 1\n"), std::string::npos);
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+
+  // Two intact captures that differ only in a count the evidence notes do
+  // not compare: the verdict signature tells them apart.
+  obs::ProvenanceLedger before, after;
+  before.capture_for("c#0")->report.contract_id = "c#0";
+  after.capture_for("c#0")->report.contract_id = "c#0";
+  after.capture_for("c#0")->report.uncovered = 1;
+  const obs::DiffReport moved = obs::diff_ledgers(before, after);
+  EXPECT_EQ(moved.verdict_flips(), 0);
+  ASSERT_EQ(moved.contracts.size(), 1u);
+  ASSERT_EQ(moved.contracts[0].notes.size(), 1u);
+  EXPECT_EQ(moved.contracts[0].notes[0].rfind("verdict signature changed: ", 0), 0u)
+      << moved.contracts[0].notes[0];
 }
 
 // --- gate integration -------------------------------------------------------

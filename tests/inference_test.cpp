@@ -113,6 +113,16 @@ TEST(MockLlm, RenderPromptContainsAllThreeInputs) {
   EXPECT_NE(prompt.find("is_closing"), std::string::npos);
 }
 
+// Written by the hand-written serializer that the field lists replaced.
+const std::string kFullProposal =
+    R"json({"case_id":"case-x","high_level_semantics":"high","kind":"structural_pattern",)json"
+    R"json("low_level_semantics":[{"condition_statement":"a.b > 0","description":"desc",)json"
+    R"json("target_statement":"tgt("}],"pattern":"no_blocking_in_sync",)json"
+    R"json("reasoning":"because"})json";
+const std::string kBareProposal =
+    R"json({"case_id":"case-y","high_level_semantics":"","kind":"state_predicate",)json"
+    R"json("low_level_semantics":[],"reasoning":""})json";
+
 TEST(Proposal, JsonRoundTrip) {
   SemanticsProposal proposal;
   proposal.case_id = "case-x";
@@ -126,6 +136,17 @@ TEST(Proposal, JsonRoundTrip) {
   EXPECT_EQ(back.kind, corpus::SemanticsKind::kStructuralPattern);
   ASSERT_EQ(back.low_level.size(), 1u);
   EXPECT_EQ(back.low_level[0].condition_statement, "a.b > 0");
+
+  // The bytes of a proposal with every optional key and of one with none
+  // are pinned.
+  SemanticsProposal bare;
+  bare.case_id = "case-y";
+  const std::string full_line = proposal.to_json().dump();
+  const std::string bare_line = bare.to_json().dump();
+  EXPECT_EQ(full_line, kFullProposal);
+  EXPECT_EQ(bare_line, kBareProposal);
+  for (const std::string& line : {full_line, bare_line})
+    EXPECT_EQ(SemanticsProposal::from_json(support::Json::parse(line)).to_json().dump(), line);
 }
 
 // ---------------------------------------------------------------------------

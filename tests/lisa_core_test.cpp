@@ -188,6 +188,15 @@ TEST(CiGate, SkipsContractsWithoutTargetsInCommit) {
   EXPECT_TRUE(decision.reports.empty());
 }
 
+// Written by the hand-written serializer that the field lists replaced.
+const std::string kPinnedStore =
+    R"json({"contracts":[{"case_id":"case-x","condition_text":"c.n >= 0",)json"
+    R"json("description":"guarded counter","high_level":"high","id":"case-x#0",)json"
+    R"json("kind":"interleaving_sensitive","pattern":"guarded_field","system":"hbase",)json"
+    R"json("target_fragment":"bump("},{"case_id":"","condition_text":"a.b == 1",)json"
+    R"json("description":"","high_level":"","id":"case-y#0","kind":"state_predicate",)json"
+    R"json("system":"","target_fragment":""}]})json";
+
 TEST(ContractStore, JsonRoundTrip) {
   const corpus::FailureTicket* ticket = corpus::Corpus::find("hbase-27671-snapshot-ttl");
   const inference::SemanticsProposal proposal = inference::MockLlm().infer(*ticket);
@@ -198,6 +207,32 @@ TEST(ContractStore, JsonRoundTrip) {
   ASSERT_EQ(back.size(), store.size());
   EXPECT_EQ(back.all()[0].target_fragment, "serve_snapshot(");
   EXPECT_NE(back.all()[0].condition, nullptr);
+
+  // The bytes of a contract with every optional key and of one with none
+  // are pinned.
+  SemanticContract full;
+  full.id = "case-x#0";
+  full.case_id = "case-x";
+  full.system = "hbase";
+  full.kind = corpus::SemanticsKind::kInterleavingSensitive;
+  full.description = "guarded counter";
+  full.high_level = "high";
+  full.target_fragment = "bump(";
+  full.condition_text = "c.n >= 0";
+  full.pattern = "guarded_field";
+  SemanticContract bare;
+  bare.id = "case-y#0";
+  bare.condition_text = "a.b == 1";
+  ContractStore pinned;
+  pinned.add(full);
+  pinned.add(bare);
+  const std::string line = pinned.to_json().dump();
+  EXPECT_EQ(line, kPinnedStore);
+  const ContractStore reread = ContractStore::from_json(support::Json::parse(line));
+  EXPECT_EQ(reread.to_json().dump(), line);
+  ASSERT_EQ(reread.size(), 2u);
+  EXPECT_EQ(reread.all()[0].condition, nullptr);  // not a state predicate
+  EXPECT_NE(reread.all()[1].condition, nullptr);
 }
 
 TEST(Pipeline, TimingsArePopulated) {

@@ -86,6 +86,159 @@ TEST(ProvenanceLedger, CapturesFullEvidenceChain) {
   EXPECT_GE(ledger.proposal().attempts, 1);
 }
 
+/// A capture with every optional key of every record it holds: a
+/// budget-exhausted report with a screen and a schedule group, a path with
+/// every key, an SMT query with a model and a reason, a hit with a witness,
+/// an exhausted budget, and a narration step with a thread and a note.
+obs::ContractCapture full_capture() {
+  obs::ContractCapture capture;
+  capture.contract_id = "c#0";
+  capture.system = "zookeeper";
+  capture.kind = "state-predicate";
+  capture.target_fragment = "create(";
+  capture.condition_text = "s.closing == false";
+  capture.description = "no create on a closing session";
+  capture.fingerprint = "f0";
+  capture.facts.push_back({"nullness", "create", 3, 5, "s#null = non-null"});
+  capture.smt_queries.push_back({"static-path", "(x > 0)", "d0", "sat", "x = 1", "why"});
+  capture.hits.push_back({"t_create", "create", 7, "s.closing", "!(s.closing)",
+                          "concrete-violation", "s.closing = true"});
+  capture.budget.attached = true;
+  capture.budget.exhausted = true;
+  capture.budget.resource = "steps";
+  capture.budget.reason = "step limit 10 reached";
+  capture.budget.charges = {{"paths", 3}, {"steps", 10}};
+  capture.narration.kind = "schedule-replay";
+  capture.narration.test = "t_create";
+  capture.narration.reproduced = true;
+  capture.narration.steps.push_back({"create", 7, "let n = 1;", 1, 2, "n := 1"});
+  capture.narration.predicate.push_back({"s.closing == false", "false (s.closing = true)", false});
+  capture.narration.detail = "replayed";
+
+  core::ContractCheckReport& report = capture.report;
+  report.contract_id = "c#0";
+  report.target_fragment = "create(";
+  report.target_statements = 2;
+  report.verified = 1;
+  report.violated = 1;
+  report.unmappable = 1;
+  report.inconclusive = 1;
+  report.uncovered = 1;
+  report.raw_paths = 5;
+  report.truncated = true;
+  report.sanity_ok = true;
+  core::PathReport path;
+  path.call_chain = {"main", "create"};
+  path.target_stmt_id = 7;
+  path.target_text = "create(s);";
+  path.path_condition = "true";
+  path.contract_condition = "(s.closing == false)";
+  path.verdict = core::PathVerdict::kViolated;
+  path.counterexample = "s.closing = true";
+  path.detail = "refused";
+  path.covered_by_test = true;
+  path.covering_tests = {"t_create"};
+  report.paths.push_back(path);
+  report.dynamic.selected_tests = {"t_create"};
+  report.dynamic.tests_run = 2;
+  report.dynamic.tests_passed = 1;
+  report.dynamic.target_hits = 3;
+  report.dynamic.symbolic_violations = 1;
+  report.dynamic.concrete_violations = 1;
+  report.dynamic.inconclusive_hits = 1;
+  report.dynamic.degraded_runs = 1;
+  report.dynamic.violation_details = {"t_create: s.closing = true"};
+  report.structural_violations = {"blocking call under sync"};
+  report.screen_verdict = "unknown";
+  report.screen_witness = "main -> create";
+  report.screen_reason = "no fact";
+  report.screen_ms = 1.5;
+  report.screen_skipped_concolic = true;
+  report.budget_exhausted = true;
+  report.budget_reason = "step limit 10 reached";
+  report.budget_resource = "steps";
+  report.schedules_explored = 3;
+  report.schedule_conclusive = false;
+  report.schedule_violations = 1;
+  report.schedule_witness = "s0:1,0";
+  report.schedule_inconclusive_reason = "schedule bound reached";
+  report.schedule_violation_details = {"t1 lost an update"};
+  report.slice_fp = "fp0";
+  return capture;
+}
+
+// Written by the hand-written serializers that the field lists replaced.
+const std::string kFullCaptureLine =
+    R"json({"budget":{"attached":true,"charges":{"paths":3,"steps":10},"exhausted":true,)json"
+    R"json("reason":"step limit 10 reached","resource":"steps"},)json"
+    R"json("condition_text":"s.closing == false","contract_id":"c#0",)json"
+    R"json("description":"no create on a closing session","digest":"f42958c1ba8ce479",)json"
+    R"json("facts":[{"analysis":"nullness","column":5,"fact":"s#null = non-null",)json"
+    R"json("function":"create","line":3}],"fingerprint":"f0","hits":[{"function":"create",)json"
+    R"json("instantiated_contract":"!(s.closing)","outcome":"concrete-violation",)json"
+    R"json("stmt_id":7,"test":"t_create","trace_condition":"s.closing",)json"
+    R"json("witness":"s.closing = true"}],"kind":"state-predicate",)json"
+    R"json("narration":{"detail":"replayed","kind":"schedule-replay",)json"
+    R"json("predicate":[{"holds":false,"text":"s.closing == false",)json"
+    R"json("value":"false (s.closing = true)"}],"reproduced":true,)json"
+    R"json("steps":[{"function":"create","line":7,"note":"n := 1","stmt":"let n = 1;",)json"
+    R"json("sync_depth":1,"thread":2}],"test":"t_create"},)json"
+    R"json("report":{"budget_exhausted":true,"budget_reason":"step limit 10 reached",)json"
+    R"json("budget_resource":"steps","conclusive":false,"contract_id":"c#0",)json"
+    R"json("dynamic":{"concrete_violations":1,"degraded_runs":1,"inconclusive_hits":1,)json"
+    R"json("selected_tests":["t_create"],"symbolic_violations":1,"target_hits":3,)json"
+    R"json("tests_passed":1,"tests_run":2,)json"
+    R"json("violation_details":["t_create: s.closing = true"]},"inconclusive":1,)json"
+    R"json("passed":false,"paths":[{"chain":"main -> create",)json"
+    R"json("contract_condition":"(s.closing == false)","counterexample":"s.closing = true",)json"
+    R"json("covered_by_test":true,"covering_tests":["t_create"],"detail":"refused",)json"
+    R"json("path_condition":"true","target_stmt":"create(s);","target_stmt_id":7,)json"
+    R"json("verdict":"violated"}],"raw_paths":5,"sanity_ok":true,)json"
+    R"json("schedule":{"conclusive":false,"explored":3,"reason":"schedule bound reached",)json"
+    R"json("violation_details":["t1 lost an update"],"violations":1,"witness":"s0:1,0"},)json"
+    R"json("screen":{"reason":"no fact","skipped_concolic":true,"verdict":"unknown",)json"
+    R"json("witness":"main -> create"},"slice_fp":"fp0",)json"
+    R"json("structural_violations":["blocking call under sync"],)json"
+    R"json("target_fragment":"create(","target_statements":2,"truncated":true,)json"
+    R"json("uncovered":1,"unmappable":1,"verified":1,"violated":1},)json"
+    R"json("smt_queries":[{"digest":"d0","model":"x = 1","phase":"static-path",)json"
+    R"json("query":"(x > 0)","reason":"why","status":"sat"}],"system":"zookeeper",)json"
+    R"json("target_fragment":"create("})json";
+const std::string kBareCaptureLine =
+    R"json({"condition_text":"","contract_id":"c#1","description":"",)json"
+    R"json("digest":"2428517295185482","facts":[],"fingerprint":"","hits":[],"kind":"",)json"
+    R"json("report":{"contract_id":"","dynamic":{"concrete_violations":0,)json"
+    R"json("selected_tests":[],"symbolic_violations":0,"target_hits":0,"tests_passed":0,)json"
+    R"json("tests_run":0},"passed":true,"paths":[],"raw_paths":0,"sanity_ok":false,)json"
+    R"json("structural_violations":[],"target_fragment":"","target_statements":0,)json"
+    R"json("truncated":false,"uncovered":0,"unmappable":0,"verified":0,"violated":0},)json"
+    R"json("smt_queries":[],"system":"","target_fragment":""})json";
+const std::string kFullReport =
+    R"json({"budget_exhausted":true,"budget_reason":"step limit 10 reached",)json"
+    R"json("budget_resource":"steps","conclusive":false,"contract_id":"c#0",)json"
+    R"json("dynamic":{"concrete_violations":1,"degraded_runs":1,"inconclusive_hits":1,)json"
+    R"json("selected_tests":["t_create"],"symbolic_violations":1,"target_hits":3,)json"
+    R"json("tests_passed":1,"tests_run":2,)json"
+    R"json("violation_details":["t_create: s.closing = true"]},"inconclusive":1,)json"
+    R"json("passed":false,"paths":[{"chain":"main -> create",)json"
+    R"json("contract_condition":"(s.closing == false)","counterexample":"s.closing = true",)json"
+    R"json("covered_by_test":true,"covering_tests":["t_create"],"detail":"refused",)json"
+    R"json("path_condition":"true","target_stmt":"create(s);","target_stmt_id":7,)json"
+    R"json("verdict":"violated"}],"raw_paths":5,"sanity_ok":true,)json"
+    R"json("schedule":{"conclusive":false,"explored":3,"reason":"schedule bound reached",)json"
+    R"json("violation_details":["t1 lost an update"],"violations":1,"witness":"s0:1,0"},)json"
+    R"json("screen":{"elapsed_ms":1.5,"reason":"no fact","skipped_concolic":true,)json"
+    R"json("verdict":"unknown","witness":"main -> create"},"slice_fp":"fp0",)json"
+    R"json("structural_violations":["blocking call under sync"],)json"
+    R"json("target_fragment":"create(","target_statements":2,"truncated":true,)json"
+    R"json("uncovered":1,"unmappable":1,"verified":1,"violated":1})json";
+const std::string kFullProposal =
+    R"json({"attempts":3,"case_id":"case-x","error":"gave up","high_level":"high",)json"
+    R"json("low_level":["low-0","low-1"],"succeeded":false,"transient_errors":2,)json"
+    R"json("validation_failures":1})json";
+const std::string kBareProposal =
+    R"json({"attempts":0,"case_id":"","high_level":"","low_level":[],"succeeded":true})json";
+
 TEST(ProvenanceLedger, JsonlRoundTripPreservesEveryField) {
   const corpus::FailureTicket& ticket = ticket_or_die("hbase-27671-snapshot-ttl");
   obs::ProvenanceLedger ledger;
@@ -100,6 +253,51 @@ TEST(ProvenanceLedger, JsonlRoundTripPreservesEveryField) {
   // Byte-equality of the serialized forms implies field-level equality:
   // to_json covers every evidence record.
   EXPECT_EQ(loaded.to_jsonl(), ledger.to_jsonl());
+
+  // The bytes of a capture with every optional key and one with none, and
+  // of a proposal line each way, are pinned: a writer change that moves a
+  // byte of a ledger line shows here.
+  const obs::ContractCapture full = full_capture();
+  obs::ContractCapture bare;
+  bare.contract_id = "c#1";
+  const std::string full_line = full.to_json().dump();
+  const std::string bare_line = bare.to_json().dump();
+  const std::string full_report = full.report.to_json().dump();
+  EXPECT_EQ(full_line, kFullCaptureLine);
+  EXPECT_EQ(bare_line, kBareCaptureLine);
+  EXPECT_EQ(full_report, kFullReport);
+  for (const std::string& line : {full_line, bare_line}) {
+    const obs::ContractCapture back = obs::ContractCapture::from_json(support::Json::parse(line));
+    EXPECT_TRUE(back.intact()) << line;
+    EXPECT_EQ(back.to_json().dump(), line);
+  }
+  EXPECT_EQ(core::ContractCheckReport::from_json(support::Json::parse(full_report))
+                .to_json()
+                .dump(),
+            full_report);
+
+  obs::ProposalEvidence proposal;
+  proposal.case_id = "case-x";
+  proposal.high_level = "high";
+  proposal.low_level = {"low-0", "low-1"};
+  proposal.succeeded = false;
+  proposal.attempts = 3;
+  proposal.transient_errors = 2;
+  proposal.validation_failures = 1;
+  proposal.error = "gave up";
+  for (const bool with_optional : {true, false}) {
+    obs::ProvenanceLedger pinned;
+    pinned.bind("inputs");
+    pinned.set_proposal(with_optional ? proposal : obs::ProposalEvidence{});
+    *pinned.capture_for("c#0") = full;
+    *pinned.capture_for("c#1") = bare;
+    const std::string proposal_line = pinned.to_json().at("proposal").dump();
+    EXPECT_EQ(proposal_line, with_optional ? kFullProposal : kBareProposal);
+    ASSERT_TRUE(pinned.write_jsonl(path));
+    obs::ProvenanceLedger reloaded;
+    ASSERT_TRUE(reloaded.load_jsonl(path));
+    EXPECT_EQ(reloaded.to_jsonl(), pinned.to_jsonl());
+  }
   std::remove(path.c_str());
 }
 

@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -458,6 +460,257 @@ std::vector<std::string> signatures(const core::GateDecision& decision) {
   for (const ContractCheckReport& report : decision.reports)
     out.push_back(report.verdict_signature());
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Persisted records read back by one rule: a mistyped value reads as an
+// absent one (the member keeps its default), an integer saturates into its
+// member's type, and a list or map element of the wrong type is skipped.
+
+using support::Json;
+using support::JsonArray;
+using support::JsonObject;
+
+/// A key path into a JSON value; "" steps into an array's first element.
+using KeyPath = std::vector<std::string>;
+
+/// Every path in `json` (the root first), through every object key and the
+/// first element of every array.
+void collect_paths(const Json& json, KeyPath& prefix, std::vector<KeyPath>& out) {
+  out.push_back(prefix);
+  if (json.is_object()) {
+    for (const auto& [key, value] : json.as_object()) {
+      prefix.push_back(key);
+      collect_paths(value, prefix, out);
+      prefix.pop_back();
+    }
+  } else if (json.is_array() && !json.as_array().empty()) {
+    prefix.push_back("");
+    collect_paths(json.as_array()[0], prefix, out);
+    prefix.pop_back();
+  }
+}
+
+Json* locate(Json& json, const KeyPath& path, std::size_t depth) {
+  Json* at = &json;
+  for (std::size_t i = 0; i < depth; ++i) {
+    if (path[i].empty()) {
+      at = &at->as_array()[0];
+    } else {
+      if (!at->has(path[i])) return nullptr;
+      at = &at->as_object().at(path[i]);
+    }
+  }
+  return at;
+}
+
+/// The JSON type of a value; an int and a double are both numbers.
+int json_type(const Json& json) {
+  if (json.is_null()) return 0;
+  if (json.is_bool()) return 1;
+  if (json.is_number()) return 2;
+  if (json.is_string()) return 3;
+  return json.is_array() ? 4 : 5;
+}
+
+/// True when every element of `container` has `value`'s JSON type, so
+/// `value` could be a well-typed element of it (a list or a map).
+bool could_hold(const Json& container, const Json& value) {
+  const auto same = [&](const Json& element) { return json_type(element) == json_type(value); };
+  if (container.is_array())
+    return std::all_of(container.as_array().begin(), container.as_array().end(), same);
+  return std::all_of(container.as_object().begin(), container.as_object().end(),
+                     [&](const auto& entry) { return same(entry.second); });
+}
+
+/// Mutates every key of `sample` in turn and reads each mutant back through
+/// `reread` (from_json, then to_json): no mutant throws, a mistyped value
+/// reads as the absent key, a number too large for an integer member reads
+/// as the member type's maximum, a foreign element of a list or map is
+/// skipped, and anything but an object reads as the default record.
+void expect_one_reader_rule(const std::string& record, const Json& sample,
+                            const std::function<Json(const Json&)>& reread,
+                            const std::set<std::string>& int64_keys = {}) {
+  const std::vector<Json> values = {Json(5),          Json("x"),         Json(JsonArray{}),
+                                    Json(JsonObject{}), Json(true), Json(nullptr),
+                                    Json(1e300)};
+  const auto read = [&](const Json& json) {
+    Json out;
+    EXPECT_NO_THROW(out = reread(json)) << record << ": " << json.dump();
+    return out.dump();
+  };
+  const std::string empty = read(Json(JsonObject{}));
+  for (const Json& value : values)
+    if (!value.is_object()) EXPECT_EQ(read(value), empty) << record << " as " << value.dump();
+
+  const std::string baseline = read(sample);
+  std::vector<KeyPath> paths;
+  KeyPath prefix;
+  collect_paths(sample, prefix, paths);
+  for (const KeyPath& path : paths) {
+    const std::string where = record + " " + support::join(path, ".");
+    Json original = sample;
+    const Json& at = *locate(original, path, path.size());
+    if (at.is_array() || at.is_object()) {
+      for (const Json& value : values) {
+        if (could_hold(at, value)) continue;
+        Json mutated = sample;
+        Json& container = *locate(mutated, path, path.size());
+        if (container.is_array())
+          container.as_array().push_back(value);
+        else
+          container.as_object()["foreign"] = value;
+        EXPECT_EQ(read(mutated), baseline) << where << " + " << value.dump();
+      }
+    }
+    if (path.empty() || path.back().empty()) continue;
+    Json absent = sample;
+    locate(absent, path, path.size() - 1)->as_object().erase(path.back());
+    const std::string without = read(absent);
+    for (const Json& value : values) {
+      Json mutated = sample;
+      *locate(mutated, path, path.size()) = value;
+      const std::string got = read(mutated);
+      if (json_type(value) != json_type(at)) {
+        EXPECT_EQ(got, without) << where << " = " << value.dump();
+      } else if (at.is_int() && value.is_double()) {
+        Json back = Json::parse(got);
+        const Json* saturated = locate(back, path, path.size());
+        ASSERT_NE(saturated, nullptr) << where;
+        const bool wide = int64_keys.count(path.back()) > 0 ||
+                          (path.size() > 1 && int64_keys.count(path[path.size() - 2]) > 0);
+        EXPECT_EQ(saturated->as_int(), wide ? std::numeric_limits<std::int64_t>::max()
+                                            : std::numeric_limits<int>::max())
+            << where;
+      }
+    }
+  }
+}
+
+constexpr const char* kReportSample = R"json({
+  "contract_id": "c#0", "target_fragment": "create(", "target_statements": 2,
+  "verified": 1, "violated": 1, "unmappable": 1, "inconclusive": 1, "uncovered": 1,
+  "raw_paths": 5, "truncated": true, "sanity_ok": true, "passed": false, "conclusive": false,
+  "budget_exhausted": true, "budget_reason": "step limit", "budget_resource": "steps",
+  "paths": [{"chain": "main -> create", "target_stmt": "create(s);", "target_stmt_id": 7,
+             "path_condition": "true", "contract_condition": "(s.closing == false)",
+             "verdict": "violated", "counterexample": "s.closing = true", "detail": "refused",
+             "covered_by_test": true, "covering_tests": ["t_create"]}],
+  "dynamic": {"selected_tests": ["t_create"], "tests_run": 2, "tests_passed": 1,
+              "target_hits": 3, "symbolic_violations": 1, "concrete_violations": 1,
+              "inconclusive_hits": 1, "degraded_runs": 1, "violation_details": ["v"]},
+  "structural_violations": ["blocking call under sync"],
+  "screen": {"verdict": "unknown", "witness": "main -> create", "reason": "no fact",
+             "elapsed_ms": 1.5, "skipped_concolic": true},
+  "schedule": {"explored": 3, "conclusive": false, "violations": 1, "witness": "s0:1,0",
+               "reason": "bound reached", "violation_details": ["t1 lost an update"]},
+  "slice_fp": "fp0"})json";
+
+TEST_F(Robustness, MistypedRecordFieldsLoadAsDefaults) {
+  const Json report = Json::parse(kReportSample);
+  expect_one_reader_rule(
+      "report", report,
+      [](const Json& json) { return ContractCheckReport::from_json(json).to_json(); },
+      {"target_statements", "raw_paths"});
+
+  Json capture = Json::parse(R"json({
+    "contract_id": "c#0", "system": "zookeeper", "kind": "state-predicate",
+    "target_fragment": "create(", "condition_text": "s.closing == false",
+    "description": "no create on a closing session", "fingerprint": "f0",
+    "facts": [{"analysis": "nullness", "function": "create", "line": 3, "column": 5,
+               "fact": "s#null = non-null"}],
+    "smt_queries": [{"phase": "static-path", "query": "(x > 0)", "digest": "d0",
+                     "status": "sat", "model": "x = 1", "reason": "why"}],
+    "hits": [{"test": "t_create", "function": "create", "stmt_id": 7,
+              "trace_condition": "s.closing", "instantiated_contract": "!(s.closing)",
+              "outcome": "concrete-violation", "witness": "s.closing = true"}],
+    "budget": {"attached": true, "exhausted": true, "resource": "steps",
+               "reason": "step limit", "charges": {"paths": 3, "steps": 10}},
+    "narration": {"kind": "schedule-replay", "test": "t_create", "reproduced": true,
+                  "steps": [{"function": "create", "line": 7, "stmt": "let n = 1;",
+                             "sync_depth": 1, "thread": 2, "note": "n := 1"}],
+                  "predicate": [{"text": "s.closing == false", "value": "false",
+                                 "holds": false}],
+                  "detail": "replayed"},
+    "digest": "0123456789abcdef"})json");
+  capture.as_object()["report"] = report;
+  expect_one_reader_rule(
+      "capture", capture,
+      [](const Json& json) {
+        const obs::ContractCapture loaded = obs::ContractCapture::from_json(json);
+        Json out = loaded.to_json();  // holds a fresh digest; show the loaded one
+        out.as_object()["digest"] = loaded.digest;
+        return out;
+      },
+      {"target_statements", "raw_paths", "charges"});
+
+  const std::string path = temp_path("mistyped_proposal.jsonl");
+  expect_one_reader_rule(
+      "proposal evidence",
+      Json::parse(R"json({"case_id": "c", "high_level": "h", "low_level": ["l0", "l1"],
+                          "succeeded": false, "attempts": 3, "transient_errors": 2,
+                          "validation_failures": 1, "error": "gave up"})json"),
+      [&](const Json& proposal) {
+        JsonObject line;
+        line["proposal"] = proposal;
+        write_file(path, support::jsonl_header(obs::ProvenanceLedger::kLedgerKind,
+                                               obs::ProvenanceLedger::kLedgerVersion, "f") +
+                             "\n" + Json(std::move(line)).dump() + "\n");
+        obs::ProvenanceLedger ledger;
+        EXPECT_TRUE(ledger.load_jsonl(path));
+        return ledger.to_json().at("proposal");
+      });
+  std::remove(path.c_str());
+
+  expect_one_reader_rule(
+      "run record",
+      Json::parse(R"json({"kind": "gate", "label": "l", "input_fingerprint": "i",
+                          "smt_digest": "s",
+                          "contracts": {"c#0": {"verdict": "violated", "passed": false,
+                                                "conclusive": false, "signature_digest": "g",
+                                                "slice_fp": "f", "smt_queries": 7}},
+                          "metrics": {"evaluation_ms": 1.5}, "meta": {"git_sha": "abc"}})json"),
+      [](const Json& json) { return obs::RunRecord::from_json(json).to_json(); },
+      {"smt_queries"});
+  // An outcome's flags default to true, as a fresh ContractOutcome's do.
+  const obs::RunRecord bare =
+      obs::RunRecord::from_json(Json::parse(R"({"kind":"gate","contracts":{"c#0":{}}})"));
+  EXPECT_TRUE(bare.contracts.at("c#0").passed);
+  EXPECT_TRUE(bare.contracts.at("c#0").conclusive);
+
+  const Json contract = Json::parse(R"json({
+    "id": "c#0", "case_id": "c", "system": "zookeeper", "kind": "structural_pattern",
+    "description": "d", "high_level": "h", "target_fragment": "create(",
+    "condition_text": "s.closing == false", "pattern": "no_blocking_in_sync"})json");
+  expect_one_reader_rule("contract", contract, [](const Json& json) {
+    const core::SemanticContract loaded = core::SemanticContract::from_json(json);
+    Json out = loaded.to_json();
+    out.as_object()["condition parsed"] = loaded.condition != nullptr;
+    return out;
+  });
+  JsonObject store;
+  store["contracts"] = Json(JsonArray{contract});
+  expect_one_reader_rule("store", Json(std::move(store)), [](const Json& json) {
+    return core::ContractStore::from_json(json).to_json();
+  });
+
+  expect_one_reader_rule(
+      "semantics proposal",
+      Json::parse(R"json({"case_id": "c", "high_level_semantics": "h",
+                          "low_level_semantics": [{"description": "d",
+                                                   "target_statement": "create(",
+                                                   "condition_statement": "a.b > 0"}],
+                          "reasoning": "r", "kind": "interleaving_sensitive",
+                          "pattern": "guarded_field"})json"),
+      [](const Json& json) { return inference::SemanticsProposal::from_json(json).to_json(); });
+
+  // A path entry whose verdict is absent or unreadable is inconclusive, as
+  // one naming an unknown verdict is.
+  const ContractCheckReport unnamed = ContractCheckReport::from_json(
+      Json::parse(R"({"paths":[{},{"verdict":5},{"verdict":"?"}]})"));
+  ASSERT_EQ(unnamed.paths.size(), 3u);
+  for (const core::PathReport& entry : unnamed.paths)
+    EXPECT_EQ(entry.verdict, PathVerdict::kInconclusive);
 }
 
 /// Two contracts, both with targets in zk-1208's patched source.

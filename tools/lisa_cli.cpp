@@ -42,9 +42,10 @@
 //   lisa diff --history <file> <i> <j> [--json] [--html <file>]
 //                                     deterministic report of what changed
 //                                     between two gate runs: verdict flips
-//                                     with evidence-chain deltas (two ledger
-//                                     files) or signature flips + metric
-//                                     deltas (two history records by index)
+//                                     with evidence-chain deltas and damaged
+//                                     captures (two ledger files) or
+//                                     signature flips + metric deltas (two
+//                                     history records by index)
 //   lisa trends <history.jsonl> [--kind k] [--label l] [--json] [--html <file>]
 //                                     per-metric sparklines over a run-history
 //                                     timeline plus the drift findings the
@@ -678,6 +679,7 @@ int cmd_slice(const std::string& case_id, int argc, char** argv) {
 /// the rich evidence-delta form; `--history <file> <i> <j>` diffs two
 /// records of a run-history store by index. Deterministic: the same two
 /// inputs always render identical bytes (asserted by scripts/check.sh).
+/// Exits 1 on a verdict flip or a damaged ledger capture.
 int cmd_diff(int argc, char** argv) {
   std::string history_path;
   std::string html_path;
@@ -734,7 +736,7 @@ int cmd_diff(int argc, char** argv) {
     std::printf("%s", obs::render_diff_text(report).c_str());
   if (!html_path.empty() && !write_text_file(html_path, obs::render_diff_html(report)))
     return 2;
-  return report.verdict_flips() > 0 ? 1 : 0;
+  return report.verdict_flips() > 0 || report.damaged_captures > 0 ? 1 : 0;
 }
 
 /// One-line unicode sparkline scaled to the series' own [min, max].
