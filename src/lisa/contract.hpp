@@ -45,6 +45,27 @@ struct SemanticContract {
   [[nodiscard]] static SemanticContract from_json(const support::Json& json);
 };
 
+/// Durable store of contracts learned from past incidents.
+class ContractStore {
+ public:
+  void add(SemanticContract contract);
+  void add_all(std::vector<SemanticContract> contracts);
+
+  [[nodiscard]] const std::vector<SemanticContract>& all() const { return contracts_; }
+  [[nodiscard]] std::size_t size() const { return contracts_.size(); }
+
+  /// Serialization for persistence across "CI runs".
+  [[nodiscard]] support::Json to_json() const;
+  [[nodiscard]] static ContractStore from_json(const support::Json& json);
+
+ private:
+  /// The store's field list (support/json_fields.hpp).
+  template <class Io>
+  friend void json_fields(Io& io, ContractStore& store);
+
+  std::vector<SemanticContract> contracts_;
+};
+
 struct TranslationResult {
   std::vector<SemanticContract> contracts;
   /// Low-level semantics whose condition fell outside the checkable fragment
