@@ -43,6 +43,25 @@ TEST(Lexer, RejectsStrayCharacters) {
   EXPECT_THROW(lex("a & b"), LexError);
 }
 
+TEST(Lexer, SpellsUnexpectedBytes) {
+  // A printable byte is quoted; any other is spelled in hex, so a NUL cannot
+  // cut the message short and no control or non-ASCII byte reaches a report.
+  const auto message = [](std::string_view source) -> std::string {
+    try {
+      (void)lex(source);
+    } catch (const LexError& error) {
+      return error.what();
+    }
+    return "no error";
+  };
+  using namespace std::string_view_literals;
+  EXPECT_EQ(message("let x = 1;\0 y"sv), "unexpected character 0x00 at line 1:11");
+  EXPECT_EQ(message("a\n \x01"), "unexpected character 0x01 at line 2:2");
+  EXPECT_EQ(message("a \x80"), "unexpected character 0x80 at line 1:3");
+  EXPECT_EQ(message("\xff"), "unexpected character 0xFF at line 1:1");
+  EXPECT_EQ(message("a # b"), "unexpected character '#' at line 1:3");
+}
+
 TEST(Parser, ParsesStructAndFunction) {
   const Program program = parse(R"(
 struct S { x: int; y: bool; nested: S?; items: list<int>; table: map<string, S>; }
