@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace lisa::minilang {
 
@@ -74,9 +74,12 @@ struct SourceLoc {
   int column = 0;
 };
 
+/// One token. `text` is an identifier's name or a string literal's decoded
+/// contents, and views the lexed source or the TokenList that holds the
+/// token (lexer.hpp); it is empty for every other kind.
 struct Token {
   TokenKind kind = TokenKind::kEof;
-  std::string text;          // identifier name or string literal contents
+  std::string_view text;
   std::int64_t int_value = 0;
   SourceLoc loc;
 };

@@ -84,24 +84,15 @@ std::string replace_all(std::string_view text, std::string_view from, std::strin
   }
 }
 
-std::vector<std::string> word_tokens(std::string_view text) {
-  std::vector<std::string> out;
-  std::string current;
-  const auto flush = [&] {
-    if (!current.empty()) {
-      out.push_back(current);
-      current.clear();
-    }
-  };
-  for (char raw : text) {
-    const auto c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c) != 0 || raw == '_') {
-      current.push_back(static_cast<char>(std::tolower(c)));
-    } else {
-      flush();
-    }
+std::vector<std::string_view> word_views(std::string_view text) {
+  std::vector<std::string_view> out;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && !is_word_char(text[i])) ++i;
+    const std::size_t start = i;
+    while (i < text.size() && is_word_char(text[i])) ++i;
+    if (i > start) out.push_back(text.substr(start, i - start));
   }
-  flush();
   return out;
 }
 

@@ -10,6 +10,20 @@
 
 namespace lisa::support {
 
+/// ASCII character classes, each equal to its <cctype> namesake in the "C"
+/// locale (nothing in LISA calls setlocale) without a call per byte.
+[[nodiscard]] constexpr bool is_ascii_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+[[nodiscard]] constexpr bool is_ascii_digit(char c) { return c >= '0' && c <= '9'; }
+[[nodiscard]] constexpr bool is_ascii_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+/// A byte of an identifier-like word: an ASCII letter or digit, or '_'.
+[[nodiscard]] constexpr bool is_word_char(char c) {
+  return is_ascii_alpha(c) || is_ascii_digit(c) || c == '_';
+}
+
 /// Splits `text` on `sep`, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view text, char sep);
 
@@ -56,8 +70,9 @@ template <typename Parts = std::vector<std::string>>
 [[nodiscard]] std::string replace_all(std::string_view text, std::string_view from,
                                       std::string_view to);
 
-/// Tokenizes identifier-like words (alphanumeric + '_' runs), lower-cased.
-/// Used by the TF-IDF embedding model in src/inference.
-[[nodiscard]] std::vector<std::string> word_tokens(std::string_view text);
+/// The identifier-like words of `text` (runs of is_word_char bytes), as views
+/// into it. Used by the TF-IDF embedding model in src/inference, which
+/// lower-cases the text first.
+[[nodiscard]] std::vector<std::string_view> word_views(std::string_view text);
 
 }  // namespace lisa::support

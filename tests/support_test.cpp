@@ -63,12 +63,17 @@ TEST(Strings, JoinAndReplaceAll) {
   EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");
 }
 
-TEST(Strings, WordTokensLowercasesAndSplitsOnPunct) {
-  const auto tokens = word_tokens("Create_Ephemeral(server, Path)");
-  ASSERT_EQ(tokens.size(), 3u);
-  EXPECT_EQ(tokens[0], "create_ephemeral");
-  EXPECT_EQ(tokens[1], "server");
-  EXPECT_EQ(tokens[2], "path");
+TEST(Strings, WordViewsSplitOnPunctuation) {
+  const std::string text = "Create_Ephemeral(server, Path2) \xc3\xa9t\xc3\xa9 _";
+  const std::vector<std::string_view> words = word_views(text);
+  ASSERT_EQ(words.size(), 5u);
+  EXPECT_EQ(words[0], "Create_Ephemeral");
+  EXPECT_EQ(words[1], "server");
+  EXPECT_EQ(words[2], "Path2");
+  EXPECT_EQ(words[3], "t");  // a non-ASCII byte is a separator
+  EXPECT_EQ(words[4], "_");
+  EXPECT_EQ(words[0].data(), text.data());  // views, not copies
+  EXPECT_TRUE(word_views(" ,; ").empty());
 }
 
 // ---------------------------------------------------------------------------
