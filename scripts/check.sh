@@ -74,9 +74,11 @@ fi
 echo "lint --json smoke: OK (exit $lint_status)"
 
 # Profile smoke: the cost table must come back as JSON with the expected
-# top-level schema (profile.spans / profile.smt_hotspots / metrics).
+# top-level schema (profile.spans / profile.smt_hotspots / metrics), and the
+# front end must have a span of its own.
 profile_out=$("$BUILD_DIR"/tools/lisa profile zookeeper --json)
-for key in '"profile"' '"spans"' '"smt_hotspots"' '"wall_ms"' '"metrics"' '"counters"'; do
+for key in '"profile"' '"spans"' '"smt_hotspots"' '"wall_ms"' '"metrics"' '"counters"' \
+           '"minilang.parse"'; do
   if [[ "$profile_out" != *"$key"* ]]; then
     echo "check.sh: lisa profile zookeeper --json output lacks $key" >&2
     exit 1

@@ -366,6 +366,7 @@ void check_paths(const staticcheck::Screener& analysis, const SemanticContract& 
       // rank the suite against each path's description, then take picks
       // round-robin across paths so every path gets its best candidates
       // before any path gets its second-best.
+      obs::ScopedSpan select_span("checker.select_tests");
       const inference::TestSelector selector(program);
       std::vector<std::vector<inference::TestRanking>> rankings;
       rankings.reserve(tree.paths.size());
@@ -373,6 +374,9 @@ void check_paths(const staticcheck::Screener& analysis, const SemanticContract& 
         rankings.push_back(
             selector.rank(contract.target_fragment + " " + contract.condition_text + " " +
                           inference::TestSelector::describe_path(path)));
+      select_span.attr("tests", selector.test_count());
+      select_span.attr("paths", tree.paths.size());
+      select_span.close();
       std::set<std::string> seen;
       for (std::size_t round = 0; tests.size() < options.max_tests_per_contract; ++round) {
         bool any = false;

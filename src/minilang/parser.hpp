@@ -34,6 +34,9 @@ inline constexpr int kMaxNesting = 256;
 /// Throws LexError / ParseError on malformed input.
 [[nodiscard]] Program parse(std::string_view source);
 
+/// parse(source), also setting `token_count` to the number of tokens read.
+[[nodiscard]] Program parse(std::string_view source, std::size_t& token_count);
+
 /// Parses a single expression (used by the contract translator to turn
 /// condition strings like `s != null && s.is_closing == false` into ASTs).
 [[nodiscard]] ExprPtr parse_expression(std::string_view source);
