@@ -54,8 +54,6 @@ struct ExecutionPath {
 };
 
 struct ExecutionTree {
-  std::string target_fragment;
-  std::vector<const minilang::Stmt*> targets;
   std::vector<ExecutionPath> paths;
   std::size_t enumerated_raw = 0;  // paths before pruning/dedup (ablation metric)
   bool truncated = false;          // hit max_paths
@@ -70,12 +68,8 @@ struct TreeOptions {
   smt::FormulaPtr contract_condition;
 };
 
-/// Statements whose canonical header text contains `fragment` (targets),
-/// excluding statements inside @test functions.
-[[nodiscard]] std::vector<std::pair<const minilang::FuncDecl*, const minilang::Stmt*>>
-find_target_statements(const minilang::Program& program, const std::string& fragment);
-
-/// Builds the execution tree for `target_fragment`.
+/// Builds the execution tree for the target statements of `target_fragment`
+/// (CallGraph::targets); `graph` indexes `program`.
 [[nodiscard]] ExecutionTree build_execution_tree(const minilang::Program& program,
                                                  const CallGraph& graph,
                                                  const std::string& target_fragment,

@@ -1,12 +1,12 @@
 #include "concolic/engine.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "concolic/shadow.hpp"
 #include "minilang/interp.hpp"
-#include "minilang/printer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "smt/minilang_bridge.hpp"
@@ -58,13 +58,7 @@ class Engine::Impl final : public minilang::ExecObserver {
                                       "concolic");
     solver_.set_capture(config.capture.active() ? &smt_capture : nullptr);
 
-    // Locate target statements and extract relevant field names.
-    targets_.clear();
-    program_.for_each_stmt([&](const FuncDecl& fn, const Stmt& stmt) {
-      if (fn.has_annotation("test")) return;
-      if (minilang::stmt_header_text(stmt).find(config.target_fragment) != std::string::npos)
-        targets_.insert(stmt.id);
-    });
+    // The contract's relevant field names.
     relevant_fields_.clear();
     contract_has_null_ = false;
     if (config.contract) {
@@ -110,7 +104,9 @@ class Engine::Impl final : public minilang::ExecObserver {
 
   void on_state(const FuncDecl& fn, const Stmt& stmt, StateAccess& state) override {
     (void)fn;
-    if (targets_.count(stmt.id) > 0) on_target_hit(stmt, state);
+    const std::vector<int>& targets = config_->target_stmt_ids;
+    if (std::find(targets.begin(), targets.end(), stmt.id) != targets.end())
+      on_target_hit(stmt, state);
   }
 
   void on_fuel() override {
@@ -385,7 +381,6 @@ class Engine::Impl final : public minilang::ExecObserver {
   std::vector<FormulaPtr> path_condition_;
   std::vector<SymShadow> shadows_;  // ShadowId i names shadows_[i - 1]
   std::unordered_map<std::string, ShadowId> interned_;
-  std::unordered_set<int> targets_;
   std::unordered_set<std::string> relevant_fields_;
   bool contract_has_null_ = false;
 };

@@ -37,8 +37,10 @@ namespace lisa::concolic {
 
 /// What to check during a run.
 struct CheckConfig {
-  /// Canonical-text fragment identifying target statements.
-  std::string target_fragment;
+  /// Ids of the target statements, which the caller resolved with
+  /// analysis::CallGraph::targets; the contract is checked at every arrival
+  /// at one of them.
+  std::vector<int> target_stmt_ids;
   /// Contract precondition in target-frame local names (e.g. over `s.ttl`).
   smt::FormulaPtr contract;
   /// Record only guards touching fields the contract mentions (paper's

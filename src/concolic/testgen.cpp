@@ -1,5 +1,6 @@
 #include "concolic/testgen.hpp"
 
+#include "analysis/callgraph.hpp"
 #include "concolic/engine.hpp"
 #include "minilang/printer.hpp"
 #include "minilang/sema.hpp"
@@ -142,11 +143,13 @@ SynthesizedReplay replay_synthesized_test(const Program& program, const Synthesi
   } catch (const std::exception&) {
     return result;
   }
-  Engine engine(with_test);
+  const analysis::CallGraph graph = analysis::CallGraph::build(with_test);
   CheckConfig config;
-  config.target_fragment = target_fragment;
+  for (const analysis::StatementHeader* target : graph.targets(target_fragment))
+    config.target_stmt_ids.push_back(target->stmt->id);
   config.contract = contract_condition;
   config.budget = budget;
+  Engine engine(with_test);
   const RunResult run = engine.run_test(test.test_name, config);
   for (const TargetHit& hit : run.hits) {
     result.reached = true;

@@ -38,7 +38,8 @@ AuthoringFeedback author_rule(const minilang::Program& program, const DeveloperR
   if (rule.operation.empty()) feedback.errors.push_back("operation must name a function");
 
   const std::string target_fragment = rule.operation + "(";
-  const auto targets = analysis::find_target_statements(program, target_fragment);
+  const analysis::CallGraph graph = analysis::CallGraph::build(program);
+  const std::vector<const analysis::StatementHeader*> targets = graph.targets(target_fragment);
   if (targets.empty())
     feedback.errors.push_back("operation '" + rule.operation +
                               "' has no call site in the codebase");
@@ -58,10 +59,8 @@ AuthoringFeedback author_rule(const minilang::Program& program, const DeveloperR
     }
     for (const std::string& root : roots) {
       bool visible = false;
-      for (const auto& [fn, stmt] : targets) {
-        (void)stmt;
-        if (frame_roots(*fn).count(root) > 0) visible = true;
-      }
+      for (const analysis::StatementHeader* target : targets)
+        if (frame_roots(*target->function).count(root) > 0) visible = true;
       if (!visible)
         feedback.errors.push_back("condition variable '" + root +
                                   "' is not visible in any function containing the "
@@ -71,7 +70,6 @@ AuthoringFeedback author_rule(const minilang::Program& program, const DeveloperR
 
   if (feedback.errors.empty()) {
     // Vacuity warning: no entry path reaches any target.
-    const analysis::CallGraph graph = analysis::CallGraph::build(program);
     analysis::TreeOptions options;
     options.contract_condition = *condition;
     const analysis::ExecutionTree tree =

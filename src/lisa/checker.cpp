@@ -259,8 +259,9 @@ void screen_locksets(const staticcheck::Screener& analysis, const SemanticContra
 /// failure narrates by replaying the best covering test with the violated
 /// path's model injected into the live state.
 void check_paths(const staticcheck::Screener& analysis, const SemanticContract& contract,
-                 const CheckOptions& options, const staticcheck::ScreenOptions& screen_options,
-                 ContractCheckReport& report, obs::NarrationRequest& narration) {
+                 const std::vector<int>& target_ids, const CheckOptions& options,
+                 const staticcheck::ScreenOptions& screen_options, ContractCheckReport& report,
+                 obs::NarrationRequest& narration) {
   const minilang::Program& program = analysis.program();
   const obs::CaptureHandle& capture = screen_options.capture;
 
@@ -396,7 +397,7 @@ void check_paths(const staticcheck::Screener& analysis, const SemanticContract& 
 
     concolic::Engine engine(program);
     concolic::CheckConfig config;
-    config.target_fragment = contract.target_fragment;
+    config.target_stmt_ids = target_ids;
     config.contract = contract.condition;
     config.prune_irrelevant = options.prune_irrelevant;
     config.budget = options.budget;
@@ -497,8 +498,10 @@ ContractCheckReport Checker::check(const staticcheck::Screener& analysis,
   report.contract_id = contract.id;
   report.target_fragment = contract.target_fragment;
   const obs::CaptureHandle capture = bind_capture(options.ledger, contract);
-  report.target_statements =
-      analysis::find_target_statements(program, contract.target_fragment).size();
+  std::vector<int> target_ids;
+  for (const analysis::StatementHeader* target : analysis.graph().targets(contract.target_fragment))
+    target_ids.push_back(target->stmt->id);
+  report.target_statements = target_ids.size();
 
   // ---- Per-kind verdict step ----------------------------------------------
   staticcheck::ScreenOptions screen_options;
@@ -515,7 +518,7 @@ ContractCheckReport Checker::check(const staticcheck::Screener& analysis,
   } else if (contract.kind == corpus::SemanticsKind::kInterleavingSensitive) {
     screen_locksets(analysis, contract, screen_options, report, narration);
   } else {
-    check_paths(analysis, contract, options, screen_options, report, narration);
+    check_paths(analysis, contract, target_ids, options, screen_options, report, narration);
   }
 
   // ---- Tail: narration, capture, metrics ----------------------------------
@@ -529,7 +532,7 @@ ContractCheckReport Checker::check(const staticcheck::Screener& analysis,
       // narrator dedups and returns the first reproduction.
       narration.contract_id = contract.id;
       narration.kind = capture.capture->kind;
-      narration.target_fragment = contract.target_fragment;
+      narration.target_stmt_ids = std::move(target_ids);
       for (const minilang::FuncDecl* fn : program.functions_with("test"))
         narration.candidate_tests.push_back(fn->name);
       capture.capture->narration = obs::narrate_counterexample(program, narration);

@@ -1,6 +1,5 @@
 #include "lisa/ci_gate.hpp"
 
-#include "analysis/paths.hpp"
 #include "minilang/sema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
@@ -79,16 +78,16 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
     inputs = source;
     for (const SemanticContract& contract : store.all()) inputs += "\n" + contract.id;
   }
+  // One analysis of the commit for every stored contract: call graph,
+  // summaries and slicer are built on first use and then shared.
+  const staticcheck::Screener analysis(program);
   // Contracts whose target no longer exists in this codebase are vacuous
   // for the commit (e.g. contracts from another system's history).
   std::vector<const SemanticContract*> contracts;
   for (const SemanticContract& contract : store.all())
     if (contract.kind != corpus::SemanticsKind::kStatePredicate ||
-        !analysis::find_target_statements(program, contract.target_fragment).empty())
+        !analysis.graph().targets(contract.target_fragment).empty())
       contracts.push_back(&contract);
-  // One analysis of the commit for every stored contract: call graph,
-  // summaries and slicer are built on first use and then shared.
-  const staticcheck::Screener analysis(program);
   CheckedContracts checked = check_contracts(analysis, contracts, options_, run, inputs);
   decision.reports = std::move(checked.reports);
   decision.resumed_contracts = checked.resumed;

@@ -159,11 +159,9 @@ ObjectPtr find_object(StateAccess& state, std::uint64_t object_id) {
 /// variable deltas, and evaluates the predicate at every target arrival.
 class Narrator final : public minilang::ExecObserver {
  public:
-  Narrator(const NarrationRequest& request, const std::set<int>& targets,
-           std::vector<Injection> injections, bool structural, bool interleaving,
-           Narration* out)
+  Narrator(const NarrationRequest& request, std::vector<Injection> injections, bool structural,
+           bool interleaving, Narration* out)
       : request_(&request),
-        targets_(&targets),
         injections_(std::move(injections)),
         structural_(structural),
         interleaving_(interleaving),
@@ -172,8 +170,9 @@ class Narrator final : public minilang::ExecObserver {
   [[nodiscard]] bool wants_state() override { return true; }
 
   void on_state(const FuncDecl& fn, const Stmt& stmt, StateAccess& state) override {
-    const bool at_target =
-        !structural_ && !interleaving_ && targets_->count(stmt.id) > 0;
+    const std::vector<int>& targets = request_->target_stmt_ids;
+    const bool at_target = !structural_ && !interleaving_ &&
+                           std::find(targets.begin(), targets.end(), stmt.id) != targets.end();
     apply_injections(fn, state, at_target);
     record_step(fn, stmt, state);
     if (interleaving_) check_interleaving(stmt, state);
@@ -503,7 +502,6 @@ class Narrator final : public minilang::ExecObserver {
   }
 
   const NarrationRequest* request_;
-  const std::set<int>* targets_;
   std::vector<Injection> injections_;
   bool structural_ = false;
   bool interleaving_ = false;
@@ -525,14 +523,6 @@ class Narrator final : public minilang::ExecObserver {
 Narration narrate_counterexample(const Program& program, const NarrationRequest& request) {
   const bool structural = request.kind == "structural-pattern";
   const bool interleaving = request.kind == "interleaving-sensitive";
-  std::set<int> targets;
-  if (!structural && !interleaving) {
-    program.for_each_stmt([&](const FuncDecl& fn, const Stmt& stmt) {
-      if (fn.has_annotation("test")) return;
-      if (minilang::stmt_header_text(stmt).find(request.target_fragment) != std::string::npos)
-        targets.insert(stmt.id);
-    });
-  }
   const std::vector<Injection> injections = parse_model(request);
 
   std::vector<std::string> candidates;
@@ -552,7 +542,7 @@ Narration narrate_counterexample(const Program& program, const NarrationRequest&
   for (const std::string& test : candidates) {
     Narration attempt;
     attempt.test = test;
-    Narrator narrator(request, targets, injections, structural, interleaving, &attempt);
+    Narrator narrator(request, injections, structural, interleaving, &attempt);
     minilang::Interp interp(program);
     interp.set_fuel(kReplayFuel);
     interp.set_observer(&narrator);

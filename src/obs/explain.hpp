@@ -41,8 +41,9 @@ struct NarrationRequest {
   /// or "interleaving-sensitive" (watch for a lock-order cycle edge being
   /// exercised or an unguarded write to a guarded field).
   std::string kind;
-  /// Canonical-text fragment identifying target statements (state-predicate).
-  std::string target_fragment;
+  /// Ids of the target statements, which the caller resolved with
+  /// analysis::CallGraph::targets (state-predicate).
+  std::vector<int> target_stmt_ids;
   /// Preferred target statement id from the violated path (-1 = any match).
   int target_stmt_id = -1;
   /// Contract Q in target-frame local names; null for structural contracts.

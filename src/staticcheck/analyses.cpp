@@ -893,7 +893,7 @@ std::vector<Diagnostic> lint_program(const Program& program, bool include_tests,
   std::vector<Diagnostic> out;
   for (const FuncDecl& fn : program.functions) {
     if (!include_tests && fn.has_annotation("test")) continue;
-    const Cfg cfg = Cfg::build(fn);
+    const Cfg& cfg = graph.cfg(fn);
 
     NullnessAnalysis nullness(program, summaries);
     const auto null_result = run_forward(cfg, nullness);
@@ -914,7 +914,7 @@ std::vector<Diagnostic> lint_program(const Program& program, bool include_tests,
     // Dead stores / unused definitions: free byproducts of the reaching-
     // definition chains (depgraph.hpp). Local-only, so a degraded graph
     // (summaries off) reports the same findings.
-    const FuncDepGraph dep = FuncDepGraph::build(fn, program, summaries);
+    const FuncDepGraph dep = FuncDepGraph::build(cfg, summaries);
     report_dead_defs(dep, out);
   }
   // Whole-program concurrency checks (deadlock cycles, inconsistent-lockset

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "analysis/callgraph.hpp"
-#include "staticcheck/cfg.hpp"
+#include "staticcheck/dataflow.hpp"
 #include "staticcheck/diagnostics.hpp"
 
 namespace lisa::staticcheck {

@@ -150,7 +150,8 @@ void LocksetAnalysis::transfer(const CfgNode& node, State& state) const {
 
 void summarize_concurrency(const Program& program, const analysis::CallGraph& graph,
                            const analysis::Condensation& condensation, const SummaryMap& map,
-                           const FuncDecl& fn, const Cfg& cfg, FunctionSummary* out) {
+                           const FuncDecl& fn, FunctionSummary* out) {
+  const Cfg& cfg = graph.cfg(fn);
   LocksetAnalysis locksets(program, graph, &map);
   const DataflowResult<LocksetAnalysis> result = run_forward(cfg, locksets);
   const int own_component = condensation.component_index(fn.name);

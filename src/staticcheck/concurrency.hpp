@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "analysis/callgraph.hpp"
-#include "staticcheck/cfg.hpp"
+#include "staticcheck/dataflow.hpp"
 #include "staticcheck/diagnostics.hpp"
 #include "staticcheck/summaries.hpp"
 
@@ -98,8 +98,7 @@ class LocksetAnalysis {
 void summarize_concurrency(const minilang::Program& program,
                            const analysis::CallGraph& graph,
                            const analysis::Condensation& condensation, const SummaryMap& map,
-                           const minilang::FuncDecl& fn, const Cfg& cfg,
-                           FunctionSummary* out);
+                           const minilang::FuncDecl& fn, FunctionSummary* out);
 
 // ---------------------------------------------------------------------------
 // Lock-acquisition-order graph

@@ -1,4 +1,4 @@
-// Generic forward dataflow over staticcheck CFGs.
+// Generic forward dataflow over the per-function CFGs (analysis/cfg.hpp).
 //
 // An Analysis is a lattice instance plugged into the worklist fixpoint:
 //
@@ -25,9 +25,15 @@
 #include <deque>
 #include <vector>
 
-#include "staticcheck/cfg.hpp"
+#include "analysis/cfg.hpp"
 
 namespace lisa::staticcheck {
+
+// The CFG lives in src/analysis, built once per function by the call graph
+// (analysis/callgraph.hpp); every analysis here runs over it.
+using analysis::Cfg;
+using analysis::CfgEdge;
+using analysis::CfgNode;
 
 inline constexpr int kWidenThreshold = 3;
 /// Hard safety net: no sane analysis on corpus-sized functions needs more
@@ -52,14 +58,6 @@ DataflowResult<Analysis> run_forward(const Cfg& cfg, Analysis& analysis) {
   result.in.resize(n);
   result.reached.assign(n, false);
 
-  // Priority = reverse post-order index, so joins see predecessors first.
-  std::vector<int> priority(n, 0);
-  {
-    const std::vector<int> rpo = cfg.reverse_post_order();
-    for (std::size_t i = 0; i < rpo.size(); ++i)
-      priority[static_cast<std::size_t>(rpo[i])] = static_cast<int>(i);
-  }
-
   std::vector<int> visits(n, 0);
   std::vector<bool> queued(n, false);
   std::deque<int> worklist;
@@ -74,11 +72,11 @@ DataflowResult<Analysis> run_forward(const Cfg& cfg, Analysis& analysis) {
   enqueue(cfg.entry());
 
   while (!worklist.empty()) {
-    // Pick the queued node earliest in RPO for near-optimal propagation.
+    // Pick the queued node earliest in reverse post-order, so joins see
+    // predecessors first.
     auto best = worklist.begin();
     for (auto it = worklist.begin(); it != worklist.end(); ++it)
-      if (priority[static_cast<std::size_t>(*it)] < priority[static_cast<std::size_t>(*best)])
-        best = it;
+      if (cfg.rpo_position(*it) < cfg.rpo_position(*best)) best = it;
     const int id = *best;
     worklist.erase(best);
     queued[static_cast<std::size_t>(id)] = false;

@@ -12,7 +12,6 @@ namespace lisa::staticcheck {
 
 using minilang::Expr;
 using minilang::FuncDecl;
-using minilang::Program;
 using minilang::Stmt;
 
 // ---------------------------------------------------------------------------
@@ -211,29 +210,28 @@ struct ReachingDefsAnalysis {
 
 }  // namespace
 
-FuncDepGraph FuncDepGraph::build(const FuncDecl& fn, const Program& program,
-                                 const SummaryMap* summaries) {
-  (void)program;
+FuncDepGraph FuncDepGraph::build(const Cfg& cfg, const SummaryMap* summaries) {
+  const FuncDecl& fn = cfg.function();
   FuncDepGraph graph;
-  graph.cfg = Cfg::build(fn);
-  graph.pdoms = PostDomTree::build(graph.cfg);
+  graph.cfg = &cfg;
+  graph.pdoms = PostDomTree::build(cfg);
   if (summaries == nullptr) graph.degraded = true;
 
-  const std::size_t n = graph.cfg.nodes().size();
+  const std::size_t n = cfg.nodes().size();
   std::vector<std::vector<std::size_t>> gen(n);
 
   // Parameter pseudo-definitions (boundary of the reaching analysis).
   for (const auto& param : fn.params) {
     Definition def;
     def.kind = Definition::Kind::kParam;
-    def.node = graph.cfg.entry();
+    def.node = cfg.entry();
     def.path = param.name;
     def.loc = fn.loc;
     graph.defs.push_back(std::move(def));
   }
 
   // Statement and call-effect definitions, per node.
-  for (const CfgNode& node : graph.cfg.nodes()) {
+  for (const CfgNode& node : cfg.nodes()) {
     const auto add_def = [&](Definition def) {
       def.node = node.id;
       def.stmt = node.stmt;
@@ -316,7 +314,7 @@ FuncDepGraph FuncDepGraph::build(const FuncDecl& fn, const Program& program,
   ReachingDefsAnalysis analysis;
   analysis.defs = &graph.defs;
   analysis.gen = &gen;
-  const auto fixpoint = run_forward(graph.cfg, analysis);
+  const auto fixpoint = run_forward(cfg, analysis);
 
   graph.reach_in.assign(n, {});
   graph.use_defs.assign(n, {});
@@ -324,7 +322,7 @@ FuncDepGraph FuncDepGraph::build(const FuncDecl& fn, const Program& program,
   for (std::size_t i = 0; i < n; ++i) {
     if (!fixpoint.reached[i]) continue;
     graph.reach_in[i] = fixpoint.in[i];
-    graph.reads[i] = node_read_paths(graph.cfg.node(static_cast<int>(i)));
+    graph.reads[i] = node_read_paths(cfg.node(static_cast<int>(i)));
     for (const std::size_t def_index : graph.reach_in[i])
       for (const std::string& read : graph.reads[i])
         if (graph.defs[def_index].may_write(read)) {
@@ -351,7 +349,7 @@ void report_dead_defs(const FuncDepGraph& graph, std::vector<Diagnostic>& out) {
     Diagnostic diag;
     diag.analysis = def.kind == Definition::Kind::kLet ? "unused-def" : "dead-store";
     diag.severity = def.kind == Definition::Kind::kLet ? Severity::kNote : Severity::kWarning;
-    diag.function = graph.cfg.function().name;
+    diag.function = graph.cfg->function().name;
     diag.loc = def.loc;
     diag.message = def.kind == Definition::Kind::kLet
                        ? "local '" + def.path + "' is defined but never read"

@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "minilang/ast.hpp"
-#include "staticcheck/cfg.hpp"
+#include "staticcheck/dataflow.hpp"
 #include "staticcheck/diagnostics.hpp"
 
 namespace lisa::staticcheck {
@@ -102,16 +102,14 @@ struct Definition {
 };
 
 /// Dependence graph of one function: CFG + post-dominators + reaching
-/// definitions + def-use edges. Borrows the Program (statement pointers);
-/// the Program must outlive it.
+/// definitions + def-use edges. Borrows the function's CFG from the call
+/// graph that built it, which must outlive it.
 struct FuncDepGraph {
   /// `summaries == nullptr` degrades every call to a heap havoc and sets
   /// `degraded` — sound, but the def-use chains get much coarser.
-  [[nodiscard]] static FuncDepGraph build(const minilang::FuncDecl& fn,
-                                          const minilang::Program& program,
-                                          const SummaryMap* summaries);
+  [[nodiscard]] static FuncDepGraph build(const Cfg& cfg, const SummaryMap* summaries);
 
-  Cfg cfg;
+  const Cfg* cfg = nullptr;
   PostDomTree pdoms;
   std::vector<Definition> defs;
   /// Definition indices reaching each node's entry, indexed by node id.

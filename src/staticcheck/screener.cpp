@@ -54,12 +54,6 @@ const SummaryMap* Screener::summaries() const {
   return summaries_.has_value() ? &*summaries_ : nullptr;
 }
 
-const Cfg& Screener::cfg_for(const FuncDecl& fn) const {
-  const auto it = cfgs_.find(&fn);
-  if (it != cfgs_.end()) return it->second;
-  return cfgs_.emplace(&fn, Cfg::build(fn)).first->second;
-}
-
 const SliceEngine& Screener::slicer() const {
   if (!slicer_.has_value()) slicer_.emplace(*program_, graph(), summaries());
   return *slicer_;
@@ -77,7 +71,7 @@ FormulaPtr Screener::facts_at(const FuncDecl& fn, const Stmt* stmt) const {
 
 FormulaPtr Screener::facts_at(const FuncDecl& fn, const Stmt* stmt,
                               const obs::CaptureHandle& capture) const {
-  const Cfg& cfg = cfg_for(fn);
+  const Cfg& cfg = graph().cfg(fn);
   const int node = cfg.node_of(stmt);
   if (node < 0) return Formula::truth(true);
 
@@ -196,14 +190,15 @@ bool Screener::slice_closure_refutes(const std::string& target_fragment,
   // At every target the root must be bound exclusively to literal
   // constructions. A reaching parameter or call-produced binding means the
   // object may arrive from a frame the construction facts do not cover.
-  const auto targets = analysis::find_target_statements(*program_, target_fragment);
+  const std::vector<const analysis::StatementHeader*> targets = graph().targets(target_fragment);
   if (targets.empty()) return false;
   std::vector<std::pair<const Definition*, const FuncDecl*>> candidates;
   std::set<const Definition*> seen;
-  for (const auto& [fn, stmt] : targets) {
+  for (const analysis::StatementHeader* target : targets) {
+    const FuncDecl* fn = target->function;
     const FuncDepGraph& dep = slicer().depgraph_for(*fn);
     if (dep.degraded) return false;
-    const int node = dep.cfg.node_of(stmt);
+    const int node = dep.cfg->node_of(target->stmt);
     if (node < 0) return false;
     bool any_binding = false;
     for (const std::size_t def_index : dep.reach_in[static_cast<std::size_t>(node)]) {
@@ -321,7 +316,7 @@ ScreenResult Screener::screen_state_predicate(const std::string& target_fragment
     return result;
   }
 
-  const auto targets = analysis::find_target_statements(*program_, target_fragment);
+  const std::vector<const analysis::StatementHeader*> targets = graph().targets(target_fragment);
   result.targets = targets.size();
   if (targets.empty()) {
     result.reason = "no statement matches the target fragment";
@@ -333,10 +328,10 @@ ScreenResult Screener::screen_state_predicate(const std::string& target_fragment
   // vocabulary `condition` is written in).
   std::map<const Stmt*, FormulaPtr> target_facts;
   std::set<const FuncDecl*> target_fns;
-  for (const auto& [fn, stmt] : targets) {
-    target_facts[stmt] = facts_at(*fn, stmt, options.capture);
-    if (target_fns.insert(fn).second)
-      record_summary_evidence(options.capture, summaries(), *fn);
+  for (const analysis::StatementHeader* target : targets) {
+    target_facts[target->stmt] = facts_at(*target->function, target->stmt, options.capture);
+    if (target_fns.insert(target->function).second)
+      record_summary_evidence(options.capture, summaries(), *target->function);
   }
 
   // Fact closure (summaries only): ¬P unsatisfiable under the facts at
@@ -482,7 +477,7 @@ ScreenResult Screener::screen_structural(const ScreenOptions& options) const {
   const support::Stopwatch timer;
   ScreenResult result;
   for (const FuncDecl& fn : program_->functions) {
-    const Cfg& cfg = cfg_for(fn);
+    const Cfg& cfg = graph().cfg(fn);
     LockStateAnalysis locks(*program_, graph(), summaries());
     const auto fixpoint = run_forward(cfg, locks);
     locks.report(cfg, fixpoint.in, fixpoint.reached, result.diagnostics);

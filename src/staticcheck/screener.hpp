@@ -39,7 +39,7 @@
 #include "obs/provenance.hpp"
 #include "smt/formula.hpp"
 #include "staticcheck/analyses.hpp"
-#include "staticcheck/cfg.hpp"
+#include "staticcheck/dataflow.hpp"
 #include "staticcheck/concurrency.hpp"
 #include "staticcheck/diagnostics.hpp"
 #include "staticcheck/slice.hpp"
@@ -82,12 +82,13 @@ struct ScreenResult {
 
 /// The per-program analysis every contract of one evaluation shares: the
 /// gate, the pipeline and the composer build one per program version and
-/// pass it to every Checker::check. It builds the call graph, summaries,
-/// slicer and lock graph on first use and caches per-function CFGs, so an
-/// evaluation that checks no contract computes nothing and one that checks
-/// many computes each once. The program must outlive it. Use it from one
-/// thread at a time: first use fills its caches. Not copyable or movable:
-/// the slicer holds references into it.
+/// pass it to every Checker::check. It builds the call graph (the program's
+/// structural index, which holds every CFG and statement header),
+/// summaries, slicer and lock graph on first use, so an evaluation that
+/// checks no contract computes nothing and one that checks many computes
+/// each once. The program must outlive it. Use it from one thread at a
+/// time: first use fills its caches. Not copyable or movable: the slicer
+/// holds references into it.
 class Screener {
  public:
   /// `use_summaries` computes interprocedural function summaries (on first
@@ -164,8 +165,6 @@ class Screener {
   [[nodiscard]] const LockGraph* lock_graph() const;
 
  private:
-  const Cfg& cfg_for(const minilang::FuncDecl& fn) const;
-
   /// Slice-based irrelevance rule: true when the contract's slice shows the
   /// footprint is written only by fully literal constructions, every target
   /// sees the footprint root bound exclusively to such constructions, and
@@ -184,7 +183,6 @@ class Screener {
   /// True until the first summaries() call decides whether they exist.
   mutable bool summaries_pending_;
   mutable std::optional<SummaryMap> summaries_;
-  mutable std::map<const minilang::FuncDecl*, Cfg> cfgs_;
   mutable std::optional<SliceEngine> slicer_;
   mutable std::optional<LockGraph> lock_graph_;
 };

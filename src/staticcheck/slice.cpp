@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "analysis/paths.hpp"
 #include "minilang/printer.hpp"
 #include "staticcheck/summaries.hpp"
 #include "support/jsonl.hpp"
@@ -12,7 +11,6 @@ namespace lisa::staticcheck {
 
 using minilang::FuncDecl;
 using minilang::Program;
-using minilang::Stmt;
 
 namespace {
 
@@ -71,7 +69,7 @@ SliceEngine::SliceEngine(const Program& program, const analysis::CallGraph& grap
 const FuncDepGraph& SliceEngine::depgraph_for(const FuncDecl& fn) const {
   const auto it = cache_.find(&fn);
   if (it != cache_.end()) return it->second;
-  return cache_.emplace(&fn, FuncDepGraph::build(fn, *program_, summaries_)).first->second;
+  return cache_.emplace(&fn, FuncDepGraph::build(graph_->cfg(fn), summaries_)).first->second;
 }
 
 void SliceEngine::close_over_callees(std::set<std::string>& cone) const {
@@ -194,13 +192,13 @@ SliceResult SliceEngine::slice(const SliceRequest& request) const {
 
   // Target statements (state predicates only; the other kinds are
   // whole-program rules and carry no target list).
-  std::vector<std::pair<const FuncDecl*, const Stmt*>> targets;
+  std::vector<const analysis::StatementHeader*> targets;
   if (request.kind == SliceRequest::Kind::kStatePredicate) {
-    targets = analysis::find_target_statements(*program_, request.target_fragment);
-    for (const auto& [fn, stmt] : targets)
+    targets = graph_->targets(request.target_fragment);
+    for (const analysis::StatementHeader* target : targets)
       // No line number: the target's identity must survive edits above it in
       // the source, or every edit would invalidate every fingerprint.
-      result.targets.push_back(fn->name + ": " + minilang::stmt_header_text(*stmt));
+      result.targets.push_back(target->function->name + ": " + target->text);
     std::sort(result.targets.begin(), result.targets.end());
   }
 
@@ -214,7 +212,8 @@ SliceResult SliceEngine::slice(const SliceRequest& request) const {
   } else {
     switch (request.kind) {
       case SliceRequest::Kind::kStatePredicate:
-        for (const auto& [fn, stmt] : targets) result.functions.insert(fn->name);
+        for (const analysis::StatementHeader* target : targets)
+          result.functions.insert(target->function->name);
         close_over_callers(result.functions, request.include_tests);
         close_over_callees(result.functions);
         break;
@@ -243,7 +242,7 @@ SliceResult SliceEngine::slice(const SliceRequest& request) const {
   // over def-use edges and control dependence, seeded from the target
   // statements plus the reaching definitions of the footprint paths.
   std::set<const FuncDecl*> target_fns;
-  for (const auto& [fn, stmt] : targets) target_fns.insert(fn);
+  for (const analysis::StatementHeader* target : targets) target_fns.insert(target->function);
   for (const FuncDecl* fn : target_fns) {
     const FuncDepGraph& dep = depgraph_for(*fn);
     if (dep.degraded) result.degraded = true;
@@ -253,9 +252,9 @@ SliceResult SliceEngine::slice(const SliceRequest& request) const {
       if (node < 0) return;
       if (roles.emplace(node, role).second) worklist.push_back(node);
     };
-    for (const auto& [target_fn, stmt] : targets) {
-      if (target_fn != fn) continue;
-      const int node = dep.cfg.node_of(stmt);
+    for (const analysis::StatementHeader* target : targets) {
+      if (target->function != fn) continue;
+      const int node = dep.cfg->node_of(target->stmt);
       enqueue(node, "target");
       if (node < 0) continue;
       for (const std::size_t index : dep.reach_in[static_cast<std::size_t>(node)]) {
@@ -275,7 +274,7 @@ SliceResult SliceEngine::slice(const SliceRequest& request) const {
       for (const int branch : dep.pdoms.control_deps(node)) enqueue(branch, "control");
     }
     for (const auto& [node, role] : roles) {
-      const CfgNode& cfg_node = dep.cfg.node(node);
+      const CfgNode& cfg_node = dep.cfg->node(node);
       if (cfg_node.stmt == nullptr) continue;  // entry/exit/join markers
       SliceStatement statement;
       statement.function = fn->name;

@@ -7,6 +7,7 @@
 #include "analysis/callgraph.hpp"
 #include "analysis/paths.hpp"
 #include "analysis/rename.hpp"
+#include "minilang/printer.hpp"
 #include "minilang/sema.hpp"
 #include "smt/minilang_bridge.hpp"
 #include "smt/solver.hpp"
@@ -211,8 +212,13 @@ TEST(Rename, OpaqueRootsCollapseToOpaqueAtoms) {
 
 TEST(Paths, FindTargetStatementsMatchesFragment) {
   const Program program = sample();
-  const auto targets = find_target_statements(program, "do_create(");
-  EXPECT_EQ(targets.size(), 2u);  // in entry_a and helper; test excluded
+  const CallGraph graph = CallGraph::build(program);
+  const std::vector<const StatementHeader*> targets = graph.targets("do_create(");
+  ASSERT_EQ(targets.size(), 2u);  // in entry_a and helper; test excluded
+  EXPECT_EQ(targets[0]->function->name, "helper");  // declaration order
+  EXPECT_EQ(targets[1]->function->name, "entry_a");
+  for (const StatementHeader* target : targets)
+    EXPECT_EQ(target->text, minilang::stmt_header_text(*target->stmt));
 }
 
 TEST(Paths, TreeEnumeratesGuardedPaths) {

@@ -2,6 +2,7 @@
 // contract instantiation, and the injected complement check.
 #include <gtest/gtest.h>
 
+#include "analysis/callgraph.hpp"
 #include "concolic/engine.hpp"
 #include "minilang/sema.hpp"
 #include "smt/minilang_bridge.hpp"
@@ -11,9 +12,12 @@ namespace {
 
 using minilang::Program;
 
-CheckConfig config_for(const std::string& fragment, const std::string& condition) {
+CheckConfig config_for(const Program& program, const std::string& fragment,
+                       const std::string& condition) {
   CheckConfig config;
-  config.target_fragment = fragment;
+  const analysis::CallGraph graph = analysis::CallGraph::build(program);
+  for (const analysis::StatementHeader* target : graph.targets(fragment))
+    config.target_stmt_ids.push_back(target->stmt->id);
   config.contract = *smt::parse_condition(condition);
   return config;
 }
@@ -36,7 +40,7 @@ fn test_ok() {
 )");
   Engine engine(program);
   const RunResult run =
-      engine.run_test("test_ok", config_for("create(", "!(s == null) && !(s.is_closing)"));
+      engine.run_test("test_ok", config_for(program, "create(", "!(s == null) && !(s.is_closing)"));
   EXPECT_TRUE(run.test_passed);
   ASSERT_EQ(run.hits.size(), 1u);
   EXPECT_TRUE(run.hits[0].instantiable);
@@ -61,7 +65,7 @@ fn test_unguarded() {
 )");
   Engine engine(program);
   const RunResult run =
-      engine.run_test("test_unguarded", config_for("create(", "!(s == null) && !(s.is_closing)"));
+      engine.run_test("test_unguarded", config_for(program, "create(", "!(s == null) && !(s.is_closing)"));
   ASSERT_EQ(run.hits.size(), 1u);
   // The trace never constrained is_closing: π ∧ ¬P is satisfiable.
   EXPECT_TRUE(run.hits[0].symbolic_violation);
@@ -86,7 +90,7 @@ fn test_closing() {
 )");
   Engine engine(program);
   const RunResult run =
-      engine.run_test("test_closing", config_for("create(", "!(s.is_closing)"));
+      engine.run_test("test_closing", config_for(program, "create(", "!(s.is_closing)"));
   ASSERT_EQ(run.hits.size(), 1u);
   EXPECT_TRUE(run.hits[0].concrete_violation);
   EXPECT_TRUE(run.hits[0].symbolic_violation);
@@ -111,7 +115,7 @@ fn test_local_guard() {
 )");
   Engine engine(program);
   const RunResult run =
-      engine.run_test("test_local_guard", config_for("create(", "!(s.is_closing)"));
+      engine.run_test("test_local_guard", config_for(program, "create(", "!(s.is_closing)"));
   ASSERT_EQ(run.hits.size(), 1u);
   EXPECT_FALSE(run.hits[0].symbolic_violation) << run.hits[0].witness;
 }
@@ -136,7 +140,7 @@ fn test_located() {
 )");
   Engine engine(program);
   const RunResult run =
-      engine.run_test("test_located", config_for("serve(", "b.location_count > 0"));
+      engine.run_test("test_located", config_for(program, "serve(", "b.location_count > 0"));
   ASSERT_EQ(run.hits.size(), 1u);
   EXPECT_FALSE(run.hits[0].symbolic_violation) << run.hits[0].witness;
 }
@@ -160,7 +164,7 @@ fn test_run() {
 }
 )");
   Engine engine(program);
-  CheckConfig config = config_for("act(", "s.flag");
+  CheckConfig config = config_for(program, "act(", "s.flag");
   const RunResult pruned = engine.run_test("test_run", config);
   config.prune_irrelevant = false;
   const RunResult full = engine.run_test("test_run", config);
@@ -182,7 +186,7 @@ fn test_chain() {
 }
 )");
   Engine engine(program);
-  const RunResult run = engine.run_test("test_chain", config_for("act(", "s.ok"));
+  const RunResult run = engine.run_test("test_chain", config_for(program, "act(", "s.ok"));
   ASSERT_EQ(run.hits.size(), 1u);
   const std::vector<std::string> expected{"test_chain", "outer", "middle"};
   EXPECT_EQ(run.hits[0].call_chain, expected);
@@ -195,8 +199,7 @@ TEST(Concolic, FailingTestReported) {
 fn test_boom() { throw "exploded"; }
 )");
   Engine engine(program);
-  CheckConfig config;
-  config.target_fragment = "nothing(";
+  const CheckConfig config;  // no target statement
   const RunResult run = engine.run_test("test_boom", config);
   EXPECT_FALSE(run.test_passed);
   EXPECT_EQ(run.failure, "exploded");
@@ -219,7 +222,7 @@ fn test_nonnull() {
 }
 )");
   Engine engine(program);
-  const RunResult run = engine.run_test("test_nonnull", config_for("act(", "!(s == null)"));
+  const RunResult run = engine.run_test("test_nonnull", config_for(program, "act(", "!(s == null)"));
   ASSERT_EQ(run.hits.size(), 1u);
   EXPECT_FALSE(run.hits[0].symbolic_violation) << run.hits[0].witness;
   EXPECT_NE(run.hits[0].trace_condition->to_string().find("#null"), std::string::npos);
@@ -244,7 +247,7 @@ fn test_batch() {
 }
 )");
   Engine engine(program);
-  const RunResult run = engine.run_test("test_batch", config_for("act(", "s.ok"));
+  const RunResult run = engine.run_test("test_batch", config_for(program, "act(", "s.ok"));
   EXPECT_EQ(run.hits.size(), 3u);
   for (const TargetHit& hit : run.hits) EXPECT_TRUE(hit.symbolic_violation);
 }
@@ -267,7 +270,7 @@ fn test_assign() {
 )");
   Engine engine(program);
   const RunResult run = engine.run_test(
-      "test_assign", config_for("assign(", "d.decommissioning == false && d.alive"));
+      "test_assign", config_for(program, "assign(", "d.decommissioning == false && d.alive"));
   ASSERT_EQ(run.hits.size(), 1u);
   EXPECT_FALSE(run.hits[0].symbolic_violation) << run.hits[0].witness;
 }
@@ -284,8 +287,7 @@ fn test_min_on_string() {
 }
 )");
   Engine engine(program);
-  CheckConfig config;
-  config.target_fragment = "nothing(";
+  const CheckConfig config;  // no target statement
   const RunResult push = engine.run_test("test_push_on_map", config);
   EXPECT_FALSE(push.test_passed);
   EXPECT_EQ(push.failure, "push() on non-list");

@@ -11,7 +11,7 @@
 
 #include "analysis/callgraph.hpp"
 #include "minilang/sema.hpp"
-#include "staticcheck/cfg.hpp"
+#include "analysis/cfg.hpp"
 #include "staticcheck/depgraph.hpp"
 #include "staticcheck/summaries.hpp"
 
@@ -163,11 +163,13 @@ fn f(a: int) -> int {
 // Reaching definitions and def-use chains
 // ---------------------------------------------------------------------------
 
-const FuncDepGraph build_graph(const Program& program, const std::string& fn_name,
-                               const SummaryMap* summaries) {
+/// The dependence graph of `fn_name`, over the CFG `calls` (which must
+/// outlive it) built for `program`.
+const FuncDepGraph build_graph(const Program& program, const analysis::CallGraph& calls,
+                               const std::string& fn_name, const SummaryMap* summaries) {
   const minilang::FuncDecl* fn = program.find_function(fn_name);
   EXPECT_NE(fn, nullptr) << fn_name;
-  return FuncDepGraph::build(*fn, program, summaries);
+  return FuncDepGraph::build(calls.cfg(*fn), summaries);
 }
 
 /// The definitions feeding `node` (by use edges), as (kind, path) pairs.
@@ -193,9 +195,10 @@ fn f(a: int) -> int {
   return x;
 }
 )");
-  const FuncDepGraph graph = build_graph(program, "f", nullptr);
+  const analysis::CallGraph calls = analysis::CallGraph::build(program);
+  const FuncDepGraph graph = build_graph(program, calls, "f", nullptr);
   int return_node = -1;
-  for (const CfgNode& node : graph.cfg.nodes())
+  for (const CfgNode& node : graph.cfg->nodes())
     if (node.stmt != nullptr && node.stmt->kind == minilang::Stmt::Kind::kReturn)
       return_node = node.id;
   ASSERT_GE(return_node, 0);
@@ -221,9 +224,10 @@ fn f(a: Box, b: Box, flag: bool) -> int {
   return a.v;
 }
 )");
-  const FuncDepGraph graph = build_graph(program, "f", nullptr);
+  const analysis::CallGraph calls = analysis::CallGraph::build(program);
+  const FuncDepGraph graph = build_graph(program, calls, "f", nullptr);
   int return_node = -1;
-  for (const CfgNode& node : graph.cfg.nodes())
+  for (const CfgNode& node : graph.cfg->nodes())
     if (node.stmt != nullptr && node.stmt->kind == minilang::Stmt::Kind::kReturn)
       return_node = node.id;
   ASSERT_GE(return_node, 0);
@@ -247,16 +251,16 @@ fn f(a: Box) -> int {
   return a.v;
 }
 )");
-  const FuncDepGraph without = build_graph(program, "f", nullptr);
+  const analysis::CallGraph graph = analysis::CallGraph::build(program);
+  const FuncDepGraph without = build_graph(program, graph, "f", nullptr);
   EXPECT_TRUE(without.degraded);
   bool saw_havoc = false;
   for (const Definition& def : without.defs)
     if (def.kind == Definition::Kind::kCallMod && def.path == "*") saw_havoc = true;
   EXPECT_TRUE(saw_havoc);
 
-  const analysis::CallGraph graph = analysis::CallGraph::build(program);
   const SummaryMap summaries = SummaryMap::compute(program, graph);
-  const FuncDepGraph with = build_graph(program, "f", &summaries);
+  const FuncDepGraph with = build_graph(program, graph, "f", &summaries);
   EXPECT_FALSE(with.degraded);
   // With summaries the call contributes a field-level MOD effect, not "*".
   bool saw_field_mod = false;
@@ -297,7 +301,8 @@ fn f(a: int) -> int {
   return x;
 }
 )");
-  const FuncDepGraph graph = build_graph(program, "f", nullptr);
+  const analysis::CallGraph calls = analysis::CallGraph::build(program);
+  const FuncDepGraph graph = build_graph(program, calls, "f", nullptr);
   std::vector<Diagnostic> diagnostics;
   report_dead_defs(graph, diagnostics);
   bool saw_unused = false, saw_dead = false;
@@ -317,7 +322,8 @@ fn f(a: int) -> int {
   return y;
 }
 )");
-  const FuncDepGraph graph = build_graph(program, "f", nullptr);
+  const analysis::CallGraph calls = analysis::CallGraph::build(program);
+  const FuncDepGraph graph = build_graph(program, calls, "f", nullptr);
   std::vector<Diagnostic> diagnostics;
   report_dead_defs(graph, diagnostics);
   EXPECT_TRUE(diagnostics.empty());

@@ -6,6 +6,7 @@
 //     generated programs and on every @test of the incident corpus.
 #include <gtest/gtest.h>
 
+#include "analysis/callgraph.hpp"
 #include "concolic/engine.hpp"
 #include "corpus/ticket.hpp"
 #include "minilang/interp.hpp"
@@ -195,7 +196,9 @@ TEST_P(RandomProgram, ConcolicEngineMatchesInterpreter) {
 
   concolic::Engine engine(program);
   concolic::CheckConfig config;
-  config.target_fragment = "operate(";
+  const analysis::CallGraph graph = analysis::CallGraph::build(program);
+  for (const analysis::StatementHeader* target : graph.targets("operate("))
+    config.target_stmt_ids.push_back(target->stmt->id);
   config.contract = *smt::parse_condition("s.flag");
   const concolic::RunResult run = engine.run_test("test_driver", config);
 
@@ -219,8 +222,7 @@ class CorpusDifferential : public ::testing::TestWithParam<std::string> {};
 TEST_P(CorpusDifferential, ConcolicMatchesInterpreterOnAllTests) {
   const corpus::FailureTicket* ticket = corpus::Corpus::find(GetParam());
   ASSERT_NE(ticket, nullptr);
-  concolic::CheckConfig config;
-  config.target_fragment = "<no target>";
+  const concolic::CheckConfig config;  // no target statement
   for (const std::string* source :
        {&ticket->buggy_source, &ticket->patched_source, &ticket->latest_source}) {
     if (source->empty()) continue;

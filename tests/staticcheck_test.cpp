@@ -16,7 +16,7 @@
 #include "smt/minilang_bridge.hpp"
 #include "smt/solver.hpp"
 #include "staticcheck/analyses.hpp"
-#include "staticcheck/cfg.hpp"
+#include "analysis/cfg.hpp"
 #include "staticcheck/concurrency.hpp"
 #include "staticcheck/dataflow.hpp"
 #include "staticcheck/screener.hpp"
