@@ -31,6 +31,7 @@ class Parser {
         fail("expected 'struct' or 'fn' at top level");
       }
     }
+    program.index_declarations();
     return program;
   }
 
