@@ -4,13 +4,16 @@
 // Every ticket and commit is parsed before it is checked, and each checked
 // contract ranks its program's tests: BM_ParseCorpus parses and checks the 48
 // corpus sources, and BM_SelectTests builds a test selector over each parsed
-// source and ranks its tests once. The CI gate replays test suites on every
+// source and ranks its tests once. BM_CallGraphBuild builds each parsed
+// source's structural index (call graph, every CFG and statement header),
+// which every evaluation builds once. The CI gate replays test suites on every
 // commit; the rest measures Interp on (a) a compute-heavy kernel, (b) the
 // full patched corpus suites, and (c) the same suites under concolic replay
 // (concolic::Engine, Interp plus its shadow layer), so the cost of the shadow
 // layer stays visible.
 #include <benchmark/benchmark.h>
 
+#include "analysis/callgraph.hpp"
 #include "concolic/engine.hpp"
 #include "corpus/ticket.hpp"
 #include "inference/embedding.hpp"
@@ -85,6 +88,20 @@ void BM_SelectTests(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(programs.size()));
 }
 BENCHMARK(BM_SelectTests)->Unit(benchmark::kMicrosecond);
+
+void BM_CallGraphBuild(benchmark::State& state) {
+  const std::vector<Source> sources = corpus_sources();
+  std::vector<Program> programs;
+  for (const Source& source : sources) programs.push_back(parse_checked(*source.text));
+  for (auto _ : state) {
+    for (const Program& program : programs) {
+      const lisa::analysis::CallGraph graph = lisa::analysis::CallGraph::build(program);
+      benchmark::DoNotOptimize(&graph);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(programs.size()));
+}
+BENCHMARK(BM_CallGraphBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_InterpKernel(benchmark::State& state) {
   const Program program = parse_checked(kKernel);

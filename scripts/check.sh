@@ -75,10 +75,11 @@ echo "lint --json smoke: OK (exit $lint_status)"
 
 # Profile smoke: the cost table must come back as JSON with the expected
 # top-level schema (profile.spans / profile.smt_hotspots / metrics), and the
-# front end must have a span of its own.
+# front end and the call-graph build (the structural index that holds every
+# CFG and statement header) must each have a span of their own.
 profile_out=$("$BUILD_DIR"/tools/lisa profile zookeeper --json)
 for key in '"profile"' '"spans"' '"smt_hotspots"' '"wall_ms"' '"metrics"' '"counters"' \
-           '"minilang.parse"'; do
+           '"minilang.parse"' '"callgraph.build"'; do
   if [[ "$profile_out" != *"$key"* ]]; then
     echo "check.sh: lisa profile zookeeper --json output lacks $key" >&2
     exit 1

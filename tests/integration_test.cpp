@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
+#include "concolic/schedule.hpp"
+#include "inference/mock_llm.hpp"
 #include "lisa/ci_gate.hpp"
 #include "lisa/pipeline.hpp"
 #include "minilang/sema.hpp"
@@ -245,6 +248,67 @@ TEST(SharedAnalysis, GateComputesSummariesOncePerEvaluation) {
       corpus::Corpus::find("zk-1208-ephemeral-create")->patched_source, store);
   EXPECT_EQ(decision.reports.size(), 2u);
   EXPECT_EQ(obs::metrics().histogram("summaries.ms").count() - before, 1);
+}
+
+// The call graph is the program's one structural index: an evaluation builds
+// each function's CFG once and renders each statement header outside the
+// @test functions once, however many contracts it checks. Runs what
+// perfbench's `gate` and `ingest` ops run: the gate over every corpus commit
+// whose tests spawn no threads, with one mined store per system, and the
+// pipeline on one ticket.
+TEST(SharedAnalysis, OneCfgPerFunctionAndOneHeaderPerStatementPerEvaluation) {
+  std::map<std::string, core::ContractStore> stores;
+  for (const corpus::FailureTicket& ticket : corpus::Corpus::all())
+    stores[ticket.system].add_all(
+        core::translate(inference::MockLlm().infer(ticket), ticket.system).contracts);
+  const obs::Counter& cfg_builds = obs::metrics().counter("analysis.cfg_builds");
+  const obs::Counter& headers = obs::metrics().counter("analysis.statement_headers");
+  // Runs one evaluation of `source` and checks its counts against the
+  // program's functions and statements outside the @test functions.
+  const auto expect_one_index = [&](const std::string& label, const std::string& source,
+                                    const std::function<void()>& evaluate) {
+    const minilang::Program program = minilang::parse_checked(source);
+    std::int64_t statements = 0;
+    program.for_each_stmt([&](const minilang::FuncDecl& fn, const minilang::Stmt&) {
+      if (!fn.has_annotation("test")) ++statements;
+    });
+    const std::int64_t builds_before = cfg_builds.value();
+    const std::int64_t headers_before = headers.value();
+    evaluate();
+    EXPECT_EQ(cfg_builds.value() - builds_before,
+              static_cast<std::int64_t>(program.functions.size()))
+        << label;
+    EXPECT_EQ(headers.value() - headers_before, statements) << label;
+  };
+
+  CheckOptions options;
+  options.run_concolic = false;  // what `lisa gate` uses
+  const core::CiGate gate(options);
+  int evaluations = 0;
+  for (const corpus::FailureTicket& ticket : corpus::Corpus::all()) {
+    for (const std::string* source :
+         {&ticket.buggy_source, &ticket.patched_source, &ticket.latest_source}) {
+      if (source->empty()) continue;
+      const minilang::Program program = minilang::parse_checked(*source);
+      const concolic::ScheduleExplorer explorer(program, concolic::ScheduleExploreOptions{});
+      const std::vector<const minilang::FuncDecl*> tests = program.functions_with("test");
+      if (std::any_of(tests.begin(), tests.end(), [&](const minilang::FuncDecl* test) {
+            return explorer.test_spawns(test->name);
+          }))
+        continue;
+      expect_one_index(ticket.case_id, *source, [&] {
+        EXPECT_FALSE(gate.evaluate(*source, stores.at(ticket.system)).reports.empty());
+      });
+      ++evaluations;
+    }
+  }
+  EXPECT_EQ(evaluations, 42);
+
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-1208-ephemeral-create");
+  ASSERT_NE(ticket, nullptr);
+  expect_one_index("pipeline", ticket->buggy_source, [&] {
+    EXPECT_FALSE(Pipeline().run(*ticket, ticket->buggy_source).all_passed());
+  });
 }
 
 }  // namespace
