@@ -19,13 +19,15 @@
 // changes. Finite-height lattices terminate on their own; infinite-height
 // ones (intervals) rely on `widen`, which the engine calls at loop heads
 // after kWidenThreshold visits. States are tracked at node *entry*; the
-// state after a node is transfer(node, in-state).
+// state after a node is transfer(node, in-state). Every run adds its node
+// visits to the `staticcheck.dataflow_visits` metric.
 #pragma once
 
 #include <deque>
 #include <vector>
 
 #include "analysis/cfg.hpp"
+#include "obs/metrics.hpp"
 
 namespace lisa::staticcheck {
 
@@ -108,6 +110,8 @@ DataflowResult<Analysis> run_forward(const Cfg& cfg, Analysis& analysis) {
       if (changed) enqueue(edge.to);
     }
   }
+  static obs::Counter& visited = obs::metrics().counter("staticcheck.dataflow_visits");
+  visited.add(result.iterations);
   return result;
 }
 

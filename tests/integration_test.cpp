@@ -311,5 +311,51 @@ TEST(SharedAnalysis, OneCfgPerFunctionAndOneHeaderPerStatementPerEvaluation) {
   });
 }
 
+// The dataflow engine's work is deterministic: the same evaluations visit
+// the same CFG nodes the same number of times. Runs what the test above
+// runs and pins the total node visits of every fixpoint (nullness,
+// intervals, lock state, locksets, definite assignment, reaching
+// definitions), so a change to the worklist or to a lattice that visits
+// more, or fewer, nodes shows up here.
+TEST(SharedAnalysis, DataflowVisitsPerEvaluationArePinned) {
+  std::map<std::string, core::ContractStore> stores;
+  for (const corpus::FailureTicket& ticket : corpus::Corpus::all())
+    stores[ticket.system].add_all(
+        core::translate(inference::MockLlm().infer(ticket), ticket.system).contracts);
+  const obs::Counter& visits = obs::metrics().counter("staticcheck.dataflow_visits");
+
+  CheckOptions options;
+  options.run_concolic = false;  // what `lisa gate` uses
+  const core::CiGate gate(options);
+  int evaluations = 0;
+  const std::int64_t before = visits.value();
+  for (const corpus::FailureTicket& ticket : corpus::Corpus::all()) {
+    for (const std::string* source :
+         {&ticket.buggy_source, &ticket.patched_source, &ticket.latest_source}) {
+      if (source->empty()) continue;
+      const minilang::Program program = minilang::parse_checked(*source);
+      const concolic::ScheduleExplorer explorer(program, concolic::ScheduleExploreOptions{});
+      const std::vector<const minilang::FuncDecl*> tests = program.functions_with("test");
+      if (std::any_of(tests.begin(), tests.end(), [&](const minilang::FuncDecl* test) {
+            return explorer.test_spawns(test->name);
+          }))
+        continue;
+      EXPECT_FALSE(gate.evaluate(*source, stores.at(ticket.system)).reports.empty());
+      ++evaluations;
+    }
+  }
+  EXPECT_EQ(evaluations, 42);
+  const std::int64_t gate_visits = visits.value() - before;
+
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-1208-ephemeral-create");
+  ASSERT_NE(ticket, nullptr);
+  EXPECT_FALSE(Pipeline().run(*ticket, ticket->buggy_source).all_passed());
+  const std::int64_t pipeline_visits = visits.value() - before - gate_visits;
+
+  // 364.05 visits per gate evaluation.
+  EXPECT_EQ(gate_visits, 15290);
+  EXPECT_EQ(pipeline_visits, 697);
+}
+
 }  // namespace
 }  // namespace lisa
