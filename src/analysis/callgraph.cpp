@@ -35,6 +35,57 @@ void walk_stmts(const std::vector<minilang::StmtPtr>& stmts,
   }
 }
 
+/// Tarjan's SCC algorithm over function positions. Visits callees in name
+/// order; Tarjan pops each SCC only after every component reachable from it,
+/// so the emission order is already reverse topological (callees first).
+struct Tarjan {
+  Tarjan(const std::vector<std::vector<std::size_t>>& callees_by_position,
+         const std::vector<FuncDecl>& program_functions, Condensation& condensation)
+      : callees(callees_by_position),
+        functions(program_functions),
+        out(condensation),
+        index(functions.size(), -1),
+        lowlink(functions.size(), -1),
+        on_stack(functions.size(), 0) {}
+
+  const std::vector<std::vector<std::size_t>>& callees;  // user callees by position
+  const std::vector<FuncDecl>& functions;
+  Condensation& out;
+  std::vector<int> index;
+  std::vector<int> lowlink;
+  std::vector<char> on_stack;
+  std::vector<std::size_t> stack;
+  int next_index = 0;
+
+  void strongconnect(std::size_t v) {
+    index[v] = lowlink[v] = next_index++;
+    on_stack[v] = 1;
+    stack.push_back(v);
+    for (const std::size_t w : callees[v]) {
+      if (index[w] < 0) {
+        strongconnect(w);
+        lowlink[v] = std::min(lowlink[v], lowlink[w]);
+      } else if (on_stack[w] != 0) {
+        lowlink[v] = std::min(lowlink[v], index[w]);
+      }
+    }
+    if (lowlink[v] != index[v]) return;
+    Condensation::Component component;
+    while (true) {
+      const std::size_t w = stack.back();
+      stack.pop_back();
+      on_stack[w] = 0;
+      out.component_of[w] = static_cast<int>(out.components.size());
+      component.members.push_back(&functions[w]);
+      if (w == v) break;
+    }
+    component.recursive =
+        component.members.size() > 1 ||
+        std::find(callees[v].begin(), callees[v].end(), v) != callees[v].end();
+    out.components.push_back(std::move(component));
+  }
+};
+
 }  // namespace
 
 CallGraph CallGraph::build(const Program& program) {
@@ -58,6 +109,46 @@ CallGraph CallGraph::build(const Program& program) {
       graph.headers_.push_back({&fn, &stmt, minilang::stmt_header_text(stmt)});
   });
   headers.add(static_cast<std::int64_t>(graph.headers_.size()));
+
+  const std::size_t n = program.functions.size();
+  const auto position = [&](const FuncDecl* fn) {
+    return static_cast<std::size_t>(fn - program.functions.data());
+  };
+  graph.first_of_name_.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    graph.first_of_name_[i] = position(program.find_function(program.functions[i].name));
+
+  // Entries: annotated, or called by no function outside the @test ones.
+  for (const FuncDecl& fn : program.functions) {
+    if (fn.has_annotation("test")) continue;
+    bool has_real_caller = false;
+    for (const std::string& caller : graph.callers_of(fn.name)) {
+      const FuncDecl* caller_fn = program.find_function(caller);
+      if (caller_fn != nullptr && !caller_fn->has_annotation("test")) {
+        has_real_caller = true;
+        break;
+      }
+    }
+    if (fn.has_annotation("entry") || !has_real_caller) graph.entries_.push_back(&fn);
+  }
+
+  // The condensation, over each name's first function; its callees are
+  // those of every function with the name, in name order.
+  std::vector<std::vector<std::size_t>> user_callees(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (graph.first_of_name_[i] != i) continue;
+    for (const std::string& callee : graph.callees_of(program.functions[i].name))
+      if (const FuncDecl* fn = program.find_function(callee))
+        user_callees[i].push_back(position(fn));
+  }
+  graph.condensation_.program = &program;
+  graph.condensation_.component_of.assign(n, -1);
+  Tarjan tarjan(user_callees, program.functions, graph.condensation_);
+  for (std::size_t i = 0; i < n; ++i)
+    if (tarjan.index[graph.first_of_name_[i]] < 0) tarjan.strongconnect(graph.first_of_name_[i]);
+  for (std::size_t i = 0; i < n; ++i)
+    graph.condensation_.component_of[i] =
+        graph.condensation_.component_of[graph.first_of_name_[i]];
   span.attr("functions", program.functions.size());
   span.attr("statements", graph.headers_.size());
   return graph;
@@ -92,31 +183,11 @@ const std::set<std::string>& CallGraph::callers_of(const std::string& name) cons
   return it == callers_.end() ? empty : it->second;
 }
 
-std::vector<const FuncDecl*> CallGraph::entry_functions() const {
-  std::vector<const FuncDecl*> out;
-  for (const FuncDecl& fn : program_->functions) {
-    if (fn.has_annotation("test")) continue;
-    const bool annotated = fn.has_annotation("entry");
-    // A function is a root if annotated, or if no non-test function calls it.
-    bool has_real_caller = false;
-    for (const std::string& caller : callers_of(fn.name)) {
-      const FuncDecl* caller_fn = program_->find_function(caller);
-      if (caller_fn != nullptr && !caller_fn->has_annotation("test")) {
-        has_real_caller = true;
-        break;
-      }
-    }
-    if (annotated || !has_real_caller) out.push_back(&fn);
-  }
-  return out;
-}
-
 std::vector<std::vector<std::string>> CallGraph::chains_to(const std::string& target,
                                                            std::size_t max_chains) const {
   std::vector<std::vector<std::string>> chains;
-  const std::vector<const FuncDecl*> entries = entry_functions();
   std::set<std::string> entry_names;
-  for (const FuncDecl* fn : entries) entry_names.insert(fn->name);
+  for (const FuncDecl* fn : entries_) entry_names.insert(fn->name);
 
   // DFS backwards from target to entries, avoiding cycles.
   std::vector<std::string> stack{target};
@@ -141,58 +212,6 @@ std::vector<std::vector<std::string>> CallGraph::chains_to(const std::string& ta
   };
   dfs();
   return chains;
-}
-
-Condensation CallGraph::condensation() const {
-  // Iterative Tarjan over user functions in declaration order. Tarjan pops
-  // each SCC only after all components reachable from it are popped, so the
-  // emission order is already reverse topological (callees before callers).
-  struct NodeState {
-    int index = -1;
-    int lowlink = -1;
-    bool on_stack = false;
-  };
-  Condensation result;
-  std::map<std::string, NodeState> state;
-  std::vector<std::string> stack;
-  int next_index = 0;
-
-  const std::function<void(const std::string&)> strongconnect = [&](const std::string& v) {
-    NodeState& vs = state[v];
-    vs.index = vs.lowlink = next_index++;
-    vs.on_stack = true;
-    stack.push_back(v);
-
-    for (const std::string& callee : callees_of(v)) {
-      if (program_->find_function(callee) == nullptr) continue;  // builtin leaf
-      NodeState& ws = state[callee];
-      if (ws.index < 0) {
-        strongconnect(callee);
-        vs.lowlink = std::min(vs.lowlink, state[callee].lowlink);
-      } else if (ws.on_stack) {
-        vs.lowlink = std::min(vs.lowlink, ws.index);
-      }
-    }
-
-    if (vs.lowlink == vs.index) {
-      Condensation::Component component;
-      while (true) {
-        const std::string w = stack.back();
-        stack.pop_back();
-        state[w].on_stack = false;
-        result.component_of[w] = static_cast<int>(result.components.size());
-        component.members.push_back(w);
-        if (w == v) break;
-      }
-      component.recursive = component.members.size() > 1 ||
-                            callees_of(component.members.front()).count(component.members.front()) > 0;
-      result.components.push_back(std::move(component));
-    }
-  };
-
-  for (const FuncDecl& fn : program_->functions)
-    if (state[fn.name].index < 0) strongconnect(fn.name);
-  return result;
 }
 
 bool CallGraph::reaches_blocking(const std::string& name) const {

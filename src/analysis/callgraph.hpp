@@ -45,32 +45,40 @@ struct StatementHeader {
 /// restricted to user-defined functions (builtins are effect leaves, not
 /// nodes). Components are emitted in *reverse topological* order: every
 /// callee's component precedes its callers', so a bottom-up summary pass
-/// can simply iterate `components` front to back.
+/// can simply iterate `components` front to back. Where several functions
+/// share a name, the first one (Program::find_function's) stands for all.
 struct Condensation {
   struct Component {
-    std::vector<std::string> members;  // function names, discovery order
+    std::vector<const minilang::FuncDecl*> members;  // discovery order
     /// True when the component is a cycle: more than one member, or a
     /// single member that calls itself. Summary inference must iterate
     /// such components to a (widened) fixpoint instead of a single pass.
     bool recursive = false;
   };
 
-  std::vector<Component> components;        // reverse topological order
-  std::map<std::string, int> component_of;  // function name → index
+  const minilang::Program* program = nullptr;
+  std::vector<Component> components;  // reverse topological order
+  std::vector<int> component_of;      // function position → component index
 
   [[nodiscard]] std::size_t size() const { return components.size(); }
-  /// Component index of `name`, or -1 for unknown (builtin) names.
-  [[nodiscard]] int component_index(const std::string& name) const {
-    const auto it = component_of.find(name);
-    return it == component_of.end() ? -1 : it->second;
+  /// Component index of `fn`, a function of `program`.
+  [[nodiscard]] int component_index(const minilang::FuncDecl& fn) const {
+    return component_of[static_cast<std::size_t>(&fn - program->functions.data())];
+  }
+  /// Component index of the function named `name`, or -1 for unknown
+  /// (builtin) names.
+  [[nodiscard]] int component_index(std::string_view name) const {
+    const minilang::FuncDecl* fn = program->find_function(name);
+    return fn == nullptr ? -1 : component_index(*fn);
   }
 };
 
 class CallGraph {
  public:
-  /// Builds the graph, every function's CFG and every statement header
-  /// (counted in the `analysis.statement_headers` metric) under a
-  /// `callgraph.build` span; `program` must outlive the result.
+  /// Builds the graph, every function's CFG, every statement header
+  /// (counted in the `analysis.statement_headers` metric), the entry
+  /// functions and the condensation under a `callgraph.build` span;
+  /// `program` must outlive the result.
   [[nodiscard]] static CallGraph build(const minilang::Program& program);
 
   /// All call sites whose callee is `name`, in program order.
@@ -90,8 +98,11 @@ class CallGraph {
   [[nodiscard]] const std::set<std::string>& callers_of(const std::string& name) const;
 
   /// Functions with no callers inside the program, plus @entry-annotated
-  /// ones. @test functions are excluded: they are inputs, not API surface.
-  [[nodiscard]] std::vector<const minilang::FuncDecl*> entry_functions() const;
+  /// ones, in declaration order. @test functions are excluded: they are
+  /// inputs, not API surface.
+  [[nodiscard]] const std::vector<const minilang::FuncDecl*>& entry_functions() const {
+    return entries_;
+  }
 
   /// All acyclic call chains `entry → ... → target` (each element a function
   /// name), capped at `max_chains`. If `target` is itself an entry, the
@@ -106,7 +117,14 @@ class CallGraph {
   /// Tarjan SCC condensation over user-defined functions, components in
   /// reverse topological (callees-first) order. Edges to builtins are
   /// dropped; they have no bodies to summarize.
-  [[nodiscard]] Condensation condensation() const;
+  [[nodiscard]] const Condensation& condensation() const { return condensation_; }
+
+  /// Position in the program's function list of the function that stands
+  /// for `fn`'s name: the first one declared with it, which is `fn` unless
+  /// an earlier function shares its name.
+  [[nodiscard]] std::size_t function_index(const minilang::FuncDecl& fn) const {
+    return first_of_name_[static_cast<std::size_t>(&fn - program_->functions.data())];
+  }
 
  private:
   const minilang::Program* program_ = nullptr;
@@ -116,6 +134,9 @@ class CallGraph {
   std::map<std::string, std::set<std::string>> callees_;
   std::map<std::string, std::set<std::string>> callers_;
   mutable std::map<std::string, bool> blocking_cache_;
+  std::vector<std::size_t> first_of_name_;  // by position; see function_index
+  std::vector<const minilang::FuncDecl*> entries_;
+  Condensation condensation_;
 };
 
 }  // namespace lisa::analysis

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "obs/metrics.hpp"
+#include "smt/minilang_bridge.hpp"
 
 namespace lisa::analysis {
 
@@ -13,6 +14,13 @@ using minilang::Stmt;
 using minilang::StmtPtr;
 
 namespace {
+
+/// Appends every call expression in `expr`'s tree to `out`, in pre-order.
+void collect_calls(const Expr& expr, std::vector<const Expr*>& out) {
+  if (expr.kind == Expr::Kind::kCall) out.push_back(&expr);
+  for (const minilang::ExprPtr& arg : expr.args)
+    if (arg) collect_calls(*arg, out);
+}
 
 /// Recursive builder threading break/continue/catch targets.
 class Builder {
@@ -40,6 +48,14 @@ class Builder {
     node.id = static_cast<int>(nodes_->size());
     node.stmt = stmt;
     node.loc = loc;
+    if (stmt != nullptr) {
+      if (stmt->expr) collect_calls(*stmt->expr, node.calls);
+      if (stmt->expr2) collect_calls(*stmt->expr2, node.calls);
+      if (kind == CfgNode::Kind::kStmt && stmt->kind == Stmt::Kind::kLet)
+        node.written = stmt->name;
+      else if (kind == CfgNode::Kind::kStmt && stmt->kind == Stmt::Kind::kAssign)
+        node.written = smt::access_path(*stmt->expr);
+    }
     nodes_->push_back(std::move(node));
     return nodes_->back().id;
   }

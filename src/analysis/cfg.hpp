@@ -57,14 +57,22 @@ struct CfgNode {
   bool loop_head = false;
   std::vector<CfgEdge> succs;
   std::vector<int> preds;
+  /// Facts of the node's statement, found once by Cfg::build so that a
+  /// dataflow visit does not walk the expressions again: every call
+  /// expression in `stmt->expr` and then `stmt->expr2`, each in pre-order
+  /// (a kSyncExit node repeats its kSyncEnter's monitor calls), and the
+  /// access path a `let` or an assignment writes (smt::access_path of the
+  /// lvalue; empty for an index lvalue and for every other node).
+  std::vector<const minilang::Expr*> calls;
+  std::string written;
 };
 
 /// Control-flow graph of one function. Nodes are owned by the graph;
 /// statement pointers borrow from the Program, which must outlive it.
 class Cfg {
  public:
-  /// Builds the graph and its reverse post-order. Each build counts in the
-  /// `analysis.cfg_builds` metric.
+  /// Builds the graph, each node's calls and written path, and the reverse
+  /// post-order. Each build counts in the `analysis.cfg_builds` metric.
   [[nodiscard]] static Cfg build(const minilang::FuncDecl& fn);
 
   [[nodiscard]] const minilang::FuncDecl& function() const { return *fn_; }

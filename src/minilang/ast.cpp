@@ -149,9 +149,32 @@ const FuncDecl* Program::find_function(std::string_view name) const {
   return find_by_name(function_index_, functions, name);
 }
 
+namespace {
+
+/// Resolves the call and `new` expressions of `expr`'s tree against
+/// `program`'s index.
+void resolve_names(const Program& program, Expr& expr) {
+  if (expr.kind == Expr::Kind::kCall) expr.callee = program.find_function(expr.text);
+  if (expr.kind == Expr::Kind::kNew) expr.struct_decl = program.find_struct(expr.text);
+  for (const ExprPtr& arg : expr.args)
+    if (arg) resolve_names(program, *arg);
+}
+
+void resolve_names(const Program& program, const std::vector<StmtPtr>& stmts) {
+  for (const StmtPtr& stmt : stmts) {
+    if (stmt->expr) resolve_names(program, *stmt->expr);
+    if (stmt->expr2) resolve_names(program, *stmt->expr2);
+    resolve_names(program, stmt->body);
+    resolve_names(program, stmt->else_body);
+  }
+}
+
+}  // namespace
+
 void Program::index_declarations() {
   struct_index_ = index_by_name(structs);
   function_index_ = index_by_name(functions);
+  for (const FuncDecl& fn : functions) resolve_names(*this, fn.body);
 }
 
 std::vector<const FuncDecl*> Program::functions_with(std::string_view annotation) const {

@@ -57,6 +57,8 @@ struct Type {
 
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
+struct FuncDecl;
+struct StructDecl;
 
 /// Binary operator spellings reuse the token kinds of their operators.
 enum class BinOp { kAdd, kSub, kMul, kDiv, kMod, kEq, kNe, kLt, kLe, kGt, kGe, kAnd, kOr };
@@ -88,6 +90,11 @@ struct Expr {
   UnOp un_op = UnOp::kNot;
   std::vector<ExprPtr> args;
   std::vector<std::string> field_names;  // kNew only
+  /// What Program::index_declarations() resolved `text` to: for kCall the
+  /// function find_function returns (null for builtins), for kNew the
+  /// struct find_struct returns. Both point into the owning Program.
+  const FuncDecl* callee = nullptr;
+  const StructDecl* struct_decl = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -177,9 +184,11 @@ struct Program {
   [[nodiscard]] const StructDecl* find_struct(std::string_view name) const;
   [[nodiscard]] const FuncDecl* find_function(std::string_view name) const;
 
-  /// Indexes structs and functions by name. The parser calls it once the
-  /// program is complete. The index views the declarations' names, so
-  /// neither list may change afterwards; moving the Program keeps it valid.
+  /// Indexes structs and functions by name and resolves every call and
+  /// `new` expression against the index (Expr::callee, Expr::struct_decl).
+  /// The parser calls it once the program is complete. The index and the
+  /// resolved pointers view the declarations, so neither list may change
+  /// afterwards; moving the Program keeps them valid.
   void index_declarations();
 
   /// All functions carrying `annotation` (e.g. "test", "entry").

@@ -944,7 +944,7 @@ Interp::Flow Interp::exec_stmt(const Stmt& stmt, Frame& frame, Value& return_val
       return Flow::kNormal;
     case Stmt::Kind::kSpawn: {
       const Expr& call = *stmt.expr;
-      const FuncDecl* fn = program_.find_function(call.text);
+      const FuncDecl* fn = call.callee;
       if (fn == nullptr)
         throw InterpError("spawn target must be a declared function: " + call.text);
       std::vector<Slot> args = eval_args(call, frame);
@@ -1125,13 +1125,11 @@ Value Interp::eval(const Expr& expr, Frame& frame, ShadowId* shadow) {
       return Value::of_int(int_neg(operand.as_int()));
     }
     case Expr::Kind::kBinary: return eval_binary(expr, frame, shadow);
-    case Expr::Kind::kCall: {
-      const FuncDecl* fn = program_.find_function(expr.text);
-      if (fn != nullptr) return call_function(*fn, eval_args(expr, frame));
+    case Expr::Kind::kCall:
+      if (expr.callee != nullptr) return call_function(*expr.callee, eval_args(expr, frame));
       return call_builtin(expr, frame);
-    }
     case Expr::Kind::kNew: {
-      const StructDecl* decl = program_.find_struct(expr.text);
+      const StructDecl* decl = expr.struct_decl;
       if (decl == nullptr) throw InterpError("unknown struct: " + expr.text);
       auto object = std::make_shared<Object>();
       object->struct_name = expr.text;

@@ -28,13 +28,6 @@ using smt::access_path;
 // Shared helpers
 // ---------------------------------------------------------------------------
 
-bool contains_call(const Expr& expr) {
-  if (expr.kind == Expr::Kind::kCall) return true;
-  for (const auto& arg : expr.args)
-    if (arg && contains_call(*arg)) return true;
-  return false;
-}
-
 namespace {
 
 /// Walks every sub-expression of `expr`, including `expr` itself.
@@ -51,52 +44,26 @@ void node_exprs(const CfgNode& node, const std::function<void(const Expr&)>& vis
   if (node.stmt->expr2) visit(*node.stmt->expr2);
 }
 
-/// True when any statement-level expression of `node` contains a call.
-bool node_has_call(const CfgNode& node) {
-  bool found = false;
-  node_exprs(node, [&](const Expr& e) { found = found || contains_call(e); });
-  return found;
-}
-
-/// Every call expression (recursively) inside the node's statement exprs.
-std::vector<const Expr*> node_calls(const CfgNode& node) {
-  std::vector<const Expr*> calls;
-  node_exprs(node, [&](const Expr& top) {
-    walk_expr(top, [&](const Expr& e) {
-      if (e.kind == Expr::Kind::kCall) calls.push_back(&e);
-    });
-  });
-  return calls;
-}
-
 /// Legacy conservative call rule: drop every dotted (heap) fact.
 template <typename State>
 void kill_all_heap_facts(State& state) {
-  for (auto it = state.begin(); it != state.end();)
-    it = (it->first.find('.') != std::string::npos) ? state.erase(it) : std::next(it);
+  state.erase_if([](const auto& fact) { return fact.first.find('.') != std::string::npos; });
 }
 
-/// MOD-set call rule: drop dotted facts mentioning a field some callee in
-/// `node` may write; unknown callees degrade to the legacy rule.
+/// One call's MOD rule: a havoc drops every heap fact; otherwise the facts
+/// that mention a field the callee may write die.
 template <typename State>
-void kill_mod_facts(const SummaryMap& summaries, const CfgNode& node, State& state) {
-  for (const Expr* call : node_calls(node)) {
-    const CallEffect effect = summaries.effect_of(call->text);
-    if (effect.havoc_all) {
-      kill_all_heap_facts(state);
-      return;
-    }
-    if (effect.mod_fields == nullptr || effect.mod_fields->empty()) continue;
-    for (auto it = state.begin(); it != state.end();) {
-      bool killed = false;
-      for (const std::string& field : *effect.mod_fields)
-        if (mentions_field(it->first, field)) {
-          killed = true;
-          break;
-        }
-      it = killed ? state.erase(it) : std::next(it);
-    }
+void kill_call_facts(const CallEffect& effect, State& state) {
+  if (effect.havoc_all) {
+    kill_all_heap_facts(state);
+    return;
   }
+  if (effect.mod_fields == nullptr || effect.mod_fields->empty()) return;
+  state.erase_if([&](const auto& fact) {
+    for (const std::string& field : *effect.mod_fields)
+      if (mentions_field(fact.first, field)) return true;
+    return false;
+  });
 }
 
 /// Nullable-pointer-ish types: struct references and `any` can be null.
@@ -117,12 +84,6 @@ bool mentions_field(const std::string& path, const std::string& field) {
     dot = path.find('.', start);
   }
   return false;
-}
-
-void collect_calls(const Expr& expr, std::vector<const Expr*>& out) {
-  if (expr.kind == Expr::Kind::kCall) out.push_back(&expr);
-  for (const auto& arg : expr.args)
-    if (arg) collect_calls(*arg, out);
 }
 
 bool write_kills(const std::string& written, const std::string& fact_path) {
@@ -163,23 +124,18 @@ NullnessAnalysis::State NullnessAnalysis::boundary(const Cfg& cfg) const {
 }
 
 bool NullnessAnalysis::join(State& into, const State& from) const {
-  // Meet of partial maps: keep only facts both sides agree on.
-  bool changed = false;
-  for (auto it = into.begin(); it != into.end();) {
-    const auto other = from.find(it->first);
-    if (other == from.end() || other->second != it->second) {
-      it = into.erase(it);
-      changed = true;
-    } else {
-      ++it;
-    }
-  }
-  return changed;
+  // Meet of partial maps: keep only facts both sides agree on. Both states
+  // are sorted by path, so one merge walk finds each fact's counterpart.
+  auto other = from.begin();
+  return into.erase_if([&](const State::value_type& fact) {
+           while (other != from.end() && other->first < fact.first) ++other;
+           return other == from.end() || other->first != fact.first ||
+                  other->second != fact.second;
+         }) > 0;
 }
 
 void NullnessAnalysis::assign(const std::string& written, const Expr* rhs, State& state) const {
-  for (auto it = state.begin(); it != state.end();)
-    it = write_kills(written, it->first) ? state.erase(it) : std::next(it);
+  state.erase_if([&](const State::value_type& fact) { return write_kills(written, fact.first); });
   if (rhs == nullptr) return;
   switch (rhs->kind) {
     case Expr::Kind::kNullLit:
@@ -188,7 +144,7 @@ void NullnessAnalysis::assign(const std::string& written, const Expr* rhs, State
     case Expr::Kind::kNew: {
       state[written] = NullFact::kNonNull;
       // Omitted struct-typed fields default to null (interp `new` semantics).
-      const StructDecl* decl = program_->find_struct(rhs->text);
+      const StructDecl* decl = rhs->struct_decl;
       if (decl == nullptr) break;
       for (const auto& field : decl->fields) {
         const auto given = std::find(rhs->field_names.begin(), rhs->field_names.end(), field.name);
@@ -207,7 +163,7 @@ void NullnessAnalysis::assign(const std::string& written, const Expr* rhs, State
     }
     case Expr::Kind::kCall: {
       if (summaries_ == nullptr) break;
-      const FunctionSummary* callee = summaries_->find(rhs->text);
+      const FunctionSummary* callee = summaries_->find(rhs->callee);
       if (callee == nullptr) break;
       if (callee->return_nullness == FunctionSummary::Nullability::kNonNull)
         state[written] = NullFact::kNonNull;
@@ -219,7 +175,9 @@ void NullnessAnalysis::assign(const std::string& written, const Expr* rhs, State
       const std::string source = access_path(*rhs);
       if (source.empty()) break;
       const auto fact = state.find(source);
-      if (fact != state.end()) state[written] = fact->second;
+      if (fact == state.end()) break;
+      const NullFact copied = fact->second;  // state[written] may move it
+      state[written] = copied;
       break;
     }
   }
@@ -228,36 +186,22 @@ void NullnessAnalysis::assign(const std::string& written, const Expr* rhs, State
 void NullnessAnalysis::apply_call_effects(const CfgNode& node, State& state) const {
   // Reversed pre-order approximates evaluation order (inner calls first):
   // each call kills its MOD facts, then contributes its return-time facts.
-  std::vector<const Expr*> calls = node_calls(node);
-  for (auto it = calls.rbegin(); it != calls.rend(); ++it) {
-    const Expr* call = *it;
-    const CallEffect effect = summaries_->effect_of(call->text);
-    if (effect.havoc_all) {
-      kill_all_heap_facts(state);
-    } else if (effect.mod_fields != nullptr && !effect.mod_fields->empty()) {
-      for (auto fact = state.begin(); fact != state.end();) {
-        bool killed = false;
-        for (const std::string& field : *effect.mod_fields)
-          if (mentions_field(fact->first, field)) {
-            killed = true;
-            break;
-          }
-        fact = killed ? state.erase(fact) : std::next(fact);
-      }
-    }
+  for (auto it = node.calls.rbegin(); it != node.calls.rend(); ++it) {
+    const Expr& call = **it;
+    kill_call_facts(summaries_->effect_of(call), state);
     // Facts the callee establishes about its parameters on every normal
     // return transfer to the matching argument paths (callees cannot rebind
     // caller locals; the summary already drops params the callee rebinds).
-    const FunctionSummary* callee = summaries_->find(call->text);
+    const FunctionSummary* callee = summaries_->find(call.callee);
     if (callee == nullptr || callee->nullness_on_return.empty()) continue;
-    const FuncDecl* decl = program_->find_function(call->text);
-    if (decl == nullptr || decl->params.size() != call->args.size()) continue;
+    const FuncDecl& decl = *call.callee;
+    if (decl.params.size() != call.args.size()) continue;
     for (const auto& [path, fact] : callee->nullness_on_return) {
       const std::size_t dot = path.find('.');
       const std::string root = dot == std::string::npos ? path : path.substr(0, dot);
-      for (std::size_t i = 0; i < decl->params.size(); ++i) {
-        if (decl->params[i].name != root) continue;
-        const std::string arg_path = access_path(*call->args[i]);
+      for (std::size_t i = 0; i < decl.params.size(); ++i) {
+        if (decl.params[i].name != root) continue;
+        const std::string arg_path = access_path(*call.args[i]);
         if (arg_path.empty()) break;
         state[dot == std::string::npos ? arg_path : arg_path + path.substr(dot)] = fact;
         break;
@@ -270,7 +214,7 @@ void NullnessAnalysis::transfer(const CfgNode& node, State& state) const {
   if (node.stmt == nullptr) return;
   // A call may mutate heap objects: drop facts the callees' MOD sets cover
   // (all dotted paths when no summaries are available).
-  if (node_has_call(node)) {
+  if (!node.calls.empty()) {
     if (summaries_ != nullptr)
       apply_call_effects(node, state);
     else
@@ -278,18 +222,19 @@ void NullnessAnalysis::transfer(const CfgNode& node, State& state) const {
   }
   switch (node.stmt->kind) {
     case Stmt::Kind::kLet:
-      assign(node.stmt->name, node.stmt->expr.get(), state);
+      assign(node.written, node.stmt->expr.get(), state);
       break;
     case Stmt::Kind::kAssign: {
-      const std::string written = access_path(*node.stmt->expr);
-      if (!written.empty()) {
-        assign(written, node.stmt->expr2.get(), state);
+      if (!node.written.empty()) {
+        assign(node.written, node.stmt->expr2.get(), state);
       } else if (node.stmt->expr->kind == Expr::Kind::kIndex) {
         // `a[i] = e`: kill facts reached through the container.
         const std::string base = access_path(*node.stmt->expr->args[0]);
-        if (!base.empty())
-          for (auto it = state.begin(); it != state.end();)
-            it = write_kills(base + ".?", it->first) ? state.erase(it) : std::next(it);
+        if (!base.empty()) {
+          const std::string element = base + ".?";
+          state.erase_if(
+              [&](const State::value_type& fact) { return write_kills(element, fact.first); });
+        }
       }
       break;
     }
@@ -390,25 +335,21 @@ void DefiniteAssignmentAnalysis::transfer(const CfgNode& node, State& state) con
   if (node.stmt == nullptr) return;
   // A tracked object passed to a call escapes when the callee may write
   // through (or store) that parameter; without summaries, any call escapes.
-  node_exprs(node, [&](const Expr& top) {
-    walk_expr(top, [&](const Expr& e) {
-      if (e.kind != Expr::Kind::kCall) return;
-      const CallEffect effect = summaries_ != nullptr
-                                    ? summaries_->effect_of(e.text)
-                                    : CallEffect{.havoc_all = true};
-      for (std::size_t i = 0; i < e.args.size(); ++i) {
-        const auto& arg = e.args[i];
-        if (arg && arg->kind == Expr::Kind::kVar && effect.writes_param(i))
-          state.erase(arg->text);
-      }
-    });
-  });
+  for (const Expr* call : node.calls) {
+    const CallEffect effect =
+        summaries_ != nullptr ? summaries_->effect_of(*call) : CallEffect{.havoc_all = true};
+    for (std::size_t i = 0; i < call->args.size(); ++i) {
+      const auto& arg = call->args[i];
+      if (arg && arg->kind == Expr::Kind::kVar && effect.writes_param(i))
+        state.erase(arg->text);
+    }
+  }
   switch (node.stmt->kind) {
     case Stmt::Kind::kLet: {
       state.erase(node.stmt->name);
       const Expr* init = node.stmt->expr.get();
       if (init == nullptr || init->kind != Expr::Kind::kNew) break;
-      const StructDecl* decl = program_->find_struct(init->text);
+      const StructDecl* decl = init->struct_decl;
       if (decl == nullptr) break;
       Tracked tracked;
       for (const auto& field : decl->fields)
@@ -489,8 +430,7 @@ bool LockStateAnalysis::join(State& into, const State& from) const {
 void LockStateAnalysis::transfer(const CfgNode& node, State& state) const {
   if (node.kind == CfgNode::Kind::kSyncEnter) {
     ++state.depth;
-    state.monitors.push_back(minilang::expr_text(*node.stmt->expr) + " (sync at line " +
-                             std::to_string(node.stmt->loc.line) + ")");
+    state.monitors.push_back({.sync = node.stmt});
   } else if (node.kind == CfgNode::Kind::kSyncExit) {
     if (state.depth > 0) --state.depth;
     if (!state.monitors.empty()) state.monitors.pop_back();
@@ -498,13 +438,13 @@ void LockStateAnalysis::transfer(const CfgNode& node, State& state) const {
   // Callees with a non-zero net monitor effect adjust the held count.
   // Block-structured `sync` makes the effect zero for every MiniLang
   // function today; the summary proves it instead of assuming it.
-  if (summaries_ != nullptr && node.stmt != nullptr && node_has_call(node)) {
-    for (const Expr* call : node_calls(node)) {
-      const FunctionSummary* callee = summaries_->find(call->text);
+  if (summaries_ != nullptr && node.stmt != nullptr) {
+    for (const Expr* call : node.calls) {
+      const FunctionSummary* callee = summaries_->find(call->callee);
       if (callee == nullptr || callee->net_monitor_normal == 0) continue;
       for (int i = callee->net_monitor_normal; i > 0; --i) {
         ++state.depth;
-        state.monitors.push_back("monitor acquired inside " + call->text + "()");
+        state.monitors.push_back({.call = call});
       }
       for (int i = callee->net_monitor_normal; i < 0 && state.depth > 0; ++i) {
         --state.depth;
@@ -514,13 +454,13 @@ void LockStateAnalysis::transfer(const CfgNode& node, State& state) const {
   }
 }
 
-bool LockStateAnalysis::call_may_block(const std::string& callee) const {
+bool LockStateAnalysis::call_may_block(const Expr& call) const {
   if (summaries_ != nullptr) {
-    const FunctionSummary* summary = summaries_->find(callee);
+    const FunctionSummary* summary = summaries_->find(call.callee);
     if (summary != nullptr) return summary->may_block;
-    return minilang::is_blocking_builtin(callee);
+    return minilang::is_blocking_builtin(call.text);
   }
-  return graph_->reaches_blocking(callee);
+  return graph_->reaches_blocking(call.text);
 }
 
 void LockStateAnalysis::report(const Cfg& cfg, const std::vector<State>& in,
@@ -532,19 +472,24 @@ void LockStateAnalysis::report(const Cfg& cfg, const std::vector<State>& in,
     const State& state = in[static_cast<std::size_t>(node.id)];
     if (state.depth <= 0) continue;
     if (node.kind == CfgNode::Kind::kSyncEnter) continue;  // monitor expr runs unlocked
-    node_exprs(node, [&](const Expr& top) {
-      walk_expr(top, [&](const Expr& e) {
-        if (e.kind != Expr::Kind::kCall || !call_may_block(e.text)) return;
-        Diagnostic diag;
-        diag.analysis = "lock-state";
-        diag.severity = Severity::kError;
-        diag.function = cfg.function().name;
-        diag.loc = e.loc;
-        diag.message = "call to " + e.text + " may block while holding monitor " +
-                       (state.monitors.empty() ? std::string("?") : state.monitors.back());
-        out.push_back(std::move(diag));
-      });
-    });
+    for (const Expr* call : node.calls) {
+      if (!call_may_block(*call)) continue;
+      std::string monitor = "?";
+      if (!state.monitors.empty()) {
+        const Monitor& inner = state.monitors.back();
+        monitor = inner.sync != nullptr
+                      ? minilang::expr_text(*inner.sync->expr) + " (sync at line " +
+                            std::to_string(inner.sync->loc.line) + ")"
+                      : "monitor acquired inside " + inner.call->text + "()";
+      }
+      Diagnostic diag;
+      diag.analysis = "lock-state";
+      diag.severity = Severity::kError;
+      diag.function = cfg.function().name;
+      diag.loc = call->loc;
+      diag.message = "call to " + call->text + " may block while holding monitor " + monitor;
+      out.push_back(std::move(diag));
+    }
   }
 }
 
@@ -599,26 +544,24 @@ IntervalAnalysis::State IntervalAnalysis::boundary(const Cfg& cfg) const {
 }
 
 bool IntervalAnalysis::join(State& into, const State& from) const {
+  // Both states are sorted by path, so one merge walk finds each path's
+  // counterpart.
   bool changed = false;
-  for (auto it = into.begin(); it != into.end();) {
-    const auto other = from.find(it->first);
-    if (other == from.end()) {
-      it = into.erase(it);
+  auto other = from.begin();
+  into.erase_if([&](State::value_type& fact) {
+    while (other != from.end() && other->first < fact.first) ++other;
+    if (other == from.end() || other->first != fact.first) {
       changed = true;
-      continue;
+      return true;
     }
-    const Interval hull{std::min(it->second.lo, other->second.lo),
-                        std::max(it->second.hi, other->second.hi)};
-    if (!(hull == it->second)) {
-      it->second = hull;
+    const Interval hull{std::min(fact.second.lo, other->second.lo),
+                        std::max(fact.second.hi, other->second.hi)};
+    if (!(hull == fact.second)) {
+      fact.second = hull;
       changed = true;
     }
-    if (it->second.unbounded()) {
-      it = into.erase(it);  // top carries no information; keep the map sparse
-      continue;
-    }
-    ++it;
-  }
+    return fact.second.unbounded();  // top carries no information; keep the map sparse
+  });
   return changed;
 }
 
@@ -632,10 +575,13 @@ Interval IntervalAnalysis::eval(const Expr& expr, const State& state) const {
       // identity through joins; outside summary computation it never
       // survives to a stored fact.
       if (summaries_ == nullptr) return top();
-      const FunctionSummary* callee = summaries_->find(expr.text);
+      const FunctionSummary* callee = summaries_->find(expr.callee);
       return callee == nullptr ? top() : callee->return_interval;
     }
-    case Expr::Kind::kVar:
+    case Expr::Kind::kVar: {
+      const auto it = state.find(expr.text);  // a variable's path is its name
+      return it == state.end() ? top() : it->second;
+    }
     case Expr::Kind::kField: {
       const std::string path = access_path(expr);
       if (path.empty()) return top();
@@ -741,35 +687,36 @@ int IntervalAnalysis::decide(const Expr& guard, const State& state) const {
 }
 
 void IntervalAnalysis::apply_call_effects(const CfgNode& node, State& state) const {
-  kill_mod_facts(*summaries_, node, state);
+  for (const Expr* call : node.calls) {
+    const CallEffect effect = summaries_->effect_of(*call);
+    kill_call_facts(effect, state);
+    if (effect.havoc_all) return;  // nothing heap-rooted is left to kill
+  }
 }
 
 void IntervalAnalysis::transfer(const CfgNode& node, State& state) const {
   if (node.stmt == nullptr) return;
-  if (node_has_call(node)) {
+  if (!node.calls.empty()) {
     if (summaries_ != nullptr)
       apply_call_effects(node, state);
     else
       kill_all_heap_facts(state);
   }
-  std::string written;
   const Expr* rhs = nullptr;
   switch (node.stmt->kind) {
     case Stmt::Kind::kLet:
-      written = node.stmt->name;
       rhs = node.stmt->expr.get();
       break;
     case Stmt::Kind::kAssign:
-      written = access_path(*node.stmt->expr);
       rhs = node.stmt->expr2.get();
       break;
     default:
       return;
   }
+  const std::string& written = node.written;
   if (written.empty()) return;
   const Interval value = rhs != nullptr ? eval(*rhs, state) : top();
-  for (auto it = state.begin(); it != state.end();)
-    it = write_kills(written, it->first) ? state.erase(it) : std::next(it);
+  state.erase_if([&](const State::value_type& fact) { return write_kills(written, fact.first); });
   if (!value.unbounded()) state[written] = value;
 }
 
@@ -865,7 +812,7 @@ void IntervalAnalysis::report(const Cfg& cfg, const std::vector<State>& in,
     if (node.kind != CfgNode::Kind::kBranch || node.loop_head) continue;
     if (!reached[static_cast<std::size_t>(node.id)]) continue;
     if (node.stmt == nullptr || !node.stmt->expr) continue;
-    if (contains_call(*node.stmt->expr)) continue;
+    if (!node.calls.empty()) continue;
     const int verdict = decide(*node.stmt->expr, in[static_cast<std::size_t>(node.id)]);
     if (verdict < 0) continue;
     Diagnostic diag;

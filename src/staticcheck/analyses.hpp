@@ -33,6 +33,7 @@
 #include "analysis/callgraph.hpp"
 #include "staticcheck/dataflow.hpp"
 #include "staticcheck/diagnostics.hpp"
+#include "support/flat_map.hpp"
 
 namespace lisa::staticcheck {
 
@@ -42,9 +43,6 @@ class SummaryMap;  // summaries.hpp; analyses only need the pointer
 // Shared helpers
 // ---------------------------------------------------------------------------
 
-/// True if any expression reachable from `expr` is a call.
-[[nodiscard]] bool contains_call(const minilang::Expr& expr);
-
 /// Access paths whose facts must die when `written` is assigned: the path
 /// itself, any extension of it, and (for field writes) any path mentioning
 /// the written field name — the conservative aliasing rule.
@@ -53,10 +51,6 @@ class SummaryMap;  // summaries.hpp; analyses only need the pointer
 /// True if `path` has a field segment equal to `field` anywhere past the
 /// root variable ("s.closed" mentions "closed").
 [[nodiscard]] bool mentions_field(const std::string& path, const std::string& field);
-
-/// Appends every call expression reachable from `expr` (itself included) to
-/// `out`, in pre-order.
-void collect_calls(const minilang::Expr& expr, std::vector<const minilang::Expr*>& out);
 
 /// Applies `visit` to every statement-level expression of a CFG node
 /// (condition, initializer, lvalue, rhs), skipping nulls.
@@ -71,8 +65,8 @@ enum class NullFact { kNull, kNonNull };
 
 class NullnessAnalysis {
  public:
-  /// Facts per access path; absence means "unknown".
-  using State = std::map<std::string, NullFact>;
+  /// Facts per access path, in path order; absence means "unknown".
+  using State = support::FlatMap<std::string, NullFact>;
 
   /// `summaries` refines call handling (MOD-set havoc, return nullability,
   /// param transfer facts); nullptr keeps the legacy havoc-everything rule.
@@ -149,12 +143,17 @@ class DefiniteAssignmentAnalysis {
 
 class LockStateAnalysis {
  public:
+  /// A held monitor: the `sync` statement that acquired it, or the call
+  /// whose callee returns holding it. Rendered only when reported.
+  struct Monitor {
+    const minilang::Stmt* sync = nullptr;
+    const minilang::Expr* call = nullptr;
+    bool operator==(const Monitor& other) const = default;
+  };
   struct State {
-    int depth = 0;                    // monitors currently held (max over paths)
-    std::vector<std::string> monitors;  // rendered monitor expressions, inner last
-    bool operator==(const State& other) const {
-      return depth == other.depth && monitors == other.monitors;
-    }
+    int depth = 0;                  // monitors currently held (max over paths)
+    std::vector<Monitor> monitors;  // inner last
+    bool operator==(const State& other) const = default;
   };
 
   /// With `summaries`, calls apply the callee's *net monitor effect* and
@@ -187,7 +186,7 @@ class LockStateAnalysis {
               const std::vector<bool>& reached, std::vector<Diagnostic>& out) const;
 
  private:
-  [[nodiscard]] bool call_may_block(const std::string& callee) const;
+  [[nodiscard]] bool call_may_block(const minilang::Expr& call) const;
   const minilang::Program* program_;
   const analysis::CallGraph* graph_;
   const SummaryMap* summaries_ = nullptr;
@@ -212,8 +211,9 @@ struct Interval {
 
 class IntervalAnalysis {
  public:
-  /// Interval per access path; absence means top (no information).
-  using State = std::map<std::string, Interval>;
+  /// Interval per access path, in path order; absence means top (no
+  /// information).
+  using State = support::FlatMap<std::string, Interval>;
 
   /// With `summaries`, a call havocs only the callee's MOD set and call
   /// expressions evaluate to the callee's return interval.

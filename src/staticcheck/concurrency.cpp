@@ -1,8 +1,8 @@
 #include "staticcheck/concurrency.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <ranges>
+#include <string_view>
 
 #include "minilang/printer.hpp"
 #include "smt/minilang_bridge.hpp"
@@ -37,20 +37,19 @@ void collect_field_reads(const Expr& expr,
 
 /// Rewrites a callee-namespace path into the caller's namespace: a path
 /// rooted at callee parameter i becomes the caller's argument i access
-/// path; anything else (callee locals, unrepresentable arguments) keeps
-/// the callee's name under a `callee::` prefix.
+/// path (`arg_paths[i]`); anything else (callee locals, unrepresentable
+/// arguments) keeps the callee's name under a `callee::` prefix.
 std::string rewrite_path(const std::string& path, const Expr& call,
-                         const FuncDecl* callee_decl) {
+                         const std::vector<std::string>& arg_paths) {
   const std::size_t dot = path.find('.');
-  const std::string root = dot == std::string::npos ? path : path.substr(0, dot);
-  const std::string rest = dot == std::string::npos ? "" : path.substr(dot);
-  if (callee_decl != nullptr) {
-    for (std::size_t i = 0;
-         i < callee_decl->params.size() && i < call.args.size(); ++i) {
-      if (callee_decl->params[i].name != root || !call.args[i]) continue;
-      const std::string arg = smt::access_path(*call.args[i]);
+  const std::string_view root = std::string_view(path).substr(0, dot);
+  if (call.callee != nullptr) {
+    const std::vector<minilang::Param>& params = call.callee->params;
+    for (std::size_t i = 0; i < params.size() && i < call.args.size(); ++i) {
+      if (params[i].name != root || !call.args[i]) continue;
+      const std::string& arg = arg_paths[i];
       if (arg.empty()) break;  // computed argument: fall through to prefix
-      return arg + rest;
+      return dot == std::string::npos ? arg : arg + path.substr(dot);
     }
   }
   if (path.find("::") != std::string::npos) return path;  // already namespaced
@@ -149,12 +148,12 @@ void LocksetAnalysis::transfer(const CfgNode& node, State& state) const {
 }
 
 void summarize_concurrency(const Program& program, const analysis::CallGraph& graph,
-                           const analysis::Condensation& condensation, const SummaryMap& map,
-                           const FuncDecl& fn, FunctionSummary* out) {
+                           const SummaryMap& map, const FuncDecl& fn, FunctionSummary* out) {
   const Cfg& cfg = graph.cfg(fn);
   LocksetAnalysis locksets(program, graph, &map);
   const DataflowResult<LocksetAnalysis> result = run_forward(cfg, locksets);
-  const int own_component = condensation.component_index(fn.name);
+  const analysis::Condensation& condensation = graph.condensation();
+  const int own_component = condensation.component_index(fn);
 
   const auto record_access = [&](const std::string& base, const std::string& field,
                                  bool is_write, const minilang::SourceLoc& loc,
@@ -212,17 +211,17 @@ void summarize_concurrency(const Program& program, const analysis::CallGraph& gr
     // Calls: import the callee's concurrency facts into this namespace.
     // Same-SCC imports stay verbatim — argument rewriting on a recursive
     // cycle would grow paths forever ("x" -> "x.next" -> "x.next.next").
-    std::vector<const Expr*> calls;
-    for_each_node_expr(node, [&](const Expr& e) { collect_calls(e, calls); });
-    for (const Expr* call : calls) {
-      const FunctionSummary* callee = map.find(call->text);
+    for (const Expr* call : node.calls) {
+      const FunctionSummary* callee = map.find(call->callee);
       if (callee == nullptr) continue;
       if (callee->concurrency_degraded) out->concurrency_degraded = true;
-      const FuncDecl* decl = program.find_function(call->text);
-      const bool same_scc =
-          condensation.component_index(call->text) == own_component;
+      const bool same_scc = condensation.component_index(*call->callee) == own_component;
+      std::vector<std::string> arg_paths;
+      if (!same_scc)
+        for (const auto& arg : call->args)
+          arg_paths.push_back(arg ? smt::access_path(*arg) : std::string());
       const auto import = [&](const std::string& path) {
-        return same_scc ? path : rewrite_path(path, *call, decl);
+        return same_scc ? path : rewrite_path(path, *call, arg_paths);
       };
 
       for (const auto& [lock, site] : callee->acquired_locks) {
@@ -235,9 +234,8 @@ void summarize_concurrency(const Program& program, const analysis::CallGraph& gr
         }
       }
       for (const LockOrderEdge& edge : callee->lock_order_edges) {
-        LockOrderEdge imported = edge;
-        imported.first = import(edge.first);
-        imported.second = import(edge.second);
+        LockOrderEdge imported{import(edge.first), import(edge.second), edge.function,
+                               edge.line,          edge.column,         edge.via};
         if (imported.via.empty()) imported.via = call->text;
         if (imported.first != imported.second)
           out->lock_order_edges.insert(std::move(imported));
@@ -246,12 +244,15 @@ void summarize_concurrency(const Program& program, const analysis::CallGraph& gr
         FieldLockSummary& mine = out->field_locks[field];
         mine.truncated = mine.truncated || fls.truncated;
         for (const FieldAccessSite& site : fls.sites) {
-          FieldAccessSite imported = site;
-          imported.base = import(site.base);
-          std::set<std::string> lockset;
-          for (const std::string& lock : site.lockset) lockset.insert(import(lock));
-          lockset.insert(held.begin(), held.end());
-          imported.lockset = std::move(lockset);
+          FieldAccessSite imported{site.function, site.line,       site.column,
+                                   site.is_write, import(site.base), {}};
+          if (same_scc) {
+            imported.lockset = site.lockset;
+          } else {
+            for (const std::string& lock : site.lockset)
+              imported.lockset.insert(rewrite_path(lock, *call, arg_paths));
+          }
+          imported.lockset.insert(held.begin(), held.end());
           insert_site(mine, std::move(imported));
         }
       }

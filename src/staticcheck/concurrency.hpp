@@ -93,11 +93,9 @@ class LocksetAnalysis {
 
 /// Fills the concurrency fields of `out` (acquired_locks, lock_order_edges,
 /// field_locks) for one function. Called from the bottom-up summary
-/// fixpoint with the call graph's condensation; reads callee facts (and
-/// same-SCC iterates) from `map`.
+/// fixpoint; reads callee facts (and same-SCC iterates) from `map`.
 void summarize_concurrency(const minilang::Program& program,
-                           const analysis::CallGraph& graph,
-                           const analysis::Condensation& condensation, const SummaryMap& map,
+                           const analysis::CallGraph& graph, const SummaryMap& map,
                            const minilang::FuncDecl& fn, FunctionSummary* out);
 
 // ---------------------------------------------------------------------------

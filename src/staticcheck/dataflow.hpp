@@ -15,15 +15,18 @@
 //                                        // a loop head is revisited "often"
 //   };
 //
-// The engine iterates a worklist in reverse post-order until no state
-// changes. Finite-height lattices terminate on their own; infinite-height
-// ones (intervals) rely on `widen`, which the engine calls at loop heads
-// after kWidenThreshold visits. States are tracked at node *entry*; the
-// state after a node is transfer(node, in-state). Every run adds its node
-// visits to the `staticcheck.dataflow_visits` metric.
+// The engine visits nodes in reverse post-order until no state changes:
+// its queue is one flag per reverse-post-order position, and it always
+// takes the lowest one, so joins see predecessors first. A node's out-state
+// is copied into each successor but the last, which receives it by move.
+// Finite-height lattices terminate on their own; infinite-height ones
+// (intervals) rely on `widen`, which the engine calls at loop heads after
+// kWidenThreshold visits. States are tracked at node *entry*; the state
+// after a node is transfer(node, in-state). Every run adds its node visits
+// to the `staticcheck.dataflow_visits` metric.
 #pragma once
 
-#include <deque>
+#include <algorithm>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -61,27 +64,24 @@ DataflowResult<Analysis> run_forward(const Cfg& cfg, Analysis& analysis) {
   result.reached.assign(n, false);
 
   std::vector<int> visits(n, 0);
-  std::vector<bool> queued(n, false);
-  std::deque<int> worklist;
+  std::vector<char> queued(n, 0);  // by reverse-post-order position
+  std::size_t lowest = n;          // no queued position is lower
   const auto enqueue = [&](int id) {
-    if (queued[static_cast<std::size_t>(id)]) return;
-    queued[static_cast<std::size_t>(id)] = true;
-    worklist.push_back(id);
+    const auto position = static_cast<std::size_t>(cfg.rpo_position(id));
+    if (queued[position] != 0) return;
+    queued[position] = 1;
+    lowest = std::min(lowest, position);
   };
 
   result.in[static_cast<std::size_t>(cfg.entry())] = analysis.boundary(cfg);
   result.reached[static_cast<std::size_t>(cfg.entry())] = true;
   enqueue(cfg.entry());
 
-  while (!worklist.empty()) {
-    // Pick the queued node earliest in reverse post-order, so joins see
-    // predecessors first.
-    auto best = worklist.begin();
-    for (auto it = worklist.begin(); it != worklist.end(); ++it)
-      if (cfg.rpo_position(*it) < cfg.rpo_position(*best)) best = it;
-    const int id = *best;
-    worklist.erase(best);
-    queued[static_cast<std::size_t>(id)] = false;
+  while (true) {
+    while (lowest < n && queued[lowest] == 0) ++lowest;
+    if (lowest == n) break;
+    queued[lowest] = 0;
+    const int id = cfg.reverse_post_order()[lowest];
 
     ++result.iterations;
     if (++visits[static_cast<std::size_t>(id)] > kMaxVisitsPerNode) break;
@@ -90,8 +90,9 @@ DataflowResult<Analysis> run_forward(const Cfg& cfg, Analysis& analysis) {
     State out = result.in[static_cast<std::size_t>(id)];
     analysis.transfer(node, out);
 
-    for (const CfgEdge& edge : node.succs) {
-      State flowed = out;
+    for (std::size_t i = 0; i < node.succs.size(); ++i) {
+      const CfgEdge& edge = node.succs[i];
+      State flowed = i + 1 == node.succs.size() ? std::move(out) : out;
       analysis.edge_effect(edge, flowed);
       if (edge.guard != nullptr && !edge.suppress_refine)
         analysis.refine(*edge.guard, edge.taken, flowed);

@@ -1,7 +1,6 @@
 #include "staticcheck/depgraph.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "smt/minilang_bridge.hpp"
 #include "staticcheck/analyses.hpp"
@@ -260,16 +259,7 @@ FuncDepGraph FuncDepGraph::build(const Cfg& cfg, const SummaryMap* summaries) {
     }
 
     // Call MOD effects: what the callee may write in the caller's frame.
-    std::vector<const Expr*> calls;
-    for_each_node_expr(node, [&](const Expr& top) {
-      std::function<void(const Expr&)> walk = [&](const Expr& expr) {
-        if (expr.kind == Expr::Kind::kCall) calls.push_back(&expr);
-        for (const auto& arg : expr.args)
-          if (arg) walk(*arg);
-      };
-      walk(top);
-    });
-    for (const Expr* call : calls) {
+    for (const Expr* call : node.calls) {
       if (summaries == nullptr) {
         Definition def;
         def.kind = Definition::Kind::kCallMod;
@@ -278,7 +268,7 @@ FuncDepGraph FuncDepGraph::build(const Cfg& cfg, const SummaryMap* summaries) {
         add_def(std::move(def));
         continue;
       }
-      const CallEffect effect = summaries->effect_of(call->text);
+      const CallEffect effect = summaries->effect_of(*call);
       if (effect.havoc_all) {
         graph.degraded = true;
         Definition def;

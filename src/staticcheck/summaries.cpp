@@ -1,8 +1,7 @@
 #include "staticcheck/summaries.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <functional>
+#include <optional>
 #include <stdexcept>
 
 #include "minilang/builtins.hpp"
@@ -51,7 +50,7 @@ FunctionSummary::Nullability classify_nullness(const Expr& expr,
     case Expr::Kind::kNew:
       return FunctionSummary::Nullability::kNonNull;
     case Expr::Kind::kCall: {
-      const FunctionSummary* callee = map.find(expr.text);
+      const FunctionSummary* callee = map.find(expr.callee);
       return callee == nullptr ? FunctionSummary::Nullability::kUnknown
                                : callee->return_nullness;
     }
@@ -91,45 +90,120 @@ Interval widened(const Interval& previous, Interval next) {
   return next;
 }
 
-/// One bottom-up summarization pass over `fn`, reading callee summaries
-/// (and same-SCC iterates) from `map`.
-FunctionSummary summarize(const Program& program, const analysis::CallGraph& graph,
-                          const analysis::Condensation& condensation, const SummaryMap& map,
-                          const FuncDecl& fn) {
-  const Cfg& cfg = graph.cfg(fn);
-  FunctionSummary s;
-  s.return_interval = bottom_interval();
+/// The syntactic effect walk of one summarization pass: MOD/REF,
+/// mod_params, may_throw and the params the function rebinds, over every
+/// statement of the body (dead ones after a return included), tracking
+/// how many `try` bodies enclose each.
+class EffectWalk {
+ public:
+  EffectWalk(const FuncDecl& fn, const SummaryMap& map, FunctionSummary& s)
+      : fn_(fn), map_(map), s_(s) {}
 
-  const auto param_index = [&](const std::string& name) -> int {
-    for (std::size_t i = 0; i < fn.params.size(); ++i)
-      if (fn.params[i].name == name) return static_cast<int>(i);
+  /// Params the function rebinds locally (let, assignment, catch variable).
+  std::set<std::string> rebound;
+
+  [[nodiscard]] int param_index(const std::string& name) const {
+    for (std::size_t i = 0; i < fn_.params.size(); ++i)
+      if (fn_.params[i].name == name) return static_cast<int>(i);
     return -1;
-  };
+  }
 
-  // --- syntactic effect walk (MOD/REF, mod_params, may_throw, rebinds) ---
-  std::set<std::string> rebound;  // params the function rebinds locally
+  void stmts(const std::vector<StmtPtr>& body, int try_depth) {
+    for (const StmtPtr& stmt : body) {
+      switch (stmt->kind) {
+        case Stmt::Kind::kThrow:
+          if (try_depth == 0) s_.may_throw = true;
+          break;
+        case Stmt::Kind::kLet:
+          if (param_index(stmt->name) >= 0) rebound.insert(stmt->name);
+          break;
+        case Stmt::Kind::kAssign:
+          assignment(*stmt->expr);
+          break;
+        default:
+          break;
+      }
+      if (stmt->expr) expr(*stmt->expr, try_depth);
+      if (stmt->expr2) expr(*stmt->expr2, try_depth);
+      if (stmt->kind == Stmt::Kind::kTry) {
+        stmts(stmt->body, try_depth + 1);
+        stmts(stmt->else_body, try_depth);  // handler is unprotected
+        if (param_index(stmt->catch_var) >= 0) rebound.insert(stmt->catch_var);
+      } else {
+        stmts(stmt->body, try_depth);
+        stmts(stmt->else_body, try_depth);
+      }
+    }
+  }
 
-  const auto apply_call = [&](const Expr& call, int try_depth) {
-    const std::string& callee = call.text;
-    if (const FunctionSummary* cs = map.find(callee)) {
-      s.mod_fields.insert(cs->mod_fields.begin(), cs->mod_fields.end());
-      s.ref_fields.insert(cs->ref_fields.begin(), cs->ref_fields.end());
-      if (cs->opaque_effects) s.opaque_effects = true;
-      if (cs->may_throw && try_depth == 0) s.may_throw = true;
+ private:
+  void assignment(const Expr& lvalue) {
+    const std::string path = smt::access_path(lvalue);
+    if (!path.empty()) {
+      const std::size_t dot = path.rfind('.');
+      if (dot != std::string::npos) {
+        s_.mod_fields.insert(path.substr(dot + 1));
+        write_through(path);
+      } else if (param_index(path) >= 0) {
+        rebound.insert(path);
+      }
+    } else if (lvalue.kind == Expr::Kind::kIndex) {
+      const std::string base = smt::access_path(*lvalue.args[0]);
+      if (!base.empty()) {
+        const std::size_t dot = base.rfind('.');
+        if (dot != std::string::npos) s_.mod_fields.insert(base.substr(dot + 1));
+        write_through(base);
+      } else {
+        s_.opaque_effects = true;  // write through an unmodeled lvalue
+      }
+    } else {
+      s_.opaque_effects = true;
+    }
+  }
+
+  /// A write through `path` writes through the param at its root, if any.
+  void write_through(const std::string& path) {
+    const int pi = param_index(path_root(path));
+    if (pi >= 0) s_.mod_params.insert(static_cast<std::size_t>(pi));
+  }
+
+  void expr(const Expr& e, int try_depth) {
+    switch (e.kind) {
+      case Expr::Kind::kField:
+        s_.ref_fields.insert(e.text);
+        break;
+      case Expr::Kind::kBinary:
+        if ((e.bin_op == BinOp::kDiv || e.bin_op == BinOp::kMod) && try_depth == 0)
+          s_.may_throw = true;  // division by zero raises
+        break;
+      case Expr::Kind::kCall:
+        call(e, try_depth);
+        break;
+      default:
+        break;
+    }
+    for (const auto& arg : e.args)
+      if (arg) expr(*arg, try_depth);
+  }
+
+  void call(const Expr& call, int try_depth) {
+    if (const FunctionSummary* cs = map_.find(call.callee)) {
+      s_.mod_fields.insert(cs->mod_fields.begin(), cs->mod_fields.end());
+      s_.ref_fields.insert(cs->ref_fields.begin(), cs->ref_fields.end());
+      if (cs->opaque_effects) s_.opaque_effects = true;
+      if (cs->may_throw && try_depth == 0) s_.may_throw = true;
       // A param forwarded into a slot the callee writes through is itself
       // written through.
-      for (std::size_t i = 0; i < call.args.size(); ++i) {
-        if (cs->mod_params.count(i) == 0) continue;
+      for (const std::size_t i : cs->mod_params) {
+        if (i >= call.args.size()) break;
         const std::string path = smt::access_path(*call.args[i]);
-        if (path.empty()) continue;
-        const int pi = param_index(path_root(path));
-        if (pi >= 0) s.mod_params.insert(static_cast<std::size_t>(pi));
+        if (!path.empty()) write_through(path);
       }
       return;
     }
     // Builtins: the table row states the heap effect. An unknown name (sema
     // normally rejects these) is fully conservative, like an opaque row.
-    const minilang::Builtin* builtin = minilang::find_builtin(callee);
+    const minilang::Builtin* builtin = minilang::find_builtin(call.text);
     const HeapEffect effect = builtin != nullptr ? builtin->effect : HeapEffect::kOpaque;
     if (effect == HeapEffect::kMutatesArgs) {
       // Container mutators store or write through their arguments; params
@@ -138,111 +212,50 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
       for (const auto& arg : call.args) {
         if (!arg) continue;
         const std::string path = smt::access_path(*arg);
-        if (path.empty()) continue;
-        const int pi = param_index(path_root(path));
-        if (pi >= 0) s.mod_params.insert(static_cast<std::size_t>(pi));
+        if (!path.empty()) write_through(path);
       }
     }
-    if (effect == HeapEffect::kOpaque) s.opaque_effects = true;
-    if ((builtin == nullptr || builtin->may_throw) && try_depth == 0) s.may_throw = true;
-  };
+    if (effect == HeapEffect::kOpaque) s_.opaque_effects = true;
+    if ((builtin == nullptr || builtin->may_throw) && try_depth == 0) s_.may_throw = true;
+  }
 
-  const std::function<void(const Expr&, int)> walk_effects_expr = [&](const Expr& e,
-                                                                      int try_depth) {
-    switch (e.kind) {
-      case Expr::Kind::kField:
-        s.ref_fields.insert(e.text);
-        break;
-      case Expr::Kind::kBinary:
-        if ((e.bin_op == BinOp::kDiv || e.bin_op == BinOp::kMod) && try_depth == 0)
-          s.may_throw = true;  // division by zero raises
-        break;
-      case Expr::Kind::kCall:
-        apply_call(e, try_depth);
-        break;
-      default:
-        break;
-    }
-    for (const auto& arg : e.args)
-      if (arg) walk_effects_expr(*arg, try_depth);
-  };
+  const FuncDecl& fn_;
+  const SummaryMap& map_;
+  FunctionSummary& s_;
+};
 
-  const std::function<void(const std::vector<StmtPtr>&, int)> walk_effects =
-      [&](const std::vector<StmtPtr>& stmts, int try_depth) {
-        for (const StmtPtr& stmt : stmts) {
-          switch (stmt->kind) {
-            case Stmt::Kind::kThrow:
-              if (try_depth == 0) s.may_throw = true;
-              break;
-            case Stmt::Kind::kLet:
-              if (param_index(stmt->name) >= 0) rebound.insert(stmt->name);
-              break;
-            case Stmt::Kind::kAssign: {
-              const Expr& lvalue = *stmt->expr;
-              const std::string path = smt::access_path(lvalue);
-              if (!path.empty()) {
-                const std::size_t dot = path.rfind('.');
-                if (dot != std::string::npos) {
-                  s.mod_fields.insert(path.substr(dot + 1));
-                  const int pi = param_index(path_root(path));
-                  if (pi >= 0) s.mod_params.insert(static_cast<std::size_t>(pi));
-                } else if (param_index(path) >= 0) {
-                  rebound.insert(path);
-                }
-              } else if (lvalue.kind == Expr::Kind::kIndex) {
-                const std::string base = smt::access_path(*lvalue.args[0]);
-                if (!base.empty()) {
-                  const std::size_t dot = base.rfind('.');
-                  if (dot != std::string::npos) s.mod_fields.insert(base.substr(dot + 1));
-                  const int pi = param_index(path_root(base));
-                  if (pi >= 0) s.mod_params.insert(static_cast<std::size_t>(pi));
-                } else {
-                  s.opaque_effects = true;  // write through an unmodeled lvalue
-                }
-              } else {
-                s.opaque_effects = true;
-              }
-              break;
-            }
-            default:
-              break;
-          }
-          if (stmt->expr) walk_effects_expr(*stmt->expr, try_depth);
-          if (stmt->expr2) walk_effects_expr(*stmt->expr2, try_depth);
-          if (stmt->kind == Stmt::Kind::kTry) {
-            walk_effects(stmt->body, try_depth + 1);
-            walk_effects(stmt->else_body, try_depth);  // handler is unprotected
-            if (param_index(stmt->catch_var) >= 0) rebound.insert(stmt->catch_var);
-          } else {
-            walk_effects(stmt->body, try_depth);
-            walk_effects(stmt->else_body, try_depth);
-          }
-        }
-      };
-  walk_effects(fn.body, 0);
+/// One bottom-up summarization pass over `fn`, reading callee summaries
+/// (and same-SCC iterates) from `map`.
+FunctionSummary summarize(const Program& program, const analysis::CallGraph& graph,
+                          const SummaryMap& map, const FuncDecl& fn) {
+  const Cfg& cfg = graph.cfg(fn);
+  FunctionSummary s;
+  s.return_interval = bottom_interval();
+
+  // --- syntactic effect walk (MOD/REF, mod_params, may_throw, rebinds) ---
+  EffectWalk effects(fn, map, s);
+  effects.stmts(fn.body, 0);
+  const std::set<std::string>& rebound = effects.rebound;
 
   // --- may-block: a blocking call on some CFG-reachable node. More precise
   // than the syntactic reaches_blocking (dead code does not count). ---
   if (fn.has_annotation("blocking")) s.may_block = true;
-  {
-    std::vector<bool> seen(cfg.nodes().size(), false);
-    std::deque<int> queue{cfg.entry()};
-    seen[static_cast<std::size_t>(cfg.entry())] = true;
-    while (!queue.empty() && !s.may_block) {
-      const CfgNode& node = cfg.node(queue.front());
-      queue.pop_front();
-      std::vector<const Expr*> calls;
-      for_each_node_expr(node, [&](const Expr& e) { collect_calls(e, calls); });
-      for (const Expr* call : calls) {
-        if (minilang::is_blocking_builtin(call->text)) s.may_block = true;
-        const FuncDecl* decl = program.find_function(call->text);
-        if (decl != nullptr && decl->has_annotation("blocking")) s.may_block = true;
-        const FunctionSummary* cs = map.find(call->text);
-        if (cs != nullptr && cs->may_block) s.may_block = true;
+  if (!s.may_block) {
+    std::vector<char> seen(cfg.nodes().size(), 0);
+    std::vector<int> queue{cfg.entry()};  // breadth-first: read from `next`
+    seen[static_cast<std::size_t>(cfg.entry())] = 1;
+    for (std::size_t next = 0; next < queue.size() && !s.may_block; ++next) {
+      const CfgNode& node = cfg.node(queue[next]);
+      for (const Expr* call : node.calls) {
+        const FunctionSummary* cs = map.find(call->callee);
+        if (minilang::is_blocking_builtin(call->text) ||
+            (call->callee != nullptr && call->callee->has_annotation("blocking")) ||
+            (cs != nullptr && cs->may_block))
+          s.may_block = true;
       }
       for (const CfgEdge& edge : node.succs) {
-        if (seen[static_cast<std::size_t>(edge.to)]) continue;
-        seen[static_cast<std::size_t>(edge.to)] = true;
+        if (seen[static_cast<std::size_t>(edge.to)] != 0) continue;
+        seen[static_cast<std::size_t>(edge.to)] = 1;
         queue.push_back(edge.to);
       }
     }
@@ -273,7 +286,7 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
 
   // --- concurrency: must-held locksets per statement, acquisition
   // orderings, and shared-field access sites (concurrency.cpp). ---
-  summarize_concurrency(program, graph, condensation, map, fn, &s);
+  summarize_concurrency(program, graph, map, fn, &s);
 
   // --- nullness: return nullability plus param-rooted facts holding on
   // every normal return. ---
@@ -314,7 +327,7 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
     if (!first_exit)
       for (const auto& [path, fact] : exit_meet) {
         const std::string root = path_root(path);
-        if (param_index(root) < 0 || rebound.count(root) > 0) continue;
+        if (effects.param_index(root) < 0 || rebound.count(root) > 0) continue;
         s.nullness_on_return.emplace(path, fact);
       }
   }
@@ -340,20 +353,30 @@ FunctionSummary summarize(const Program& program, const analysis::CallGraph& gra
 }  // namespace
 
 const FunctionSummary* SummaryMap::find(const std::string& name) const {
-  const auto it = summaries_.find(name);
-  return it == summaries_.end() ? nullptr : &it->second;
+  return program_ == nullptr ? nullptr : find(program_->find_function(name));
+}
+
+const FunctionSummary* SummaryMap::find(const FuncDecl* fn) const {
+  if (fn == nullptr) return nullptr;
+  const std::size_t at = position(*fn);
+  return summarized_[at] != 0 ? &summaries_[at] : nullptr;
 }
 
 CallEffect SummaryMap::effect_of(const std::string& callee) const {
-  const auto it = summaries_.find(callee);
-  if (it != summaries_.end()) {
-    if (it->second.opaque_effects) return CallEffect{.havoc_all = true};
+  return effect(program_ == nullptr ? nullptr : program_->find_function(callee), callee);
+}
+
+CallEffect SummaryMap::effect_of(const Expr& call) const { return effect(call.callee, call.text); }
+
+CallEffect SummaryMap::effect(const FuncDecl* callee, std::string_view name) const {
+  if (const FunctionSummary* summary = find(callee)) {
+    if (summary->opaque_effects) return CallEffect{.havoc_all = true};
     CallEffect effect;
-    effect.mod_fields = &it->second.mod_fields;
-    effect.mod_params = &it->second.mod_params;
+    effect.mod_fields = &summary->mod_fields;
+    effect.mod_params = &summary->mod_params;
     return effect;
   }
-  const minilang::Builtin* builtin = minilang::find_builtin(callee);
+  const minilang::Builtin* builtin = minilang::find_builtin(name);
   if (builtin == nullptr || builtin->effect == HeapEffect::kOpaque)
     return CallEffect{.havoc_all = true};
   if (builtin->effect == HeapEffect::kMutatesArgs) return CallEffect{.writes_all_params = true};
@@ -366,27 +389,30 @@ SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph
     throw std::runtime_error("injected fault at summaries.fixpoint");
   const support::Stopwatch timer;
   SummaryMap map;
-  const analysis::Condensation condensation = graph.condensation();
+  map.program_ = &program;
+  const std::size_t n = program.functions.size();
+  map.summaries_.resize(n);
+  map.summarized_.assign(n, 0);
+  map.slot_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) map.slot_[i] = graph.function_index(program.functions[i]);
+  const analysis::Condensation& condensation = graph.condensation();
   map.stats_.components = static_cast<int>(condensation.size());
 
   // ----- Phase A: bottom-up effects and transfer facts, callees first. -----
   constexpr int kWidenRound = 3;  // start widening return intervals here
   constexpr int kMaxRounds = 16;  // divergence safety net
   for (const auto& component : condensation.components) {
-    for (const std::string& name : component.members) {
-      FunctionSummary seed;
-      seed.return_interval = bottom_interval();
-      map.summaries_[name] = std::move(seed);
+    for (const FuncDecl* fn : component.members) {
+      map.summaries_[map.position(*fn)].return_interval = bottom_interval();
+      map.summarized_[map.position(*fn)] = 1;
     }
     if (component.recursive) ++map.stats_.recursive_components;
 
     for (int round = 0;; ++round) {
       bool changed = false;
-      for (const std::string& name : component.members) {
-        const FuncDecl* fn = program.find_function(name);
-        if (fn == nullptr) continue;
-        FunctionSummary next = summarize(program, graph, condensation, map, *fn);
-        FunctionSummary& current = map.summaries_[name];
+      for (const FuncDecl* fn : component.members) {
+        FunctionSummary next = summarize(program, graph, map, *fn);
+        FunctionSummary& current = map.summaries_[map.position(*fn)];
         if (round >= kWidenRound)
           next.return_interval = widened(current.return_interval, next.return_interval);
         if (!phase_a_equal(current, next)) {
@@ -399,8 +425,8 @@ SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph
       if (round >= kMaxRounds) {
         // Should be unreachable (widening caps the interval chain; every
         // other lattice is finite). Degrade to fully conservative.
-        for (const std::string& name : component.members) {
-          FunctionSummary& summary = map.summaries_[name];
+        for (const FuncDecl* fn : component.members) {
+          FunctionSummary& summary = map.summaries_[map.position(*fn)];
           summary.opaque_effects = true;
           summary.may_throw = true;
           summary.may_block = true;
@@ -419,46 +445,46 @@ SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph
     }
     // A function with no normal return keeps the hull identity; finalize to
     // top so callers never see an empty interval.
-    for (const std::string& name : component.members) {
-      FunctionSummary& summary = map.summaries_[name];
+    for (const FuncDecl* fn : component.members) {
+      FunctionSummary& summary = map.summaries_[map.position(*fn)];
       if (summary.return_interval.empty()) summary.return_interval = Interval{};
     }
   }
 
   // ----- Phase B: top-down boundary facts, callers first. -----
-  std::set<std::string> entry_names;
-  for (const FuncDecl* fn : graph.entry_functions()) entry_names.insert(fn->name);
+  std::vector<char> is_entry(n, 0);
+  for (const FuncDecl* fn : graph.entry_functions()) is_entry[graph.function_index(*fn)] = 1;
 
   struct CallerStates {
     DataflowResult<NullnessAnalysis> nullness;
     DataflowResult<IntervalAnalysis> intervals;
   };
-  std::map<std::string, CallerStates> cache;
+  std::vector<std::optional<CallerStates>> cache(n);  // by the caller's position
   const auto caller_states = [&](const FuncDecl& caller) -> const CallerStates& {
-    const auto it = cache.find(caller.name);
-    if (it != cache.end()) return it->second;
-    CallerStates states;
-    NullnessAnalysis nullness(program, &map);
-    states.nullness = run_forward(graph.cfg(caller), nullness);
-    IntervalAnalysis intervals(program, &map);
-    states.intervals = run_forward(graph.cfg(caller), intervals);
-    return cache.emplace(caller.name, std::move(states)).first->second;
+    std::optional<CallerStates>& states =
+        cache[static_cast<std::size_t>(&caller - program.functions.data())];
+    if (!states.has_value()) {
+      NullnessAnalysis nullness(program, &map);
+      IntervalAnalysis intervals(program, &map);
+      states = CallerStates{run_forward(graph.cfg(caller), nullness),
+                            run_forward(graph.cfg(caller), intervals)};
+    }
+    return *states;
   };
 
   for (auto component = condensation.components.rbegin();
        component != condensation.components.rend(); ++component) {
-    for (const std::string& name : component->members) {
-      const FuncDecl* fn = program.find_function(name);
-      if (fn == nullptr || fn->has_annotation("test")) continue;
+    for (const FuncDecl* fn : component->members) {
+      if (fn->has_annotation("test")) continue;
       // Entries are API surface: callable from outside with anything.
-      if (entry_names.count(name) > 0) continue;
-      const std::vector<analysis::CallSite>& sites = graph.sites_calling(name);
+      if (is_entry[map.position(*fn)] != 0) continue;
+      const std::vector<analysis::CallSite>& sites = graph.sites_calling(fn->name);
       if (sites.empty()) continue;
       // Within a cycle the argument join would depend on itself; stay top.
-      const int own_component = condensation.component_index(name);
+      const int own_component = condensation.component_index(*fn);
       bool cyclic = false;
       for (const analysis::CallSite& site : sites)
-        if (condensation.component_index(site.caller->name) == own_component) cyclic = true;
+        if (condensation.component_index(*site.caller) == own_component) cyclic = true;
       if (cyclic) continue;
 
       std::map<std::string, FunctionSummary::Nullability> null_join;
@@ -500,7 +526,7 @@ SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph
         first_site = false;
       }
       if (top_everything || first_site) continue;
-      FunctionSummary& summary = map.summaries_[name];
+      FunctionSummary& summary = map.summaries_[map.position(*fn)];
       for (const auto& [param, nullability] : null_join) {
         if (nullability == FunctionSummary::Nullability::kNonNull)
           summary.boundary_nullness[param] = NullFact::kNonNull;

@@ -32,6 +32,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/callgraph.hpp"
@@ -175,16 +176,35 @@ class SummaryMap {
   [[nodiscard]] static SummaryMap compute(const minilang::Program& program,
                                           const analysis::CallGraph& graph);
 
-  /// Summary of a user-defined function, or nullptr (builtins, unknown).
+  /// Summary of a user-defined function, or nullptr (builtins, unknown, or
+  /// a function whose component compute() has not reached yet).
   [[nodiscard]] const FunctionSummary* find(const std::string& name) const;
+  /// The same, by declaration: `fn` is a function of the program (the
+  /// summary is its name's, as find(fn->name) would return) or nullptr,
+  /// as for a builtin's Expr::callee. Looks up by position, not by name.
+  [[nodiscard]] const FunctionSummary* find(const minilang::FuncDecl* fn) const;
 
   /// Call-site effect of calling `callee`, builtins included.
   [[nodiscard]] CallEffect effect_of(const std::string& callee) const;
+  /// The same for a call expression, through its resolved Expr::callee.
+  [[nodiscard]] CallEffect effect_of(const minilang::Expr& call) const;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  std::map<std::string, FunctionSummary> summaries_;
+  [[nodiscard]] CallEffect effect(const minilang::FuncDecl* callee,
+                                  std::string_view name) const;
+  [[nodiscard]] std::size_t position(const minilang::FuncDecl& fn) const {
+    return slot_[static_cast<std::size_t>(&fn - program_->functions.data())];
+  }
+
+  const minilang::Program* program_ = nullptr;
+  /// By function position: the summary, and whether compute() has reached
+  /// it. Only the first function of each name is summarized; `slot_` maps
+  /// every position to that function's (CallGraph::function_index).
+  std::vector<FunctionSummary> summaries_;
+  std::vector<char> summarized_;
+  std::vector<std::size_t> slot_;
   Stats stats_;
 };
 
