@@ -6,7 +6,9 @@
 // corpus sources, and BM_SelectTests builds a test selector over each parsed
 // source and ranks its tests once. BM_CallGraphBuild builds each parsed
 // source's structural index (call graph, every CFG and statement header),
-// which every evaluation builds once. The CI gate replays test suites on every
+// which every evaluation builds once, and BM_SummariesCorpus computes each
+// source's interprocedural summaries over a graph built beforehand, the
+// gate's hot analysis layer. The CI gate replays test suites on every
 // commit; the rest measures Interp on (a) a compute-heavy kernel, (b) the
 // full patched corpus suites, and (c) the same suites under concolic replay
 // (concolic::Engine, Interp plus its shadow layer), so the cost of the shadow
@@ -19,6 +21,7 @@
 #include "inference/embedding.hpp"
 #include "minilang/interp.hpp"
 #include "minilang/sema.hpp"
+#include "staticcheck/summaries.hpp"
 
 namespace {
 
@@ -102,6 +105,24 @@ void BM_CallGraphBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(programs.size()));
 }
 BENCHMARK(BM_CallGraphBuild)->Unit(benchmark::kMicrosecond);
+
+void BM_SummariesCorpus(benchmark::State& state) {
+  const std::vector<Source> sources = corpus_sources();
+  std::vector<Program> programs;
+  for (const Source& source : sources) programs.push_back(parse_checked(*source.text));
+  std::vector<lisa::analysis::CallGraph> graphs;
+  for (const Program& program : programs)
+    graphs.push_back(lisa::analysis::CallGraph::build(program));
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+      const lisa::staticcheck::SummaryMap summaries =
+          lisa::staticcheck::SummaryMap::compute(programs[i], graphs[i]);
+      benchmark::DoNotOptimize(&summaries);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(programs.size()));
+}
+BENCHMARK(BM_SummariesCorpus)->Unit(benchmark::kMicrosecond);
 
 void BM_InterpKernel(benchmark::State& state) {
   const Program program = parse_checked(kKernel);

@@ -62,6 +62,26 @@ cmake -B "$BUILD_DIR" -S . -DLISA_SANITIZE="$SANITIZE"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
+# Interposer smoke: perfbench times its layers by wrapping the functions that
+# perfbench/layer_spans.cpp names by mangled symbol (its SYM_* defines). A
+# symbol no library defines any more still links there, and its layer then
+# reads 0, so every name must be defined in the libraries just built.
+defined_symbols=$(nm --defined-only "$BUILD_DIR"/src/*/liblisa_*.a 2> /dev/null | awk 'NF == 3 { print $3 }')
+wrapped=0
+missing=0
+while read -r symbol; do
+  wrapped=$((wrapped + 1))
+  if ! grep -qxF -- "$symbol" <<< "$defined_symbols"; then
+    echo "check.sh: perfbench interposes $symbol, which no library in $BUILD_DIR defines" >&2
+    missing=$((missing + 1))
+  fi
+done < <(sed -n 's/^#define SYM_[A-Z_]* "\(_Z[^"]*\)".*$/\1/p' perfbench/layer_spans.cpp)
+if [[ "$wrapped" -eq 0 || "$missing" -ne 0 ]]; then
+  echo "check.sh: $missing of $wrapped interposed symbols undefined" >&2
+  exit 1
+fi
+echo "interposer smoke: OK ($wrapped SYM_* symbols defined)"
+
 # Corpus-wide lint smoke: --json must emit a parseable report and exit 0
 # (clean) or 1 (diagnosed errors — the corpus keeps one by design).
 # Anything else (crash, bad flag handling) fails the check.

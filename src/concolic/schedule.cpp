@@ -1,5 +1,6 @@
 #include "concolic/schedule.hpp"
 
+#include <chrono>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -308,10 +309,12 @@ void ScheduleExplorer::explore_into(const std::string& test_name,
   // One span per explored test. Each run only records its time in a
   // histogram: a span per run would cost too much at hundreds of runs.
   // Pruned runs are also recorded apart, to show what abandoned schedules
-  // cost.
+  // cost, and so is their teardown: the time from the prune to the end of
+  // the run, which every live thread spends unwinding.
   obs::ScopedSpan span("schedule.explore");
   obs::Histogram& run_us = obs::metrics().histogram("schedule.run_us");
   obs::Histogram& pruned_run_us = obs::metrics().histogram("schedule.pruned_run_us");
+  obs::Histogram& teardown_us = obs::metrics().histogram("schedule.teardown_us");
   const int first_schedule = out.schedules_explored;
   int pruned = 0;
   bool conclusive = true;
@@ -336,12 +339,14 @@ void ScheduleExplorer::explore_into(const std::string& test_name,
     const minilang::ScheduleRunResult run =
         interp.run_scheduled_test(test_name, controller);
     const double elapsed_us = timer.elapsed_us();
+    const auto ended = std::chrono::steady_clock::now();
     run_us.record(elapsed_us);
     ++out.schedules_explored;
     if (run.pruned) {
       // Sleep-set cut: this interleaving only permutes commuting segments
       // of one already explored. A charged probe, not a verdict.
       pruned_run_us.record(elapsed_us);
+      teardown_us.record(std::chrono::duration<double, std::micro>(ended - run.pruned_at).count());
       ++pruned;
     } else if (run.degraded) {
       inconclusive("schedule run degraded: " + run.error);

@@ -435,6 +435,7 @@ class Interp::Scheduler final {
     out.hung = result_.hung;
     out.degraded = out.degraded || result_.degraded;
     out.pruned = result_.pruned;
+    out.pruned_at = result_.pruned_at;
     if (out.error.empty()) out.error = result_.error;
   }
 
@@ -541,6 +542,7 @@ class Interp::Scheduler final {
           // The controller proved this interleaving redundant: tear the
           // schedule down with no verdict (sequential, like a hang abort).
           result_.pruned = true;
+          result_.pruned_at = std::chrono::steady_clock::now();
           aborting_ = true;
           abort_next(self.id);
           transfer(self);
@@ -697,6 +699,7 @@ class Interp::Scheduler final {
       const int picked = controller_.pick(runnable);
       if (picked == ScheduleController::kPruneRun) {
         result_.pruned = true;
+        result_.pruned_at = std::chrono::steady_clock::now();
         aborting_ = true;
         abort_next(self.id);
         return;
@@ -736,6 +739,7 @@ class Interp::Scheduler final {
     bool hung = false;
     bool degraded = false;
     bool pruned = false;
+    std::chrono::steady_clock::time_point pruned_at;
     bool failed = false;
     std::string error;
   };

@@ -32,6 +32,7 @@
 // a fixed decision sequence.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -251,6 +252,9 @@ struct ScheduleRunResult {
   /// redundant. Neither a pass nor a failure — the covering schedule was
   /// (or will be) explored elsewhere.
   bool pruned = false;
+  /// When the controller pruned the run, so a caller can time the teardown
+  /// that follows (every live thread unwinding); unset unless `pruned`.
+  std::chrono::steady_clock::time_point pruned_at;
   int threads_spawned = 0;
   /// pick() calls made — yield points where the schedule actually chose.
   int decisions = 0;
