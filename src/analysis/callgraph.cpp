@@ -17,19 +17,21 @@ using minilang::Stmt;
 
 namespace {
 
-void collect_calls(const Expr& expr, const std::function<void(const Expr&)>& on_call) {
-  if (expr.kind == Expr::Kind::kCall) on_call(expr);
-  for (const minilang::ExprPtr& arg : expr.args) collect_calls(*arg, on_call);
+/// Calls `on_call(stmt, call)` for every call expression in `expr`'s tree,
+/// in pre-order.
+template <class OnCall>
+void collect_calls(const Stmt& stmt, const Expr& expr, OnCall& on_call) {
+  if (expr.kind == Expr::Kind::kCall) on_call(stmt, expr);
+  for (const minilang::ExprPtr& arg : expr.args) collect_calls(stmt, *arg, on_call);
 }
 
-void walk_stmts(const std::vector<minilang::StmtPtr>& stmts,
-                const std::function<void(const Stmt&, const Expr&)>& on_call) {
+/// Calls `on_call(stmt, call)` for every call in `stmts`, dead statements
+/// after a return included, depth-first.
+template <class OnCall>
+void walk_stmts(const std::vector<minilang::StmtPtr>& stmts, OnCall& on_call) {
   for (const minilang::StmtPtr& stmt : stmts) {
-    const auto visit_expr = [&](const minilang::ExprPtr& expr) {
-      if (expr) collect_calls(*expr, [&](const Expr& call) { on_call(*stmt, call); });
-    };
-    visit_expr(stmt->expr);
-    visit_expr(stmt->expr2);
+    if (stmt->expr) collect_calls(*stmt, *stmt->expr, on_call);
+    if (stmt->expr2) collect_calls(*stmt, *stmt->expr2, on_call);
     walk_stmts(stmt->body, on_call);
     walk_stmts(stmt->else_body, on_call);
   }
@@ -86,6 +88,49 @@ struct Tarjan {
   }
 };
 
+/// Functions that are @entry-annotated or called by no function outside
+/// the @test ones, in declaration order; @test functions are never entries.
+std::vector<const FuncDecl*> find_entries(const Program& program, const CallGraph& graph) {
+  std::vector<const FuncDecl*> entries;
+  for (const FuncDecl& fn : program.functions) {
+    if (fn.has_annotation("test")) continue;
+    bool has_real_caller = false;
+    for (const std::string& caller : graph.callers_of(fn.name)) {
+      const FuncDecl* caller_fn = program.find_function(caller);
+      if (caller_fn != nullptr && !caller_fn->has_annotation("test")) {
+        has_real_caller = true;
+        break;
+      }
+    }
+    if (fn.has_annotation("entry") || !has_real_caller) entries.push_back(&fn);
+  }
+  return entries;
+}
+
+/// The condensation over each name's first function (`first_of_name` maps
+/// every position to it); a node's callees are those of every function
+/// with its name, in name order.
+Condensation condense(const Program& program, const CallGraph& graph,
+                      const std::vector<std::size_t>& first_of_name) {
+  const std::size_t n = program.functions.size();
+  std::vector<std::vector<std::size_t>> user_callees(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (first_of_name[i] != i) continue;
+    for (const std::string& callee : graph.callees_of(program.functions[i].name))
+      if (const FuncDecl* fn = program.find_function(callee))
+        user_callees[i].push_back(static_cast<std::size_t>(fn - program.functions.data()));
+  }
+  Condensation condensation;
+  condensation.program = &program;
+  condensation.component_of.assign(n, -1);
+  Tarjan tarjan(user_callees, program.functions, condensation);
+  for (const std::size_t first : first_of_name)
+    if (tarjan.index[first] < 0) tarjan.strongconnect(first);
+  for (std::size_t i = 0; i < n; ++i)
+    condensation.component_of[i] = condensation.component_of[first_of_name[i]];
+  return condensation;
+}
+
 }  // namespace
 
 CallGraph CallGraph::build(const Program& program) {
@@ -97,11 +142,12 @@ CallGraph CallGraph::build(const Program& program) {
   for (const FuncDecl& fn : program.functions) {
     graph.callees_[fn.name];  // ensure node exists
     graph.callers_[fn.name];
-    walk_stmts(fn.body, [&](const Stmt& stmt, const Expr& call) {
+    auto add_site = [&](const Stmt& stmt, const Expr& call) {
       graph.sites_by_callee_[call.text].push_back({&fn, &stmt, &call});
       graph.callees_[fn.name].insert(call.text);
       graph.callers_[call.text].insert(fn.name);
-    });
+    };
+    walk_stmts(fn.body, add_site);
     graph.cfgs_.push_back(Cfg::build(fn));
   }
   program.for_each_stmt([&](const FuncDecl& fn, const Stmt& stmt) {
@@ -110,45 +156,12 @@ CallGraph CallGraph::build(const Program& program) {
   });
   headers.add(static_cast<std::int64_t>(graph.headers_.size()));
 
-  const std::size_t n = program.functions.size();
-  const auto position = [&](const FuncDecl* fn) {
-    return static_cast<std::size_t>(fn - program.functions.data());
-  };
-  graph.first_of_name_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    graph.first_of_name_[i] = position(program.find_function(program.functions[i].name));
-
-  // Entries: annotated, or called by no function outside the @test ones.
-  for (const FuncDecl& fn : program.functions) {
-    if (fn.has_annotation("test")) continue;
-    bool has_real_caller = false;
-    for (const std::string& caller : graph.callers_of(fn.name)) {
-      const FuncDecl* caller_fn = program.find_function(caller);
-      if (caller_fn != nullptr && !caller_fn->has_annotation("test")) {
-        has_real_caller = true;
-        break;
-      }
-    }
-    if (fn.has_annotation("entry") || !has_real_caller) graph.entries_.push_back(&fn);
-  }
-
-  // The condensation, over each name's first function; its callees are
-  // those of every function with the name, in name order.
-  std::vector<std::vector<std::size_t>> user_callees(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (graph.first_of_name_[i] != i) continue;
-    for (const std::string& callee : graph.callees_of(program.functions[i].name))
-      if (const FuncDecl* fn = program.find_function(callee))
-        user_callees[i].push_back(position(fn));
-  }
-  graph.condensation_.program = &program;
-  graph.condensation_.component_of.assign(n, -1);
-  Tarjan tarjan(user_callees, program.functions, graph.condensation_);
-  for (std::size_t i = 0; i < n; ++i)
-    if (tarjan.index[graph.first_of_name_[i]] < 0) tarjan.strongconnect(graph.first_of_name_[i]);
-  for (std::size_t i = 0; i < n; ++i)
-    graph.condensation_.component_of[i] =
-        graph.condensation_.component_of[graph.first_of_name_[i]];
+  graph.first_of_name_.reserve(program.functions.size());
+  for (const FuncDecl& fn : program.functions)
+    graph.first_of_name_.push_back(
+        static_cast<std::size_t>(program.find_function(fn.name) - program.functions.data()));
+  graph.entries_ = find_entries(program, graph);
+  graph.condensation_ = condense(program, graph, graph.first_of_name_);
   span.attr("functions", program.functions.size());
   span.attr("statements", graph.headers_.size());
   return graph;

@@ -1,7 +1,6 @@
 #include "analysis/cfg.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "obs/metrics.hpp"
 #include "smt/minilang_bridge.hpp"
@@ -214,6 +213,17 @@ class Builder {
   int sync_depth_ = 0;
 };
 
+/// Appends `id` and every node reachable from it that `visited` does not
+/// yet hold to `out`, in depth-first post-order (successors in edge order).
+void post_order(const std::vector<CfgNode>& nodes, int id, std::vector<char>& visited,
+                std::vector<int>& out) {
+  if (visited[static_cast<std::size_t>(id)] != 0) return;
+  visited[static_cast<std::size_t>(id)] = 1;
+  for (const CfgEdge& edge : nodes[static_cast<std::size_t>(id)].succs)
+    post_order(nodes, edge.to, visited, out);
+  out.push_back(id);
+}
+
 }  // namespace
 
 Cfg Cfg::build(const FuncDecl& fn) {
@@ -223,15 +233,10 @@ Cfg Cfg::build(const FuncDecl& fn) {
   cfg.fn_ = &fn;
   Builder(fn).run(cfg.nodes_, cfg.entry_, cfg.exit_);
   // Reverse post-order from the entry; unreachable stragglers come last.
-  std::vector<bool> visited(cfg.nodes_.size(), false);
-  const std::function<void(int)> dfs = [&](int id) {
-    if (visited[static_cast<std::size_t>(id)]) return;
-    visited[static_cast<std::size_t>(id)] = true;
-    for (const CfgEdge& edge : cfg.node(id).succs) dfs(edge.to);
-    cfg.rpo_.push_back(id);
-  };
-  dfs(cfg.entry_);
-  for (const CfgNode& node : cfg.nodes_) dfs(node.id);
+  std::vector<char> visited(cfg.nodes_.size(), 0);
+  cfg.rpo_.reserve(cfg.nodes_.size());
+  post_order(cfg.nodes_, cfg.entry_, visited, cfg.rpo_);
+  for (const CfgNode& node : cfg.nodes_) post_order(cfg.nodes_, node.id, visited, cfg.rpo_);
   std::reverse(cfg.rpo_.begin(), cfg.rpo_.end());
   cfg.rpo_position_.resize(cfg.nodes_.size());
   for (std::size_t i = 0; i < cfg.rpo_.size(); ++i)

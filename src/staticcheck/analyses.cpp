@@ -74,13 +74,13 @@ bool null_trackable(const Type* type) {
 
 }  // namespace
 
-bool mentions_field(const std::string& path, const std::string& field) {
+bool mentions_field(std::string_view path, std::string_view field) {
   std::size_t dot = path.find('.');
-  while (dot != std::string::npos) {
+  while (dot != std::string_view::npos) {
     const std::size_t start = dot + 1;
     std::size_t end = path.find('.', start);
-    if (end == std::string::npos) end = path.size();
-    if (path.compare(start, end - start, field) == 0) return true;
+    if (end == std::string_view::npos) end = path.size();
+    if (path.substr(start, end - start) == field) return true;
     dot = path.find('.', start);
   }
   return false;
@@ -96,7 +96,7 @@ bool write_kills(const std::string& written, const std::string& fact_path) {
   // named `f` — another path may alias the same object.
   const std::size_t dot = written.rfind('.');
   if (dot != std::string::npos)
-    return mentions_field(fact_path, written.substr(dot + 1));
+    return mentions_field(fact_path, std::string_view(written).substr(dot + 1));
   return false;
 }
 

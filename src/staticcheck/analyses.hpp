@@ -28,6 +28,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/callgraph.hpp"
@@ -50,7 +51,7 @@ class SummaryMap;  // summaries.hpp; analyses only need the pointer
 
 /// True if `path` has a field segment equal to `field` anywhere past the
 /// root variable ("s.closed" mentions "closed").
-[[nodiscard]] bool mentions_field(const std::string& path, const std::string& field);
+[[nodiscard]] bool mentions_field(std::string_view path, std::string_view field);
 
 /// Applies `visit` to every statement-level expression of a CFG node
 /// (condition, initializer, lvalue, rhs), skipping nulls.

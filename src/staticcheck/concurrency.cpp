@@ -187,25 +187,25 @@ void summarize_concurrency(const Program& program, const analysis::CallGraph& gr
     }
 
     // Field accesses under the must-held lockset.
-    if (node.stmt != nullptr && node.stmt->kind == Stmt::Kind::kAssign) {
-      const std::string path = smt::access_path(*node.stmt->expr);
-      const std::size_t dot = path.rfind('.');
-      if (dot != std::string::npos)
-        record_access(path.substr(0, dot), path.substr(dot + 1), /*is_write=*/true,
-                      node.stmt->loc, held);
+    if (node.stmt != nullptr && node.kind != CfgNode::Kind::kSyncExit) {
+      const Stmt& stmt = *node.stmt;
       std::vector<std::pair<std::string, std::string>> reads;
-      if (node.stmt->expr2) collect_field_reads(*node.stmt->expr2, reads);
-      // The lvalue's base chain is read to reach the written field.
-      if (node.stmt->expr->kind == Expr::Kind::kField && node.stmt->expr->args.size() == 1 &&
-          node.stmt->expr->args[0])
-        collect_field_reads(*node.stmt->expr->args[0], reads);
+      if (stmt.kind == Stmt::Kind::kAssign) {
+        const std::size_t dot = node.written.rfind('.');
+        if (dot != std::string::npos)
+          record_access(node.written.substr(0, dot), node.written.substr(dot + 1),
+                        /*is_write=*/true, stmt.loc, held);
+        if (stmt.expr2) collect_field_reads(*stmt.expr2, reads);
+        // The lvalue's base chain is read to reach the written field.
+        if (stmt.expr->kind == Expr::Kind::kField && stmt.expr->args.size() == 1 &&
+            stmt.expr->args[0])
+          collect_field_reads(*stmt.expr->args[0], reads);
+      } else {
+        if (stmt.expr) collect_field_reads(*stmt.expr, reads);
+        if (stmt.expr2) collect_field_reads(*stmt.expr2, reads);
+      }
       for (const auto& [base, field] : reads)
-        record_access(base, field, /*is_write=*/false, node.stmt->loc, held);
-    } else if (node.stmt != nullptr && node.kind != CfgNode::Kind::kSyncExit) {
-      std::vector<std::pair<std::string, std::string>> reads;
-      for_each_node_expr(node, [&](const Expr& e) { collect_field_reads(e, reads); });
-      for (const auto& [base, field] : reads)
-        record_access(base, field, /*is_write=*/false, node.stmt->loc, held);
+        record_access(base, field, /*is_write=*/false, stmt.loc, held);
     }
 
     // Calls: import the callee's concurrency facts into this namespace.
