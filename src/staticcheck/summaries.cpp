@@ -357,7 +357,7 @@ const FunctionSummary* SummaryMap::find(const std::string& name) const {
 }
 
 const FunctionSummary* SummaryMap::find(const FuncDecl* fn) const {
-  if (fn == nullptr) return nullptr;
+  if (fn == nullptr || program_ == nullptr) return nullptr;
   const std::size_t at = position(*fn);
   return summarized_[at] != 0 ? &summaries_[at] : nullptr;
 }

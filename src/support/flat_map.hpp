@@ -5,7 +5,7 @@
 // Inserting and erasing one entry move the entries behind it, so it suits
 // small maps that are copied far more often than they grow: the dataflow
 // states of staticcheck/analyses.hpp. Lookups take any type the key
-// compares with (`std::less<>`), so a string key can be found by a view.
+// compares with by `<`, so a string key can be found by a view.
 #pragma once
 
 #include <algorithm>
@@ -75,10 +75,9 @@ class FlatMap {
     return {entries_.insert(it, value_type(key, std::move(value))), true};
   }
 
-  iterator erase(const_iterator pos) { return entries_.erase(pos); }
   template <class K>
   std::size_t erase(const K& key) {
-    const const_iterator it = std::as_const(*this).find(key);
+    const iterator it = find(key);
     if (it == end()) return 0;
     entries_.erase(it);
     return 1;
@@ -99,8 +98,6 @@ class FlatMap {
     entries_.erase(kept, end());
     return erased;
   }
-
-  bool operator==(const FlatMap& other) const = default;
 
  private:
   template <class K>
