@@ -1,11 +1,17 @@
-// Unit tests for src/support: strings, JSON, RNG.
+// Unit tests for src/support: strings, JSON, RNG, FlatMap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "support/flat_map.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
@@ -214,6 +220,87 @@ TEST(Rng, BernoulliRoughlyCalibrated) {
     if (rng.next_bool(0.3)) ++heads;
   EXPECT_GT(heads, 2600);
   EXPECT_LT(heads, 3400);
+}
+
+// ---------------------------------------------------------------------------
+// FlatMap
+// ---------------------------------------------------------------------------
+
+using Entries = std::vector<std::pair<std::string, int>>;
+
+template <class Map>
+Entries entries_of(const Map& map) {
+  return Entries(map.begin(), map.end());
+}
+
+// The dataflow states rely on FlatMap behaving as the std::map it replaced:
+// the same entries in the same (key) order after any sequence of the
+// operations the analyses use. Seeded random operations on both, compared
+// after every step; keys include ones too long for the short-string buffer.
+TEST(FlatMap, MatchesStdMapUnderRandomOperations) {
+  const std::vector<std::string> keys{"s",         "s.a",   "s.a.b", "s.b", "t",
+                                      "st",        "a",     "s.?",   "",    "z.z",
+                                      "session.is_closing", "session.owner.lease_holder"};
+  FlatMap<std::string, int> flat;
+  std::map<std::string, int> reference;
+  Rng rng(29);
+  for (int step = 0; step < 4000; ++step) {
+    const std::string& key = keys[rng.pick_index(keys.size())];
+    const int value = static_cast<int>(rng.next_in(0, 9));
+    switch (rng.next_below(5)) {
+      case 0:
+        flat[key] = value;
+        reference[key] = value;
+        break;
+      case 1:
+        EXPECT_EQ(flat.emplace(key, value).second, reference.emplace(key, value).second);
+        break;
+      case 2:
+        EXPECT_EQ(flat.erase(key), reference.erase(key));
+        break;
+      case 3: {
+        // Drop the entries whose key mentions `key`'s first character and
+        // bump the others, as a join does.
+        const char mark = key.empty() ? '.' : key[0];
+        const auto drop = [&](const std::string& k) { return k.find(mark) != std::string::npos; };
+        std::size_t dropped = 0;
+        for (auto it = reference.begin(); it != reference.end();) {
+          if (drop(it->first)) {
+            it = reference.erase(it);
+            ++dropped;
+          } else {
+            ++it->second;
+            ++it;
+          }
+        }
+        EXPECT_EQ(flat.erase_if([&](std::pair<std::string, int>& entry) {
+          if (drop(entry.first)) return true;
+          ++entry.second;
+          return false;
+        }),
+                  dropped);
+        break;
+      }
+      default: {
+        const auto found = flat.find(key);
+        ASSERT_EQ(found == flat.end(), reference.count(key) == 0) << key;
+        if (found != flat.end()) {
+          EXPECT_EQ(found->second, reference.at(key));
+        }
+        EXPECT_EQ(flat.count(key), reference.count(key));
+        break;
+      }
+    }
+    ASSERT_EQ(entries_of(flat), entries_of(reference)) << "after step " << step;
+  }
+}
+
+TEST(FlatMap, InitializerListKeepsTheFirstOfEqualKeys) {
+  const FlatMap<std::string, int> flat{{"q", 1}, {"p", 2}, {"q", 3}};
+  const std::map<std::string, int> reference{{"q", 1}, {"p", 2}, {"q", 3}};
+  EXPECT_EQ(entries_of(flat), entries_of(reference));
+  EXPECT_EQ(flat.at("q"), 1);
+  EXPECT_THROW((void)flat.at("r"), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
